@@ -31,10 +31,8 @@ from .io import Dataset, Transform, apply_transform, load_csv, scale, stream_csv
 from .lsh import (
     HashKind,
     LshFamily,
-    asymmetric_pair_transform,
     collision_probability,
     hash_batch,
-    hash_point,
     kernel_values,
     new_family,
     rebucket_allowance,
@@ -59,7 +57,6 @@ from .privacy import (
     PrivacyBudget,
     laplace_inverse_cdf,
     laplace_noise_matrix,
-    laplace_sample,
     privatize,
 )
 from .sketch import RaceSketch, build, deserialize, load, merge, save, serialize

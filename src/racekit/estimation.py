@@ -3,12 +3,16 @@
 A query reads one counter per row (the row's bucket for the query point).
 The mean of those reads is an unbiased estimate of the kernel sum f_D(q);
 the median-of-means aggregation trades a constant for exponential
-concentration and is what the utility bound covers. The dataset size is
-estimated as the grand counter total divided by the row count, since each
-row of a clean sketch sums to N (noise is zero-mean up to the floor offset).
-Negative values can appear after privatization: the raw estimate is reported
-as-is, while the normalized density clamps at zero and the size estimate is
-floored at one before dividing.
+concentration and is what the utility bound covers. The dataset size N-hat
+is the grand counter total divided by the row count, since each row of a
+clean sketch sums to N (noise is zero-mean up to the floor offset). It lives
+on the sketch as ``RaceSketch.n_hat`` and is computed once per counter state,
+not once per query. Negative values can appear after privatization: the raw
+estimate is reported as-is, while the normalized density clamps at zero and
+the size estimate is floored at one before dividing.
+
+Every consumer (the query functions here, the classifier, the regression
+surrogate and mode finding) reads counters through :func:`estimate`.
 """
 
 from __future__ import annotations
@@ -63,7 +67,14 @@ def _mom_aggregate(values: np.ndarray, delta: float) -> np.ndarray:
     return np.median(groups.mean(axis=1), axis=0)
 
 
-def _estimate(sketch, points, estimator: str, delta: float):
+def estimate(sketch: RaceSketch, points, estimator: str = "median_of_means",
+             delta: float = 0.1):
+    """Kernel-sum estimates for a batch of queries, arrays in and arrays out.
+
+    Returns ``(f_hat, kde, row_reads)``: the raw estimates and the normalized
+    densities, each of shape (n,), and the counter reads of shape (rows, n).
+    ``estimator`` is "mean" or "median_of_means" (which uses ``delta``).
+    """
     values = _gather(sketch, points)
     if estimator == "mean":
         f_hat = values.mean(axis=0)
@@ -71,16 +82,20 @@ def _estimate(sketch, points, estimator: str, delta: float):
         f_hat = _mom_aggregate(values, delta)
     else:
         raise InvalidParameterError(f"unknown estimator {estimator!r}")
-    n_hat = float(sketch.counts.sum()) / sketch.rows
-    kde = np.maximum(f_hat, 0.0) / max(n_hat, _N_FLOOR)
-    return f_hat, n_hat, kde, values
+    kde = np.maximum(f_hat, 0.0) / max(sketch.n_hat, _N_FLOOR)
+    return f_hat, kde, values
+
+
+def _query_one(sketch: RaceSketch, q, estimator: str, delta: float) -> QueryEstimate:
+    qv = lsh._as_vector(q, sketch.family.dim)
+    f_hat, kde, values = estimate(sketch, qv[None, :], estimator, delta)
+    return QueryEstimate(float(f_hat[0]), sketch.n_hat, float(kde[0]), values[:, 0],
+                         estimator)
 
 
 def query_mean(sketch: RaceSketch, q) -> QueryEstimate:
     """Mean-of-rows estimate of the kernel sum at q, with N-hat normalization."""
-    qv = lsh._as_vector(q, sketch.family.dim)
-    f_hat, n_hat, kde, values = _estimate(sketch, qv[None, :], "mean", 0.5)
-    return QueryEstimate(float(f_hat[0]), n_hat, float(kde[0]), values[:, 0], "mean")
+    return _query_one(sketch, q, "mean", 0.5)
 
 
 def query_median_of_means(sketch: RaceSketch, q, delta: float = 0.1) -> QueryEstimate:
@@ -90,18 +105,16 @@ def query_median_of_means(sketch: RaceSketch, q, delta: float = 0.1) -> QueryEst
     size; rows beyond k * floor(rows / k) are ignored. The median of an even
     group count is the average of the two central means.
     """
-    qv = lsh._as_vector(q, sketch.family.dim)
-    f_hat, n_hat, kde, values = _estimate(sketch, qv[None, :], "median_of_means", delta)
-    return QueryEstimate(float(f_hat[0]), n_hat, float(kde[0]), values[:, 0],
-                         "median_of_means")
+    return _query_one(sketch, q, "median_of_means", delta)
 
 
 def query_many(sketch: RaceSketch, points, estimator: str = "median_of_means",
                delta: float = 0.1) -> list[QueryEstimate]:
     """Batch form of the query estimators (one pass over the counter array)."""
     pts = lsh._as_matrix(points, sketch.family.dim)
-    f_hat, n_hat, kde, values = _estimate(sketch, pts, estimator, delta)
-    return [QueryEstimate(float(f_hat[i]), n_hat, float(kde[i]), values[:, i], estimator)
+    f_hat, kde, values = estimate(sketch, pts, estimator, delta)
+    return [QueryEstimate(float(f_hat[i]), sketch.n_hat, float(kde[i]), values[:, i],
+                          estimator)
             for i in range(pts.shape[0])]
 
 

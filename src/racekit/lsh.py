@@ -125,7 +125,8 @@ def _row_params(family: LshFamily, rows: int) -> _RowParams:
             0.0, family.bandwidth, size=(rows, p))
         offsets.flags.writeable = False
     # one contiguous block per row, so row r's parameters never depend on how
-    # many rows were requested (hash_point must agree with any larger batch)
+    # many rows were requested (hash_batch over r + 1 rows gives row r the same
+    # buckets as any larger batch)
     mix = np.random.default_rng([family.seed, _MIX_TAG]).integers(
         1, int(_MIX_PRIME), size=(rows, p + 1)).astype(np.uint64)
     mix_a, mix_b = mix[:, :p], mix[:, p]
@@ -185,14 +186,6 @@ def hash_batch(family: LshFamily, rows: int, points) -> np.ndarray:
     return (acc % np.uint64(family.width)).astype(np.int64)
 
 
-def hash_point(family: LshFamily, row: int, x) -> int:
-    """Bucket of a single point under the hash of one row."""
-    if row < 0:
-        raise InvalidParameterError(f"row must be >= 0, got {row}")
-    v = _as_vector(x, family.dim)
-    return int(hash_batch(family, row + 1, v[None, :])[row, 0])
-
-
 def _pstable_single_collision(dist, bandwidth: float):
     """Single-hash collision probability of the 2-stable family at distance ``dist``."""
     c = np.asarray(dist, dtype=np.float64)
@@ -238,10 +231,3 @@ def rebucket_allowance(family: LshFamily, n_points: float) -> float:
     if family.kind.angular and (1 << family.depth) <= family.width:
         return 0.0
     return n_points / family.width
-
-
-def asymmetric_pair_transform(x, y_target: float):
-    """Augment a feature vector with its target and return the (+, -) pair."""
-    xv = np.asarray(x, dtype=np.float64).ravel()
-    z_plus = np.append(xv, float(y_target))
-    return z_plus, -z_plus

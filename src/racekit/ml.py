@@ -71,13 +71,8 @@ class Classifier:
         pts = lsh._as_matrix(points, self.dim)
         scores = np.empty((len(self.classes), pts.shape[0]))
         for i, sk in enumerate(self.sketches):
-            values = estimation._gather(sk, pts)
-            f_hat = estimation._mom_aggregate(values, delta)
-            if rule == "map":
-                scores[i] = f_hat
-            else:
-                n_hat = float(sk.counts.sum()) / sk.rows
-                scores[i] = np.maximum(f_hat, 0.0) / max(n_hat, 1.0)
+            f_hat, kde, _ = estimation.estimate(sk, pts, "median_of_means", delta)
+            scores[i] = f_hat if rule == "map" else kde
         return scores
 
     def predict(self, points, rule: str = "ml", delta: float = 0.1) -> list:
@@ -142,10 +137,8 @@ def surrogate_loss(sk: RaceSketch, theta, *, estimator: str = "mean",
             f"dimension {sk.family.dim}")
     q = np.append(theta, -1.0)
     q /= np.linalg.norm(q)
-    values = estimation._gather(sk, q[None, :])
-    if estimator == "mean":
-        return float(values.mean())
-    return float(estimation._mom_aggregate(values, delta)[0])
+    f_hat, _, _ = estimation.estimate(sk, [q], estimator, delta)
+    return float(f_hat[0])
 
 
 @dataclass
@@ -238,12 +231,10 @@ def find_mode(sk: RaceSketch, init, config: OptimizerConfig | None = None,
     flat). The density is generally non-convex; no global claim is made.
     """
     start = lsh._as_vector(init, sk.family.dim)
-    n_hat = float(sk.counts.sum()) / sk.rows
 
     def negative_density(x):
-        values = estimation._gather(sk, np.asarray(x, dtype=np.float64)[None, :])
-        f_hat = float(estimation._mom_aggregate(values, delta)[0])
-        return -max(f_hat, 0.0) / max(n_hat, 1.0)
+        _, kde, _ = estimation.estimate(sk, [x], "median_of_means", delta)
+        return -float(kde[0])
 
     best, _, _ = minimize_derivative_free(negative_density, start, config)
     return best

@@ -53,11 +53,6 @@ def laplace_inverse_cdf(u, scale: float):
     return -scale * np.sign(u - 0.5) * np.log(inner)
 
 
-def laplace_sample(scale: float, rng) -> float:
-    """One Laplace(scale) draw via the inverse CDF of a single uniform."""
-    return float(laplace_inverse_cdf(rng.random(), scale))
-
-
 def laplace_noise_matrix(rows: int, cols: int, scale: float, seed: int) -> np.ndarray:
     """The exact (rows, cols) noise matrix a release with this seed adds, pre-floor."""
     if rows < 1 or cols < 1:

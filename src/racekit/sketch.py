@@ -33,6 +33,7 @@ sketch carries no record of it. Decoders must reject unknown versions.
 from __future__ import annotations
 
 import concurrent.futures
+import functools
 import struct
 
 import numpy as np
@@ -98,6 +99,14 @@ class RaceSketch:
     def width(self) -> int:
         return self.counts.shape[1]
 
+    @functools.cached_property
+    def n_hat(self) -> float:
+        """Estimated dataset size, the grand counter total over the row count.
+
+        Computed once per counter state; ``add`` drops the cached value.
+        """
+        return float(self.counts.sum()) / self.rows
+
     def descriptor(self) -> tuple:
         """Everything that must match for two sketches to be merge-compatible."""
         return (self.family, self.rows, self.width)
@@ -109,6 +118,7 @@ class RaceSketch:
         buckets = lsh.hash_batch(self.family, self.rows, np.asarray(x, float)[None, :])
         self.counts[np.arange(self.rows), buckets[:, 0]] += 1
         self.inserted += 1
+        self.__dict__.pop("n_hat", None)
 
     def row_sums_consistent(self) -> bool:
         """True when every row sums to the inserted count (clean sketches only)."""
@@ -131,13 +141,6 @@ class RaceSketch:
             else f"clean n={self.inserted}"
         return (f"RaceSketch(rows={self.rows}, width={self.width}, "
                 f"kind={self.family.kind.value}, {state})")
-
-    def to_bytes(self) -> bytes:
-        return serialize(self)
-
-    @classmethod
-    def from_bytes(cls, buf: bytes) -> "RaceSketch":
-        return deserialize(buf)
 
 
 def _iter_chunks(data, dim: int, chunk: int):
@@ -247,16 +250,16 @@ def deserialize(buf: bytes) -> RaceSketch:
         raise TruncationError(f"expected {expected} bytes, got {len(buf)}")
     if len(buf) > expected:
         raise MalformedHeaderError(f"{len(buf) - expected} trailing bytes after payload")
+    counts = np.frombuffer(buf, dtype="<i8", count=rows * width, offset=body)
+    counts = counts.astype(np.int64).reshape(rows, width)
     try:
         family = LshFamily(kind=kind, dim=dim, depth=depth, width=width,
                            bandwidth=None if np.isnan(bandwidth) else bandwidth,
                            seed=seed)
+        return RaceSketch(counts, family, privatized=privatized,
+                          epsilon=epsilon, inserted=inserted)
     except InvalidParameterError as exc:
-        raise MalformedHeaderError(f"invalid family parameters: {exc}") from exc
-    counts = np.frombuffer(buf, dtype="<i8", count=rows * width, offset=body)
-    counts = counts.astype(np.int64).reshape(rows, width)
-    return RaceSketch(counts, family, privatized=privatized,
-                      epsilon=epsilon, inserted=inserted)
+        raise MalformedHeaderError(f"invalid header fields: {exc}") from exc
 
 
 def save(sketch: RaceSketch, path) -> None:

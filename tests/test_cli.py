@@ -1,4 +1,5 @@
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -158,6 +159,18 @@ def test_query_corrupt_sketch_is_data_error(workdir, capsys):
     code, _, _ = _run(capsys, ["query", "--sketch", bad,
                                "--queries", workdir / "queries.csv"])
     assert code == 3
+
+
+def test_query_sketch_with_invalid_epsilon_is_data_error(workdir, capsys):
+    sk = rk.build(np.ones((4, 2)), rk.new_family("srp", dim=2, depth=2, width=8), 3)
+    buf = bytearray(rk.serialize(rk.privatize(sk, rk.PrivacyBudget(1.0), rng_seed=0)))
+    struct.pack_into("<d", buf, 40, 0.0)  # the privatized epsilon field
+    bad = workdir / "bad_epsilon.race"
+    bad.write_bytes(bytes(buf))
+    code, _, err = _run(capsys, ["query", "--sketch", bad,
+                                 "--queries", workdir / "queries.csv"])
+    assert code == 3
+    assert "epsilon" in err
 
 
 def test_query_insufficient_rows_is_usage_error(workdir, capsys):

@@ -49,6 +49,14 @@ def test_n_hat_equals_inserted_on_clean_sketch():
     assert est.n_hat == 321.0
 
 
+def test_n_hat_is_refreshed_by_add():
+    sk, x = _point_mass_sketch(n=50)
+    assert sk.n_hat == 50.0
+    sk.add(x)
+    assert sk.n_hat == 51.0
+    assert rk.query_mean(sk, x).n_hat == 51.0
+
+
 def test_mom_group_count():
     assert estimation.mom_group_count(0.1) == 19
     assert estimation.mom_group_count(DELTA_TWO_GROUPS) == 2

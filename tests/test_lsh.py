@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
 import racekit as rk
 from racekit import lsh, oracle
@@ -53,10 +52,9 @@ def _forced_params(proj_rows):
 def test_srp_single_bit_with_forced_projection(monkeypatch):
     fam = rk.new_family("srp", dim=2, depth=1, width=2, seed=7)
     monkeypatch.setattr(lsh, "_row_params", lambda f, rows: _forced_params([[1.0, 0.0]]))
-    assert rk.hash_point(fam, 0, [3.0, 0.0]) == 1
-    assert rk.hash_point(fam, 0, [-3.0, 1.0]) == 0
+    pts = [[3.0, 0.0], [-3.0, 1.0], [0.0, 0.0]]
     # sign(0) counts as positive so the streaming path never fails
-    assert rk.hash_point(fam, 0, [0.0, 0.0]) == 1
+    assert rk.hash_batch(fam, 1, pts)[0].tolist() == [1, 0, 1]
 
 
 def test_srp_scale_invariance():
@@ -95,7 +93,8 @@ def test_hash_point_agrees_with_any_batch_size():
             fam = rk.new_family(kind, dim=2, depth=depth, width=50, seed=11, **kwargs)
             x = np.array([1.0, 0.3])
             big = rk.hash_batch(fam, 120, x[None, :])[:, 0]
-            assert all(rk.hash_point(fam, r, x) == big[r] for r in range(120))
+            assert all(rk.hash_batch(fam, r + 1, x[None, :])[r, 0] == big[r]
+                       for r in range(120))
 
 
 def test_rows_use_distinct_parameters():
@@ -201,22 +200,3 @@ def test_rebucket_allowance_values():
     assert rk.rebucket_allowance(squeezed, 1000) == pytest.approx(1000 / 16)
     euc = rk.new_family("euclidean", dim=2, depth=1, width=50, bandwidth=1.0, seed=0)
     assert rk.rebucket_allowance(euc, 500) == pytest.approx(10.0)
-
-
-def test_asymmetric_pair_transform_examples():
-    zp, zm = rk.asymmetric_pair_transform([1.0, 2.0], 3.0)
-    assert zp.tolist() == [1.0, 2.0, 3.0]
-    assert zm.tolist() == [-1.0, -2.0, -3.0]
-    zp, zm = rk.asymmetric_pair_transform([0.0], 0.0)
-    assert zp.tolist() == [0.0, 0.0] and zm.tolist() == [0.0, 0.0]
-    zp, zm = rk.asymmetric_pair_transform([1.0], -1.0)
-    assert zp.tolist() == [1.0, -1.0] and zm.tolist() == [-1.0, 1.0]
-
-
-@given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=6),
-       st.floats(-1e6, 1e6))
-def test_asymmetric_pair_transform_is_a_negated_concat(x, y):
-    zp, zm = rk.asymmetric_pair_transform(x, y)
-    assert zp.shape == (len(x) + 1,)
-    assert np.array_equal(zm, -zp)
-    assert zp[-1] == y and np.array_equal(zp[:-1], np.asarray(x))

@@ -24,6 +24,17 @@ def test_train_and_classify_point_masses():
     assert all(sk.privatized for sk in clf.sketches)
 
 
+def test_score_matrix_matches_per_class_queries():
+    clf, xa, xb = _two_point_mass_classifier(epsilon=1.0, seed=5)
+    pts = np.vstack([xa, xb, [0.3, 0.3], [-1.0, -1.0]])
+    ml_scores = clf.score_matrix(pts, "ml")
+    map_scores = clf.score_matrix(pts, "map")
+    for i, sk in enumerate(clf.sketches):
+        estimates = estimation.query_many(sk, pts)
+        assert ml_scores[i].tolist() == [e.kde for e in estimates]
+        assert map_scores[i].tolist() == [e.f_hat for e in estimates]
+
+
 def test_train_classifier_rejects_degenerate_input():
     fam = rk.new_family("srp", dim=2, depth=2, width=8, seed=0)
     with pytest.raises(InvalidParameterError):
@@ -148,6 +159,29 @@ def test_surrogate_orthogonal_theta_hits_analytic_minimum():
     sigma = 256 * np.sqrt(rate * (1 - rate) / 4000)
     # 0.5 covers the release's floor quantization of each counter
     assert abs(loss - expected) <= 0.5 + 4 * sigma
+
+
+def _released_pair_sketch():
+    x, y = _regression_fixture()
+    z = np.column_stack([x[:, 0], y / 2.0])
+    fam = rk.new_family("asymmetric-srp", dim=2, depth=4, width=32, seed=6)
+    return rk.privatize(rk.build(np.vstack([z, -z]), fam, 200),
+                        rk.PrivacyBudget(1.0), rng_seed=4)
+
+
+@pytest.mark.parametrize("estimator", ["mean", "median_of_means"])
+def test_surrogate_loss_is_the_query_estimate_at_theta(estimator):
+    sk = _released_pair_sketch()
+    theta = np.array([0.6])
+    q = np.append(theta, -1.0)
+    q /= np.linalg.norm(q)
+    expected = estimation.query_many(sk, [q], estimator)[0].f_hat
+    assert ml.surrogate_loss(sk, theta, estimator=estimator) == expected
+
+
+def test_surrogate_loss_rejects_unknown_estimator():
+    with pytest.raises(InvalidParameterError):
+        ml.surrogate_loss(_released_pair_sketch(), [0.6], estimator="bogus")
 
 
 def test_surrogate_query_scale_invariance():

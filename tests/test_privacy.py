@@ -5,15 +5,7 @@ import pytest
 
 import racekit as rk
 from racekit.errors import DoubleReleaseError, FrozenSketchError, InvalidParameterError
-from racekit.privacy import laplace_inverse_cdf, laplace_noise_matrix, laplace_sample
-
-
-class _FixedUniform:
-    def __init__(self, u):
-        self.u = u
-
-    def random(self):
-        return self.u
+from racekit.privacy import laplace_inverse_cdf, laplace_noise_matrix
 
 
 def test_budget_validation_and_single_use():
@@ -28,21 +20,19 @@ def test_budget_validation_and_single_use():
 
 
 def test_laplace_median_maps_to_zero():
-    assert laplace_sample(3.0, _FixedUniform(0.5)) == 0.0
+    assert laplace_inverse_cdf(0.5, 3.0) == 0.0
 
 
 def test_laplace_sample_is_scale_homogeneous():
-    for u in (0.123, 0.42, 0.77, 0.99):
-        one = laplace_sample(1.0, _FixedUniform(u))
-        two = laplace_sample(2.0, _FixedUniform(u))
-        assert two == pytest.approx(2.0 * one)
+    u = np.array([0.123, 0.42, 0.77, 0.99])
+    assert laplace_inverse_cdf(u, 2.0) == pytest.approx(2.0 * laplace_inverse_cdf(u, 1.0))
 
 
 def test_laplace_sample_rejects_nonpositive_scale():
     with pytest.raises(InvalidParameterError):
-        laplace_sample(0.0, _FixedUniform(0.5))
+        laplace_inverse_cdf(0.5, 0.0)
     with pytest.raises(InvalidParameterError):
-        laplace_sample(-2.0, _FixedUniform(0.5))
+        laplace_inverse_cdf(0.5, -2.0)
 
 
 def test_laplace_extreme_uniform_stays_finite():

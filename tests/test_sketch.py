@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -175,6 +177,21 @@ def test_deserialize_rejects_truncation_and_trailing_bytes():
         rk.deserialize(buf[:20])
     with pytest.raises(MalformedHeaderError):
         rk.deserialize(buf + b"\x00")
+
+
+@pytest.mark.parametrize("offset,fmt,value", [
+    (40, "<d", -1.0),           # privatized epsilon
+    (40, "<d", 0.0),
+    (40, "<d", float("nan")),
+    (16, "<I", 0),              # rows
+], ids=["epsilon=-1", "epsilon=0", "epsilon=nan", "rows=0"])
+def test_deserialize_maps_invalid_header_fields_to_format_error(offset, fmt, value):
+    sk = rk.build(np.ones((1, 2)), _family(), 3)
+    buf = bytearray(rk.serialize(rk.privatize(sk, rk.PrivacyBudget(1.0), rng_seed=0)))
+    struct.pack_into(fmt, buf, offset, value)
+    rows, width = struct.unpack_from("<II", buf, 16)
+    with pytest.raises(MalformedHeaderError):
+        rk.deserialize(bytes(buf[:48 + 8 * rows * width]))
 
 
 def test_save_load_files(tmp_path):
