@@ -1,9 +1,9 @@
 """Dataset ingestion, scaling transforms, and CSV round-tripping.
 
 CSV files are read row-at-a-time with the stdlib reader, so arbitrarily long
-files can also be streamed straight into a sketch build via
-:func:`stream_csv` without materializing the matrix. Values must be finite
-decimal floats; parse problems are reported with 1-based (row, column)
+files can be sketched without materializing the matrix, as
+``build((vec for _, vec in stream_csv(path)), family, rows)``. Values must be
+finite decimal floats; parse problems are reported with 1-based (row, column)
 locations.
 
 Hash kernels behave best on bounded inputs, so two scaling modes are
@@ -93,7 +93,7 @@ def _parse_cell(cell: str, row: int, col: int) -> float:
 
 
 def stream_csv(path, *, header: bool = False, delimiter: str = ","):
-    """Yield one parsed float row at a time; validates arity and finiteness."""
+    """Yield ``(line, row)`` pairs one row at a time; validates arity and finiteness."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh, delimiter=delimiter)
         arity = None

@@ -168,9 +168,9 @@ def hash_batch(family: LshFamily, rows: int, points) -> np.ndarray:
     proj = params.proj @ pts.T  # (rows * p, n)
 
     if family.kind.angular:
-        bits = (proj >= 0).reshape(rows, p, n).astype(np.uint64)
-        weights = (np.uint64(1) << np.arange(p, dtype=np.uint64))
-        codes = (bits * weights[None, :, None]).sum(axis=1, dtype=np.uint64)
+        codes = np.zeros((rows, n), dtype=np.min_scalar_type((1 << p) - 1))
+        for i in range(p):  # bit i of row r is the sign of projection r * p + i
+            codes |= (proj[i::p] >= 0).astype(codes.dtype) << codes.dtype.type(i)
         if (1 << p) <= family.width:
             return codes.astype(np.int64)
         mixed = (params.mix_a[:, :1] * (codes % _MIX_PRIME)

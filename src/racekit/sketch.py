@@ -32,9 +32,11 @@ sketch carries no record of it. Decoders must reject unknown versions.
 
 from __future__ import annotations
 
-import concurrent.futures
+import collections
+import contextlib
 import functools
 import struct
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -56,8 +58,8 @@ _HEADER = struct.Struct("<4sHBBIIIIQd")
 _KIND_CODES = {HashKind.SRP: 0, HashKind.EUCLIDEAN: 1, HashKind.ASYMMETRIC_SRP: 2}
 _KIND_FROM_CODE = {v: k for k, v in _KIND_CODES.items()}
 
-# Cap on transient projection buffers during a build (doubles), so peak memory
-# stays bounded by the sketch itself no matter how long the stream is.
+# Cap on the projection buffer (doubles) of each chunk in flight during a build,
+# so peak memory is the sketch plus `threads` such buffers for any stream length.
 _CHUNK_BUDGET = 32_000_000
 
 
@@ -146,55 +148,53 @@ class RaceSketch:
 def _iter_chunks(data, dim: int, chunk: int):
     """Yield (n_chunk, dim) float64 blocks from an array or a point stream."""
     pts = getattr(data, "points", data)
-    if isinstance(pts, np.ndarray) or isinstance(pts, (list, tuple)):
+    if isinstance(pts, np.ndarray):
         mat = lsh._as_matrix(pts, dim)
-        for start in range(0, mat.shape[0], chunk):
-            yield mat[start:start + chunk]
+        yield from (mat[start:start + chunk] for start in range(0, mat.shape[0], chunk))
         return
     buf = []
     for row in pts:
-        buf.append(np.asarray(row, dtype=np.float64).ravel())
+        buf.append(lsh._as_vector(row, dim))
         if len(buf) == chunk:
-            yield lsh._as_matrix(np.vstack(buf), dim)
+            yield np.vstack(buf)
             buf = []
     if buf:
-        yield lsh._as_matrix(np.vstack(buf), dim)
+        yield np.vstack(buf)
 
 
 def build(data, family: LshFamily, rows: int, *, threads: int = 1) -> RaceSketch:
     """One-pass sketch construction.
 
-    ``data`` may be an (N, dim) array, a Dataset, or any iterable of points;
-    iterables are consumed in bounded-size chunks so the stream never needs to
-    fit in memory. With ``threads > 1`` an in-memory array is sharded, each
-    shard is sketched independently, and the partial sketches are merged
-    (identical result to the single-threaded build).
+    ``data`` may be an (N, dim) array, a Dataset, or any iterable of points.
+    Points are hashed in bounded-size chunks, so a stream never needs to fit
+    in memory. With ``threads > 1`` a pool hashes up to ``threads`` chunks of
+    the same stream at once; partial counts are added in stream order, so the
+    result is identical to the single-threaded build.
     """
     if rows < 1:
         raise InvalidParameterError(f"rows must be >= 1, got {rows}")
-    if threads > 1:
-        pts = getattr(data, "points", data)
-        mat = lsh._as_matrix(pts, family.dim) if isinstance(pts, np.ndarray) \
-            else lsh._as_matrix(np.array(list(pts), dtype=np.float64), family.dim)
-        shards = np.array_split(mat, threads)
-        with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(lambda s: build(s, family, rows), shards))
-        out = parts[0]
-        for part in parts[1:]:
-            out = merge(out, part)
-        return out
-
-    chunk = int(np.clip(_CHUNK_BUDGET // max(rows * family.depth, 1), 1, 8192))
+    if threads < 1:
+        raise InvalidParameterError(f"threads must be >= 1, got {threads}")
+    chunk = int(np.clip(_CHUNK_BUDGET // (rows * family.depth), 1, 8192))
     counts = np.zeros(rows * family.width, dtype=np.int64)
-    inserted = 0
     row_base = np.arange(rows, dtype=np.int64) * family.width
-    for block in _iter_chunks(data, family.dim, chunk):
-        if block.shape[0] == 0:
-            continue
+
+    def count(block):
         buckets = lsh.hash_batch(family, rows, block)  # (rows, n)
-        flat = (buckets + row_base[:, None]).ravel()
-        counts += np.bincount(flat, minlength=counts.size)
-        inserted += block.shape[0]
+        return np.bincount((buckets + row_base[:, None]).ravel(), minlength=counts.size)
+
+    inserted, pending = 0, collections.deque()
+    with ThreadPoolExecutor(threads) if threads > 1 else contextlib.nullcontext() as pool:
+        for block in _iter_chunks(data, family.dim, chunk):
+            inserted += block.shape[0]
+            if pool is None:
+                counts += count(block)
+                continue
+            if len(pending) == threads:
+                counts += pending.popleft().result()
+            pending.append(pool.submit(count, block))
+        for partial in pending:
+            counts += partial.result()
     return RaceSketch(counts.reshape(rows, family.width), family, inserted=inserted)
 
 

@@ -82,6 +82,17 @@ def test_identical_flags_are_byte_identical(workdir, capsys):
     assert (workdir / "one.race").read_bytes() == (workdir / "two.race").read_bytes()
 
 
+def test_threaded_build_writes_the_same_bytes(workdir, capsys):
+    args = ["build", "--input", workdir / "data.csv", "--rows", 50,
+            "--range", 32, "--seed", 9]
+    assert _run(capsys, args + ["--threads", 1, "--output", workdir / "t1.race"])[0] == 0
+    assert _run(capsys, args + ["--threads", 2, "--output", workdir / "t2.race"])[0] == 0
+    assert (workdir / "t1.race").read_bytes() == (workdir / "t2.race").read_bytes()
+    code, _, err = _run(capsys, args + ["--threads", 0, "--output", workdir / "t0.race"])
+    assert code == 2
+    assert "threads" in err
+
+
 def test_privatize_budget_file_blocks_second_release(workdir, capsys):
     _run(capsys, ["build", "--input", workdir / "data.csv", "--rows", 40,
                   "--range", 32, "--output", workdir / "s.race"])

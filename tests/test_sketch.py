@@ -1,4 +1,6 @@
+import hashlib
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -73,6 +75,60 @@ def test_build_threaded_equals_serial():
     pts = rng.standard_normal((501, 2))
     fam = _family()
     assert rk.build(pts, fam, rows=25, threads=3) == rk.build(pts, fam, rows=25)
+
+
+# serialize(build(...)) digests over _GOLDEN_POINTS with rows=30. They pin the
+# hash assignments and the .race layout bit for bit, so files already written
+# stay valid across refactors of the build and hashing code.
+_GOLDEN_POINTS = np.random.default_rng(2020).standard_normal((20_000, 3))
+_GOLDEN = {
+    "srp": (dict(kind="srp", dim=3, depth=4, width=64, seed=11),
+            "504fdfc646b7a947558e94233cfd56cc183f6acaf15efdf39b05ca74f4122d37"),
+    "srp-rebucketed": (dict(kind="srp", dim=3, depth=12, width=50, seed=12),
+                       "de9953f70895d43e7c59bbafaea3dd796e79481c73f3af6276f93261e0bebabd"),
+    "euclidean": (dict(kind="euclidean", dim=3, depth=3, width=40, bandwidth=0.75, seed=13),
+                  "eac60ffe70353c0bbfc50bcef38116f599d6b5aa10d41fc1d2087451cc1a02bc"),
+}
+
+
+@pytest.mark.parametrize("stream,threads", [(False, 1), (False, 3), (True, 1), (True, 3)],
+                         ids=["threads=1", "threads=3", "stream", "stream-threads=3"])
+@pytest.mark.parametrize("name", sorted(_GOLDEN))
+def test_build_golden_digest(name, stream, threads):
+    params, digest = _GOLDEN[name]
+    data = iter(_GOLDEN_POINTS) if stream else _GOLDEN_POINTS
+    sk = rk.build(data, rk.new_family(**params), 30, threads=threads)
+    assert hashlib.sha256(rk.serialize(sk)).hexdigest() == digest
+
+
+@pytest.mark.parametrize("make,threads", [
+    (lambda rows: rows, 1),
+    (lambda rows: (r for r in rows), 1),
+    (lambda rows: (r for r in rows), 2),
+], ids=["list", "stream", "stream-threads=2"])
+def test_build_ragged_input_is_dimension_mismatch(make, threads):
+    ragged = [[0.5, 1.0], [0.25], [1.0, 2.0]]
+    with pytest.raises(rk.DimensionMismatchError):
+        rk.build(make(ragged), _family(), rows=5, threads=threads)
+
+
+def test_build_rejects_threads_below_one():
+    for threads in (0, -2):
+        with pytest.raises(InvalidParameterError):
+            rk.build(np.ones((3, 2)), _family(), rows=5, threads=threads)
+
+
+def test_threaded_stream_build_keeps_memory_bounded():
+    n = 200_000
+    points = (np.array([np.cos(i), np.sin(i)]) for i in range(n))
+    tracemalloc.start()
+    try:
+        sk = rk.build(points, _family(), rows=10, threads=2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sk.inserted == n
+    assert peak < 10 * 2**20  # the whole stream as arrays would take ~30 MB
 
 
 def test_add_single_point():
