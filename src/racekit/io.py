@@ -1,7 +1,10 @@
 """Dataset ingestion, scaling transforms, and CSV round-tripping.
 
-CSV files are read row-at-a-time with the stdlib reader, so arbitrarily long
-files can be sketched without materializing the matrix, as
+``load_csv`` parses the whole file with ``np.loadtxt``; a file numpy refuses,
+or one with a non-finite value, is parsed again cell by cell by
+``stream_csv``, which reads row-at-a-time with the stdlib reader and reports
+the fault. ``stream_csv`` also lets arbitrarily long files be sketched without
+materializing the matrix, as
 ``build((vec for _, vec in stream_csv(path)), family, rows)``. Values must be
 finite decimal floats; parse problems are reported with 1-based (row, column)
 locations.
@@ -18,6 +21,7 @@ from __future__ import annotations
 
 import csv
 import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -111,6 +115,30 @@ def stream_csv(path, *, header: bool = False, delimiter: str = ","):
                                for j, c in enumerate(raw, start=1)])
 
 
+def _loadtxt(path, header: bool, delimiter: str) -> np.ndarray | None:
+    """Whole-file numpy parse; None unless it gives a non-empty, all-finite matrix.
+
+    numpy accepts a subset of the files ``stream_csv`` accepts (it refuses
+    quotes, empty fields, ragged rows, whitespace-only lines and ``1_0``) and
+    parses each cell it accepts with the same correctly rounded decimal parser
+    as ``float``, so a matrix it returns is the one ``stream_csv`` yields. On
+    anything else the caller falls back to ``stream_csv``, which raises the
+    error class and (row, column) of the fault.
+    """
+    with open(path, newline="") as fh:
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # an empty file only warns
+                matrix = np.loadtxt(fh, delimiter=delimiter, skiprows=int(header),
+                                    comments=None, ndmin=2, dtype=np.float64)
+        except (ValueError, TypeError, Warning):
+            # TypeError: numpy refuses delimiters (such as "\n") that csv takes
+            return None
+    if matrix.size == 0 or not np.isfinite(matrix).all():
+        return None
+    return matrix
+
+
 def load_csv(path, *, header: bool = False, delimiter: str = ",",
              label_column: int | None = None) -> Dataset:
     """Parse a CSV file into a Dataset.
@@ -118,10 +146,12 @@ def load_csv(path, *, header: bool = False, delimiter: str = ",",
     ``label_column`` (0-based; negative indices count from the end) splits
     one column off into ``Dataset.labels``.
     """
-    rows = [vec for _, vec in stream_csv(path, header=header, delimiter=delimiter)]
-    if not rows:
-        return Dataset(points=np.zeros((0, 0)))
-    matrix = np.vstack(rows)
+    matrix = _loadtxt(path, header, delimiter)
+    if matrix is None:
+        rows = [vec for _, vec in stream_csv(path, header=header, delimiter=delimiter)]
+        if not rows:
+            return Dataset(points=np.zeros((0, 0)))
+        matrix = np.vstack(rows)
     labels = None
     if label_column is not None:
         ncol = matrix.shape[1]

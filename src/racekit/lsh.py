@@ -17,8 +17,10 @@ unbounded p-stable codes, a seeded 2-universal mix
 rate of at most ``1 / width``.
 
 All per-row parameters derive deterministically from the family seed, so the
-bucket of a point depends only on (seed, row, point). Families are immutable
-and safe for concurrent readers.
+bucket of a point depends only on (seed, row, point). ``hash_batch`` therefore
+evaluates rows in blocks of cache size and writes buckets into the narrowest
+unsigned dtype that holds them; the grouping never changes a code. Families
+are immutable and safe for concurrent readers.
 """
 
 from __future__ import annotations
@@ -45,6 +47,12 @@ _OFFSET_TAG = 0x5EED_0002
 _MIX_TAG = 0x5EED_0003
 
 _MAX_DEPTH = 62  # SRP codes are packed into an unsigned 64-bit word
+_MAX_WIDTH = 1 << 32  # the .race header stores width as u32
+
+# Projections (doubles) evaluated per block of rows in hash_batch, about 4 MiB:
+# one block's projection and its sign or grid temporaries stay near cache
+# size, where one matrix over all rows would be bound by memory bandwidth.
+_BLOCK_BUDGET = 1 << 19
 
 
 class HashKind(Enum):
@@ -89,8 +97,9 @@ class LshFamily:
         if not 1 <= self.depth <= _MAX_DEPTH:
             raise InvalidParameterError(
                 f"depth must be in [1, {_MAX_DEPTH}], got {self.depth}")
-        if self.width < 2:
-            raise InvalidParameterError(f"width must be >= 2, got {self.width}")
+        if not 2 <= self.width < _MAX_WIDTH:
+            raise InvalidParameterError(
+                f"width must be in [2, {_MAX_WIDTH}), got {self.width}")
         if not 0 <= self.seed < 2**64:
             raise InvalidParameterError("seed must fit in 64 bits")
         if self.kind is HashKind.EUCLIDEAN:
@@ -155,35 +164,45 @@ def _as_vector(x, dim: int) -> np.ndarray:
 def hash_batch(family: LshFamily, rows: int, points) -> np.ndarray:
     """Bucket every point under every row hash.
 
-    Returns an int64 array of shape (rows, n) with entries in [0, width).
+    Returns an array of shape (rows, n) with entries in [0, width), in the
+    smallest unsigned dtype that holds ``width - 1`` (``2 ** depth - 1`` for
+    SRP codes used directly); never uint64, since width < 2**32. Rows are
+    evaluated in blocks of about ``_BLOCK_BUDGET`` projections, so the float64
+    projection is never materialized for all rows at once.
     """
     if rows < 1:
         raise InvalidParameterError(f"rows must be >= 1, got {rows}")
     pts = _as_matrix(points, family.dim)
-    n = pts.shape[0]
-    if n == 0:
-        return np.zeros((rows, 0), dtype=np.int64)
-    p = family.depth
+    n, p = pts.shape[0], family.depth
     params = _row_params(family, rows)
-    proj = params.proj @ pts.T  # (rows * p, n)
-
-    if family.kind.angular:
-        codes = np.zeros((rows, n), dtype=np.min_scalar_type((1 << p) - 1))
-        for i in range(p):  # bit i of row r is the sign of projection r * p + i
-            codes |= (proj[i::p] >= 0).astype(codes.dtype) << codes.dtype.type(i)
-        if (1 << p) <= family.width:
-            return codes.astype(np.int64)
-        mixed = (params.mix_a[:, :1] * (codes % _MIX_PRIME)
-                 + params.mix_b[:, None]) % _MIX_PRIME
-        return (mixed % np.uint64(family.width)).astype(np.int64)
-
-    grid = np.floor((proj.reshape(rows, p, n) + params.offsets[:, :, None])
-                    / family.bandwidth).astype(np.int64)
-    grid = (grid % np.int64(_MIX_PRIME)).astype(np.uint64)
-    acc = params.mix_b[:, None].copy()
-    for i in range(p):
-        acc = (acc + params.mix_a[:, i:i + 1] * grid[:, i, :]) % _MIX_PRIME
-    return (acc % np.uint64(family.width)).astype(np.int64)
+    code_dtype = np.min_scalar_type((1 << p) - 1)
+    direct = family.kind.angular and (1 << p) <= family.width
+    out = np.empty((rows, n), code_dtype if direct else np.min_scalar_type(family.width - 1))
+    step = max(1, _BLOCK_BUDGET // (p * max(n, 1)))
+    # one projection buffer for all blocks: a fresh one per block faults in anew
+    buf = np.empty((min(step, rows) * p, n))
+    for r0 in range(0, rows, step):
+        r1 = min(r0 + step, rows)
+        proj = np.matmul(params.proj[r0 * p:r1 * p], pts.T, out=buf[:(r1 - r0) * p])
+        if family.kind.angular:
+            # bit i of row r is the sign of projection r * p + i
+            codes = out[r0:r1] if direct else np.empty((r1 - r0, n), code_dtype)
+            np.greater_equal(proj[::p], 0, out=codes)
+            for i in range(1, p):
+                codes |= (proj[i::p] >= 0).astype(code_dtype) << code_dtype.type(i)
+            if direct:
+                continue
+            mixed = (params.mix_a[r0:r1, :1] * (codes % _MIX_PRIME)
+                     + params.mix_b[r0:r1, None]) % _MIX_PRIME
+        else:
+            grid = np.floor((proj.reshape(r1 - r0, p, n) + params.offsets[r0:r1, :, None])
+                            / family.bandwidth).astype(np.int64)
+            grid = (grid % np.int64(_MIX_PRIME)).astype(np.uint64)
+            mixed = params.mix_b[r0:r1, None]
+            for i in range(p):
+                mixed = (mixed + params.mix_a[r0:r1, i:i + 1] * grid[:, i, :]) % _MIX_PRIME
+        out[r0:r1] = mixed % np.uint64(family.width)
+    return out
 
 
 def _pstable_single_collision(dist, bandwidth: float):

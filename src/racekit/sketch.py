@@ -58,9 +58,15 @@ _HEADER = struct.Struct("<4sHBBIIIIQd")
 _KIND_CODES = {HashKind.SRP: 0, HashKind.EUCLIDEAN: 1, HashKind.ASYMMETRIC_SRP: 2}
 _KIND_FROM_CODE = {v: k for k, v in _KIND_CODES.items()}
 
-# Cap on the projection buffer (doubles) of each chunk in flight during a build,
-# so peak memory is the sketch plus `threads` such buffers for any stream length.
+# Sizes build chunks at _CHUNK_BUDGET // (rows * depth) points, so the
+# (rows, chunk) bucket array of a chunk in flight holds at most
+# _CHUNK_BUDGET / depth entries; peak memory is the sketch plus `threads` such
+# chunks, with their partial counts, for any stream length.
 _CHUNK_BUDGET = 32_000_000
+# Flat counter indices (int64) formed per block of rows in the scatter, about
+# 4 MiB: one flat index over the whole chunk (64 MB at R=1000, chunk 8000)
+# would be allocated and page-faulted in afresh for every chunk.
+_SCATTER_BUDGET = 1 << 19
 
 
 class RaceSketch:
@@ -179,20 +185,27 @@ def build(data, family: LshFamily, rows: int, *, threads: int = 1) -> RaceSketch
     counts = np.zeros(rows * family.width, dtype=np.int64)
     row_base = np.arange(rows, dtype=np.int64) * family.width
 
-    def count(block):
+    def count(block, into):
+        """Add one chunk's counter increments into ``into``, a block of rows at a time."""
         buckets = lsh.hash_batch(family, rows, block)  # (rows, n)
-        return np.bincount((buckets + row_base[:, None]).ravel(), minlength=counts.size)
+        step = max(1, _SCATTER_BUDGET // block.shape[0])
+        for r0 in range(0, rows, step):
+            r1 = min(r0 + step, rows)
+            into[r0 * family.width:r1 * family.width] += np.bincount(
+                (buckets[r0:r1] + row_base[:r1 - r0, None]).ravel(),
+                minlength=(r1 - r0) * family.width)
+        return into
 
     inserted, pending = 0, collections.deque()
     with ThreadPoolExecutor(threads) if threads > 1 else contextlib.nullcontext() as pool:
         for block in _iter_chunks(data, family.dim, chunk):
             inserted += block.shape[0]
             if pool is None:
-                counts += count(block)
+                count(block, counts)
                 continue
             if len(pending) == threads:
                 counts += pending.popleft().result()
-            pending.append(pool.submit(count, block))
+            pending.append(pool.submit(count, block, np.zeros_like(counts)))
         for partial in pending:
             counts += partial.result()
     return RaceSketch(counts.reshape(rows, family.width), family, inserted=inserted)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 import racekit as rk
 from racekit import io as rio
@@ -127,3 +129,74 @@ def test_stream_csv_feeds_build(tmp_path):
     fam = rk.new_family("srp", dim=2, depth=3, width=16, seed=5)
     streamed = rk.build((vec for _, vec in rk.stream_csv(path)), fam, rows=20)
     assert streamed == rk.build(pts, fam, rows=20)
+
+
+@st.composite
+def _csv_texts(draw):
+    """(text, header, matrix): finite float64 cells as %.17g or repr, blank lines."""
+    matrix = draw(arrays(np.float64, st.tuples(st.integers(1, 6), st.integers(1, 4)),
+                         elements=st.floats(allow_nan=False, allow_infinity=False)
+                         | st.sampled_from([0.0, -0.0, 5e-324, -2.5e-310,
+                                            1.7976931348623157e308])))
+    fmt = draw(st.sampled_from(["%.17g", "%r"]))
+    header = draw(st.booleans())
+    lines = ["x" * matrix.shape[1]] if header else []
+    for row in matrix:
+        lines.append(",".join(fmt % float(v) for v in row))
+        lines.extend([""] * draw(st.integers(0, 2)))
+    return "\n".join(lines) + "\n", header, matrix
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=_csv_texts())
+def test_load_csv_matches_stream_csv_bit_for_bit(tmp_path, case):
+    text, header, matrix = case
+    path = _write(tmp_path, text)
+    fast = rio._loadtxt(path, header, ",")
+    assert fast is not None  # the numpy path takes every such file
+    streamed = np.vstack([vec for _, vec in rio.stream_csv(path, header=header)])
+    loaded = rk.load_csv(path, header=header).points
+    assert loaded.tobytes() == streamed.tobytes() == matrix.tobytes()
+
+
+_NAN_LAST = "".join(f"{i}.25,{-i}\n" for i in range(49_999)) + "7,NaN\n"
+
+
+@pytest.mark.parametrize("text,kwargs,expected", [
+    ("1,2#3\n", {}, (CsvError, 1, 2)),
+    ("# c\n1,2\n", {}, (CsvError, 1, 1)),
+    ('"1.5",2\n', {}, [[1.5, 2.0]]),
+    ("1,2,\n", {}, (CsvError, 1, 3)),
+    ("1,,2\n", {}, (CsvError, 1, 2)),
+    ("1,0x1p3\n", {}, (CsvError, 1, 2)),
+    ("1d3,1\n", {}, (CsvError, 1, 1)),
+    ("1_0,2\n", {}, [[10.0, 2.0]]),
+    ("1,2\n   \n3,4\n", {}, [[1.0, 2.0], [3.0, 4.0]]),
+    ("1,2\r\n3,4\r\n", {}, [[1.0, 2.0], [3.0, 4.0]]),
+    ("1,2\r3,4\r", {}, [[1.0, 2.0], [3.0, 4.0]]),
+    (" 1 ,\t2 \n", {}, [[1.0, 2.0]]),
+    ("\na,b\n1,2\n", {"header": True}, (CsvError, 2, 1)),
+    ("a,b\n", {"header": True}, []),
+    ("1,1e400\n", {}, (NonFiniteValueError, 1, 2)),
+    ("1,1e-400\n", {}, [[1.0, 0.0]]),
+    ("1\n2\n", {"delimiter": "\n"}, [[1.0], [2.0]]),
+    ("1\n", {"delimiter": "ab"}, (TypeError, None, None)),
+    (_NAN_LAST, {}, (NonFiniteValueError, 50_000, 2)),
+], ids=["hash-in-cell", "hash-line", "quoted", "trailing-delimiter", "empty-field",
+        "hex-float", "fortran-exponent", "underscore", "whitespace-line", "crlf",
+        "lone-cr", "padded-cells", "blank-line-before-header", "header-only",
+        "overflow", "underflow", "newline-delimiter", "two-char-delimiter",
+        "nan-last-of-50k"])
+def test_load_csv_edge_cases_keep_their_result(tmp_path, text, kwargs, expected):
+    path = tmp_path / "edge.csv"
+    path.write_bytes(text.encode())
+    if isinstance(expected, list):
+        assert rk.load_csv(path, **kwargs).points.tolist() == expected
+        return
+    cls, row, column = expected
+    with pytest.raises(cls) as err:
+        rk.load_csv(path, **kwargs)
+    assert type(err.value) is cls
+    assert getattr(err.value, "row", None) == row
+    assert getattr(err.value, "column", None) == column

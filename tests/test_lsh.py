@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ def test_new_family_smoke():
     dict(kind="srp", dim=0, depth=1, width=2),
     dict(kind="srp", dim=2, depth=0, width=2),
     dict(kind="srp", dim=2, depth=1, width=1),
+    dict(kind="srp", dim=2, depth=1, width=2**32),               # header stores u32
     dict(kind="euclidean", dim=2, depth=1, width=4),              # missing bandwidth
     dict(kind="euclidean", dim=2, depth=1, width=4, bandwidth=0.0),
     dict(kind="euclidean", dim=2, depth=1, width=4, bandwidth=-1.0),
@@ -200,3 +202,55 @@ def test_rebucket_allowance_values():
     assert rk.rebucket_allowance(squeezed, 1000) == pytest.approx(1000 / 16)
     euc = rk.new_family("euclidean", dim=2, depth=1, width=50, bandwidth=1.0, seed=0)
     assert rk.rebucket_allowance(euc, 500) == pytest.approx(10.0)
+
+
+_BLOCK_FAMILIES = {
+    "srp-direct": dict(kind="srp", depth=4, width=64),
+    "srp-depth12": dict(kind="srp", depth=12, width=50),
+    "srp-depth62": dict(kind="srp", depth=62, width=50),
+    "euclidean": dict(kind="euclidean", depth=3, width=97, bandwidth=0.5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BLOCK_FAMILIES))
+def test_hash_batch_blocks_match_one_block(monkeypatch, name):
+    fam = rk.new_family(dim=3, seed=21, **_BLOCK_FAMILIES[name])
+    pts = np.random.default_rng(4).standard_normal((40, 3)) * 2
+    whole = rk.hash_batch(fam, 30, pts)  # 30 rows fit one block at the default budget
+    # 7 rows per block: 30 rows run as blocks of 7, 7, 7, 7 and a ragged 2
+    monkeypatch.setattr(lsh, "_BLOCK_BUDGET", 7 * fam.depth * len(pts))
+    blocked = rk.hash_batch(fam, 30, pts)
+    assert blocked.dtype == whole.dtype
+    assert np.array_equal(blocked, whole)
+
+
+@pytest.mark.parametrize("kwargs,dtype", [
+    (dict(kind="srp", depth=4, width=16), np.uint8),        # direct codes < 2**4
+    (dict(kind="srp", depth=8, width=70_000), np.uint8),    # direct codes < 2**8
+    (dict(kind="srp", depth=12, width=50), np.uint8),
+    (dict(kind="srp", depth=12, width=300), np.uint16),
+    (dict(kind="srp", depth=31, width=2**31), np.uint32),   # direct codes < 2**31
+    (dict(kind="srp", depth=62, width=2**32 - 1), np.uint32),
+    (dict(kind="euclidean", depth=2, width=256, bandwidth=0.3), np.uint8),
+    (dict(kind="euclidean", depth=2, width=70_000, bandwidth=0.01), np.uint32),
+])
+def test_hash_batch_uses_the_smallest_unsigned_dtype(kwargs, dtype):
+    fam = rk.new_family(dim=2, seed=8, **kwargs)
+    buckets = rk.hash_batch(fam, 50, np.random.default_rng(1).standard_normal((200, 2)))
+    assert buckets.dtype == dtype
+    assert buckets.max() < fam.width
+
+
+@pytest.mark.parametrize("kind,kwargs", [("srp", {}), ("euclidean", {"bandwidth": 1.0})])
+def test_hash_batch_memory_stays_block_sized(kind, kwargs):
+    fam = rk.new_family(kind, dim=10, depth=4, width=500, seed=3, **kwargs)
+    pts = np.random.default_rng(0).uniform(0, 1, (8000, 10))
+    lsh._row_params(fam, 1000)  # cached parameters are not part of the peak
+    tracemalloc.start()
+    try:
+        rk.hash_batch(fam, 1000, pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a single (rows * depth, n) float64 projection alone would be 244 MiB
+    assert peak < 64 * 2**20

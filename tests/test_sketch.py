@@ -101,6 +101,19 @@ def test_build_golden_digest(name, stream, threads):
     assert hashlib.sha256(rk.serialize(sk)).hexdigest() == digest
 
 
+@pytest.mark.parametrize("threads", [1, 3])
+@pytest.mark.parametrize("name", sorted(_GOLDEN))
+def test_build_golden_digest_with_small_blocks(monkeypatch, name, threads):
+    # 7 rows per hash block and per scatter block: 30 rows run as 7, 7, 7, 7, 2
+    params, digest = _GOLDEN[name]
+    chunk = 5000
+    monkeypatch.setattr(rk.sketch, "_CHUNK_BUDGET", chunk * 30 * params["depth"])
+    monkeypatch.setattr(rk.lsh, "_BLOCK_BUDGET", 7 * params["depth"] * chunk)
+    monkeypatch.setattr(rk.sketch, "_SCATTER_BUDGET", 7 * chunk)
+    sk = rk.build(_GOLDEN_POINTS, rk.new_family(**params), 30, threads=threads)
+    assert hashlib.sha256(rk.serialize(sk)).hexdigest() == digest
+
+
 @pytest.mark.parametrize("make,threads", [
     (lambda rows: rows, 1),
     (lambda rows: (r for r in rows), 1),
