@@ -55,7 +55,6 @@ from .ml import (
 from .optimize import OptimizerConfig, minimize_derivative_free
 from .privacy import (
     PrivacyBudget,
-    laplace_inverse_cdf,
     laplace_noise_matrix,
     privatize,
 )

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import json
 import os
 import sys
@@ -123,28 +124,50 @@ def cmd_info(args) -> int:
         lines.append(("epsilon", sk.epsilon))
     else:
         lines.append(("inserted", sk.inserted))
-    lines.append(("bytes", len(rsketch.serialize(sk))))
+    lines.append(("bytes", os.path.getsize(args.sketch)))  # load accepts only 48 + 8*R*W
     for key, value in lines:
         print(f"{key}: {value}")
     return 0
 
 
+@dataclasses.dataclass
+class _BudgetFile(privacy.PrivacyBudget):
+    """A budget kept in a JSON file and spent by claiming it (fail closed).
+
+    The claim is an exclusive create (``O_CREAT | O_EXCL``) of ``<path>.claim``,
+    so of concurrent runs exactly one wins; an unreadable file counts as spent.
+    """
+
+    path: str = ""
+
+    def consume(self) -> None:
+        super().consume()
+        try:
+            with open(self.path) as fh:
+                state = json.load(fh)
+        except FileNotFoundError:
+            state = {"epsilon": self.epsilon}
+        except ValueError:  # unreadable, or being written by the winning claim
+            state = {"consumed": True}
+        if state.get("consumed"):
+            raise DoubleReleaseError(f"budget file {self.path} is already consumed")
+        if state.get("epsilon") != self.epsilon:
+            raise InvalidParameterError(
+                f"budget file epsilon {state.get('epsilon')} != --epsilon {self.epsilon}")
+        try:
+            os.close(os.open(self.path + ".claim", os.O_WRONLY | os.O_CREAT | os.O_EXCL))
+        except FileExistsError:
+            raise DoubleReleaseError(f"budget file {self.path} is already consumed") from None
+        with open(self.path, "w") as fh:
+            json.dump({"epsilon": self.epsilon, "consumed": True}, fh)
+
+
 def cmd_privatize(args) -> int:
     sk = rsketch.load(args.sketch)
-    if args.budget and os.path.exists(args.budget):
-        with open(args.budget) as fh:
-            state = json.load(fh)
-        if state.get("consumed"):
-            raise DoubleReleaseError(f"budget file {args.budget} is already consumed")
-        if state.get("epsilon") != args.epsilon:
-            raise InvalidParameterError(
-                f"budget file epsilon {state.get('epsilon')} != --epsilon {args.epsilon}")
-    budget = privacy.PrivacyBudget(args.epsilon)
+    budget = (_BudgetFile(args.epsilon, path=args.budget) if args.budget
+              else privacy.PrivacyBudget(args.epsilon))
     released = privacy.privatize(sk, budget, rng_seed=args.seed)
     rsketch.save(released, args.output)
-    if args.budget:
-        with open(args.budget, "w") as fh:
-            json.dump({"epsilon": args.epsilon, "consumed": True}, fh)
     _emit_manifest(args, "privatize",
                    {"deterministic_seed": args.seed is not None})
     return 0
@@ -279,15 +302,19 @@ def _add_csv_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--delimiter", default=",")
 
 
-def _add_family_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--lsh", choices=["srp", "euclidean"], default="srp")
+def _add_shape_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--depth", type=int, default=4,
                    help="elementary hashes concatenated per row")
-    p.add_argument("--bandwidth", type=float, default=1.0,
-                   help="bucket width for the euclidean family")
     p.add_argument("--rows", type=int, default=1000)
     p.add_argument("--range", type=int, default=500,
                    help="buckets per row")
+
+
+def _add_family_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--lsh", choices=["srp", "euclidean"], default="srp")
+    p.add_argument("--bandwidth", type=float, default=1.0,
+                   help="bucket width for the euclidean family")
+    _add_shape_flags(p)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -312,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sketch", required=True)
     p.set_defaults(func=cmd_info)
 
-    p = sub.add_parser("privatize", help="one-shot Laplace release of a clean sketch")
+    p = sub.add_parser("privatize", help="one-shot discrete Laplace release of a clean sketch")
     p.add_argument("--sketch", required=True)
     p.add_argument("--epsilon", type=float, required=True)
     p.add_argument("--seed", type=int, default=None,
@@ -365,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("regress", help="fit linear weights via the sketched surrogate loss")
     p.add_argument("--input", required=True)
     p.add_argument("--target-col", type=int, default=-1)
-    _add_family_flags(p)
+    _add_shape_flags(p)
     p.add_argument("--epsilon", type=float, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-iters", type=int, default=400)

@@ -4,12 +4,13 @@ A query reads one counter per row (the row's bucket for the query point).
 The mean of those reads is an unbiased estimate of the kernel sum f_D(q);
 the median-of-means aggregation trades a constant for exponential
 concentration and is what the utility bound covers. The dataset size N-hat
-is the grand counter total divided by the row count, since each row of a
-clean sketch sums to N (noise is zero-mean up to the floor offset). It lives
-on the sketch as ``RaceSketch.n_hat`` and is computed once per counter state,
-not once per query. Negative values can appear after privatization: the raw
-estimate is reported as-is, while the normalized density clamps at zero and
-the size estimate is floored at one before dividing.
+is the grand counter total divided by the row count: each row of a clean
+sketch sums to N, and a release adds integer, zero-mean discrete Laplace noise
+(its scale is capped so draws stay exact in int64; see ``racekit.privacy``).
+N-hat lives on the sketch as ``RaceSketch.n_hat`` and is computed once per
+counter state, not once per query. Negative values can appear after
+privatization: the raw estimate is reported as-is, while the normalized
+density clamps at zero and the size estimate is floored at one before dividing.
 
 Every consumer (the query functions here, the classifier, the regression
 surrogate and mode finding) reads counters through :func:`estimate`.

@@ -72,8 +72,9 @@ class LshFamily:
 
     Fields
     ------
-    kind: hash family; ASYMMETRIC_SRP hashes exactly like SRP and exists to
-        mark sketches built over negated point pairs (regression).
+    kind: hash family; ASYMMETRIC_SRP hashes exactly like SRP and marks a
+        pair sketch (regression: each record is inserted as z and -z), whose
+        release noise is calibrated to two counters per row per record.
     dim: input dimension d.
     depth: number of elementary hashes concatenated per row (p).
     width: bucket count per row (W); all buckets lie in [0, width).

@@ -1,10 +1,15 @@
-"""Laplace-mechanism release of a sketch and one-shot budget bookkeeping.
+"""Discrete Laplace release of a sketch and one-shot budget bookkeeping.
 
-Each counter has sensitivity 1 within its row (a point lands in exactly one
-bucket per row), and the R rows stack, so releasing the whole array with
-epsilon-differential privacy requires i.i.d. Laplace noise of scale
-``rows / epsilon`` on every counter. The noised counters are floored to
-integers; flooring is post-processing and costs no privacy.
+A record moves one counter per row, so the R rows stack to an L1 sensitivity
+of R; a pair sketch (``HashKind.ASYMMETRIC_SRP``) inserts each record as ``z``
+and ``-z``, two counters per row, so its sensitivity is 2R. The release adds
+i.i.d. discrete Laplace noise, ``P(k) ~ alpha ** |k|`` with ``alpha =
+exp(-1 / scale)`` and ``scale = sensitivity / epsilon`` (Ghosh, Roughgarden
+and Sundararajan, STOC 2009): each released counter is an integer with
+zero-mean noise of variance ``2 alpha / (1 - alpha) ** 2``. A noise value is
+the difference of two geometric draws ``floor(scale * E)``, ``E`` standard
+exponential, since ``P(floor(scale * E) >= k) = alpha ** k``; a scale above
+``MAX_NOISE_SCALE``, past which a draw may not be an exact integer, is rejected.
 
 Noise generation is counter-based (Philox keyed by the release seed), so the
 value added at (row, column) is a reproducible function of the seed and the
@@ -22,7 +27,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DoubleReleaseError, FrozenSketchError, InvalidParameterError
+from .lsh import HashKind
 from .sketch import RaceSketch
+
+# floor(scale * E) reaches 2**53, where doubles stop being exact integers, only
+# when E > 2**13, which has probability exp(-8192).
+MAX_NOISE_SCALE = 2.0**40
 
 
 @dataclass
@@ -42,34 +52,32 @@ class PrivacyBudget:
         self.consumed = True
 
 
-def laplace_inverse_cdf(u, scale: float):
-    """Map uniform draws in [0, 1) to zero-mean Laplace(scale) samples."""
-    if not scale > 0:
-        raise InvalidParameterError(f"scale must be > 0, got {scale}")
-    u = np.asarray(u, dtype=np.float64)
-    inner = 1.0 - 2.0 * np.abs(u - 0.5)
-    # u == 0.0 would map to -inf; nudge onto the smallest positive double
-    inner = np.maximum(inner, np.finfo(np.float64).tiny)
-    return -scale * np.sign(u - 0.5) * np.log(inner)
+def _check_noise(scale: float, seed: int) -> None:
+    if not 0 < scale <= MAX_NOISE_SCALE:
+        raise InvalidParameterError(f"noise scale {scale} is outside (0, {MAX_NOISE_SCALE:g}]")
+    if not 0 <= seed < 2**128:
+        raise InvalidParameterError("seed must fit in 128 bits")
 
 
 def laplace_noise_matrix(rows: int, cols: int, scale: float, seed: int) -> np.ndarray:
-    """The exact (rows, cols) noise matrix a release with this seed adds, pre-floor."""
+    """The exact (rows, cols) int64 noise matrix a release with this seed adds."""
     if rows < 1 or cols < 1:
         raise InvalidParameterError("noise matrix must have positive shape")
-    if not 0 <= seed < 2**128:
-        raise InvalidParameterError("seed must fit in 128 bits")
+    _check_noise(scale, seed)
     rng = np.random.Generator(np.random.Philox(key=seed))
-    return laplace_inverse_cdf(rng.random((rows, cols)), scale)
+    draws = rng.standard_exponential((2, rows, cols))
+    draws *= scale
+    np.floor(draws, out=draws)
+    return np.subtract(draws[0], draws[1], out=draws[0]).astype(np.int64)
 
 
 def privatize(sketch: RaceSketch, budget: PrivacyBudget, rng_seed: int | None = None) -> RaceSketch:
-    """Release a clean sketch: add Laplace(rows / epsilon) noise and floor.
+    """Release a clean sketch: add discrete Laplace(sensitivity / epsilon) noise.
 
     Returns a new privatized sketch carrying epsilon instead of the exact
     element count; the input sketch is left untouched and the budget is
-    marked consumed. Deterministic only when ``rng_seed`` is given (test
-    mode, not private).
+    consumed once every check has passed, before noise is drawn.
+    Deterministic only when ``rng_seed`` is given (test mode, not private).
     """
     if sketch.privatized:
         raise FrozenSketchError("sketch is already privatized")
@@ -77,9 +85,11 @@ def privatize(sketch: RaceSketch, budget: PrivacyBudget, rng_seed: int | None = 
         # each row must partition the inserted points across its buckets
         raise InvalidParameterError(
             "row sums do not match the inserted count; refusing to release")
-    budget.consume()
+    pairs = sketch.family.kind is HashKind.ASYMMETRIC_SRP
+    scale = (2 if pairs else 1) * sketch.rows / budget.epsilon
     seed = secrets.randbits(128) if rng_seed is None else rng_seed
-    scale = sketch.rows / budget.epsilon
+    _check_noise(scale, seed)
+    budget.consume()
     noise = laplace_noise_matrix(sketch.rows, sketch.width, scale, seed)
-    noised = np.floor(sketch.counts + noise).astype(np.int64)
-    return RaceSketch(noised, sketch.family, privatized=True, epsilon=budget.epsilon)
+    return RaceSketch(sketch.counts + noise, sketch.family, privatized=True,
+                      epsilon=budget.epsilon)

@@ -15,19 +15,20 @@ offset size   field
 0      4      magic ``b"RACE"``
 4      2      format version, u16 (currently 1)
 6      1      family kind: 0 = srp, 1 = euclidean, 2 = asymmetric-srp
-7      1      flags: bit 0 = privatized
+7      1      flags: bit 0 = privatized, other bits 0
 8      4      dim, u32
 12     4      depth, u32
 16     4      rows (R), u32
 20     4      width (W), u32
 24     8      family seed, u64
-32     8      bandwidth, f64 (NaN when the family has none)
+32     8      bandwidth, f64 (the NaN 0x7ff8... when the family has none)
 40     8      epsilon (f64) if privatized, else inserted count (u64)
 48     8*R*W  counters, i64, row-major
 ====== ====== ===========================================
 
 The exact element count is serialized only for clean sketches; a privatized
-sketch carries no record of it. Decoders must reject unknown versions.
+sketch carries no record of it. Decoders must reject unknown versions and
+any header an encoder would not write, so a decoded file re-encodes exactly.
 """
 
 from __future__ import annotations
@@ -57,6 +58,7 @@ _VERSION = 1
 _HEADER = struct.Struct("<4sHBBIIIIQd")
 _KIND_CODES = {HashKind.SRP: 0, HashKind.EUCLIDEAN: 1, HashKind.ASYMMETRIC_SRP: 2}
 _KIND_FROM_CODE = {v: k for k, v in _KIND_CODES.items()}
+_NO_BANDWIDTH = struct.pack("<d", float("nan"))  # an angular family's bandwidth bytes
 
 # Sizes build chunks at _CHUNK_BUDGET // (rows * depth) points, so the
 # (rows, chunk) bucket array of a chunk in flight holds at most
@@ -238,7 +240,7 @@ def serialize(sketch: RaceSketch) -> bytes:
 
 
 def deserialize(buf: bytes) -> RaceSketch:
-    """Decode a sketch, rejecting bad magic, unknown versions, and short payloads."""
+    """Decode a sketch, rejecting non-canonical headers and payloads of the wrong length."""
     if len(buf) < _HEADER.size + 8:
         raise TruncationError(f"buffer of {len(buf)} bytes is shorter than the header")
     magic, version, kind_code, flags, dim, depth, rows, width, seed, bandwidth = \
@@ -250,7 +252,11 @@ def deserialize(buf: bytes) -> RaceSketch:
     if kind_code not in _KIND_FROM_CODE:
         raise MalformedHeaderError(f"unknown family kind code {kind_code}")
     kind = _KIND_FROM_CODE[kind_code]
-    privatized = bool(flags & 1)
+    if flags & ~1:
+        raise MalformedHeaderError(f"unknown flag bits {flags:#04x}")
+    if kind.angular and buf[_HEADER.size - 8:_HEADER.size] != _NO_BANDWIDTH:
+        raise MalformedHeaderError(f"an angular family has no bandwidth, got {bandwidth!r}")
+    privatized = bool(flags)
     if privatized:
         (epsilon,) = struct.unpack_from("<d", buf, _HEADER.size)
         inserted = None
@@ -267,8 +273,7 @@ def deserialize(buf: bytes) -> RaceSketch:
     counts = counts.astype(np.int64).reshape(rows, width)
     try:
         family = LshFamily(kind=kind, dim=dim, depth=depth, width=width,
-                           bandwidth=None if np.isnan(bandwidth) else bandwidth,
-                           seed=seed)
+                           bandwidth=bandwidth, seed=seed)
         return RaceSketch(counts, family, privatized=privatized,
                           epsilon=epsilon, inserted=inserted)
     except InvalidParameterError as exc:

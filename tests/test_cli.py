@@ -1,5 +1,7 @@
 import json
 import struct
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -44,6 +46,7 @@ def test_build_info_and_manifest(workdir, capsys):
     assert fields["range"] == "64"
     assert fields["inserted"] == "400"
     assert fields["kind"] == "srp"
+    assert fields["bytes"] == str(out_path.stat().st_size)
 
 
 def test_build_defaults_follow_documented_band(workdir, capsys):
@@ -103,6 +106,70 @@ def test_privatize_budget_file_blocks_second_release(workdir, capsys):
     code, _, err = _run(capsys, args + ["--output", workdir / "p2.race"])
     assert code == 4
     assert "consumed" in err
+
+
+def test_privatize_budget_file_states_and_exit_codes(workdir, capsys):
+    _run(capsys, ["build", "--input", workdir / "data.csv", "--rows", 40,
+                  "--range", 32, "--output", workdir / "s.race"])
+    budget = workdir / "b.json"
+    args = ["privatize", "--sketch", workdir / "s.race", "--epsilon", 1.0,
+            "--seed", 5, "--budget", budget, "--output", workdir / "p.race"]
+    budget.write_text(json.dumps({"epsilon": 2.0, "consumed": False}))
+    assert _run(capsys, args)[0] == 2  # epsilon mismatch
+    budget.write_text(json.dumps({"epsilon": 1.0, "consumed": False}))
+    assert _run(capsys, args)[0] == 0
+    assert json.loads(budget.read_text()) == {"epsilon": 1.0, "consumed": True}
+    assert _run(capsys, args)[0] == 4
+    budget.write_text("not json")  # unreadable counts as consumed
+    assert _run(capsys, args)[0] == 4
+
+
+@pytest.mark.parametrize("unconsumed_file", [False, True], ids=["new-file", "unconsumed-file"])
+def test_concurrent_privatize_runs_release_once(workdir, capsys, unconsumed_file):
+    _run(capsys, ["build", "--input", workdir / "data.csv", "--rows", 40,
+                  "--range", 32, "--output", workdir / "s.race"])
+    budget = workdir / "b.json"
+    if unconsumed_file:
+        budget.write_text(json.dumps({"epsilon": 1.0, "consumed": False}))
+    n = 8
+    codes = [None] * n
+    start = threading.Barrier(n)
+
+    def release(i):
+        start.wait()
+        codes[i] = main(["privatize", "--sketch", str(workdir / "s.race"),
+                         "--epsilon", "1.0", "--budget", str(budget),
+                         "--output", str(workdir / f"p{i}.race")])
+
+    threads = [threading.Thread(target=release, args=(i,)) for i in range(n)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert sorted(codes) == [0] + [4] * (n - 1)
+    assert sum((workdir / f"p{i}.race").exists() for i in range(n)) == 1
+    assert json.loads(budget.read_text()) == {"epsilon": 1.0, "consumed": True}
+
+
+@pytest.mark.parametrize("flags,message", [
+    (["--epsilon", 1e-300], "noise scale"),
+    (["--epsilon", 1.0, "--seed", -1], "seed"),
+], ids=["epsilon=1e-300", "seed=-1"])
+def test_privatize_invalid_noise_is_usage_error_and_spends_nothing(workdir, capsys,
+                                                                   flags, message):
+    _run(capsys, ["build", "--input", workdir / "data.csv", "--rows", 40,
+                  "--range", 32, "--output", workdir / "s.race"])
+    code, _, err = _run(capsys, ["privatize", "--sketch", workdir / "s.race",
+                                 "--budget", workdir / "b.json",
+                                 "--output", workdir / "p.race"] + flags)
+    assert code == 2 and message in err
+    assert not any((workdir / name).exists() for name in ("b.json", "b.json.claim", "p.race"))
 
 
 def test_privatize_then_mutating_commands_fail_with_contract_code(workdir, capsys):
@@ -225,6 +292,16 @@ def test_regress_prints_slope(workdir, capsys):
     record = json.loads((workdir / "model.json").read_text())
     assert (workdir / "model.race").exists()
     assert len(record["theta"]) == 1
+
+
+@pytest.mark.parametrize("flag", [["--lsh", "euclidean"], ["--bandwidth", 0.5]],
+                         ids=["lsh", "bandwidth"])
+def test_regress_rejects_family_flags_it_would_ignore(workdir, capsys, flag):
+    code, _, _ = _run(capsys, ["regress", "--input", workdir / "reg.csv",
+                               "--rows", 100, "--range", 32, "--epsilon", 1e6,
+                               "--output", workdir / "model.json"] + flag)
+    assert code == 2
+    assert not (workdir / "model.json").exists()
 
 
 def test_mode_outputs_point(workdir, capsys):

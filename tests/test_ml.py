@@ -157,8 +157,7 @@ def test_surrogate_orthogonal_theta_hits_analytic_minimum():
     expected = 2 * 256 * 0.5**4
     rate = 2 * 0.5**4
     sigma = 256 * np.sqrt(rate * (1 - rate) / 4000)
-    # 0.5 covers the release's floor quantization of each counter
-    assert abs(loss - expected) <= 0.5 + 4 * sigma
+    assert abs(loss - expected) <= 4 * sigma
 
 
 def _released_pair_sketch():

@@ -5,7 +5,7 @@ import pytest
 
 import racekit as rk
 from racekit.errors import DoubleReleaseError, FrozenSketchError, InvalidParameterError
-from racekit.privacy import laplace_inverse_cdf, laplace_noise_matrix
+from racekit.privacy import MAX_NOISE_SCALE, laplace_noise_matrix
 
 
 def test_budget_validation_and_single_use():
@@ -19,32 +19,43 @@ def test_budget_validation_and_single_use():
         budget.consume()
 
 
-def test_laplace_median_maps_to_zero():
-    assert laplace_inverse_cdf(0.5, 3.0) == 0.0
-
-
-def test_laplace_sample_is_scale_homogeneous():
-    u = np.array([0.123, 0.42, 0.77, 0.99])
-    assert laplace_inverse_cdf(u, 2.0) == pytest.approx(2.0 * laplace_inverse_cdf(u, 1.0))
-
-
 def test_laplace_sample_rejects_nonpositive_scale():
-    with pytest.raises(InvalidParameterError):
-        laplace_inverse_cdf(0.5, 0.0)
-    with pytest.raises(InvalidParameterError):
-        laplace_inverse_cdf(0.5, -2.0)
+    for scale in (0.0, -2.0, math.nan, math.nextafter(MAX_NOISE_SCALE, math.inf)):
+        with pytest.raises(InvalidParameterError):
+            laplace_noise_matrix(2, 3, scale, seed=0)
 
 
-def test_laplace_extreme_uniform_stays_finite():
-    assert np.isfinite(laplace_inverse_cdf(0.0, 1.0))
+def _discrete_laplace_variance(scale):
+    alpha = math.exp(-1.0 / scale)
+    return 2 * alpha / (1 - alpha) ** 2
 
 
 def test_laplace_moments():
-    # Laplace(3): mean 0, mean absolute value 3
-    rng = np.random.default_rng(123)
-    samples = laplace_inverse_cdf(rng.random(1_000_000), 3.0)
-    assert abs(samples.mean()) <= 3 * (math.sqrt(2) * 3.0) / 1e3
-    assert abs(np.abs(samples).mean() - 3.0) <= 0.03
+    # discrete Laplace: integer, mean 0, variance 2 alpha / (1 - alpha)^2
+    for scale in (0.3, 3.0, 1e6):
+        samples = laplace_noise_matrix(1000, 1000, scale, seed=123)
+        var = _discrete_laplace_variance(scale)
+        assert samples.dtype == np.int64
+        assert abs(samples.mean()) <= 3 * math.sqrt(var / samples.size)
+        assert abs(samples.var() / var - 1) <= 0.02
+
+
+def test_laplace_pmf_is_two_sided_geometric():
+    # P(k) = (1 - alpha) / (1 + alpha) * alpha^|k| at scale 1
+    samples = laplace_noise_matrix(1000, 1000, 1.0, seed=8)
+    alpha = math.exp(-1.0)
+    for k in range(-4, 5):
+        p = (1 - alpha) / (1 + alpha) * alpha ** abs(k)
+        observed = float(np.mean(samples == k))
+        assert abs(observed - p) <= 4 * math.sqrt(p * (1 - p) / samples.size)
+
+
+def test_noise_at_the_scale_bound_is_exact_and_nonzero():
+    noise = laplace_noise_matrix(50, 40, MAX_NOISE_SCALE, seed=3)
+    assert noise.dtype == np.int64
+    assert (noise != 0).mean() > 0.99
+    assert np.abs(noise).max() < 2**53
+    assert abs(np.abs(noise).mean() / MAX_NOISE_SCALE - 1) <= 0.1
 
 
 def _clean_sketch(rows=10, width=40, n=100, seed=0):
@@ -56,8 +67,8 @@ def _clean_sketch(rows=10, width=40, n=100, seed=0):
 def test_privatize_vanishing_noise_at_huge_epsilon():
     sk = _clean_sketch(rows=10)
     released = rk.privatize(sk, rk.PrivacyBudget(1e9), rng_seed=7)
-    # noise scale 1e-8: flooring moves each counter by at most 1
-    assert np.abs(released.counts - sk.counts).max() <= 1
+    # noise scale 1e-8: alpha = exp(-1e8) rounds to 0, so every draw is 0
+    assert (released.counts == sk.counts).all()
     assert released.privatized and released.epsilon == 1e9
     assert released.inserted is None
 
@@ -89,10 +100,8 @@ def test_privatize_is_deterministic_per_seed_and_matches_noise_matrix():
     assert a == b
     assert a != c
     noise = laplace_noise_matrix(20, 30, sk.rows / 0.5, seed=99)
-    assert (a.counts == np.floor(sk.counts + noise)).all()
-    # floor offset lies in (-1, 0]
-    offset = a.counts - (sk.counts + noise)
-    assert (offset <= 0).all() and (offset > -1).all()
+    assert noise.dtype == np.int64
+    assert (a.counts == sk.counts + noise).all()
 
 
 def test_noise_scale_calibration():
@@ -106,3 +115,82 @@ def test_privatize_refuses_inconsistent_rows():
     sk.counts[0, 0] += 1  # break the row-sum invariant
     with pytest.raises(InvalidParameterError):
         rk.privatize(sk, rk.PrivacyBudget(1.0), rng_seed=0)
+
+
+@pytest.mark.parametrize("epsilon", [1e-300, "past-bound"])
+def test_privatize_rejects_a_scale_past_the_bound(epsilon):
+    sk = _clean_sketch(rows=10)
+    if epsilon == "past-bound":
+        epsilon = sk.rows / MAX_NOISE_SCALE / (1 + 1e-9)
+    budget = rk.PrivacyBudget(epsilon)
+    with pytest.raises(InvalidParameterError):
+        rk.privatize(sk, budget, rng_seed=1)
+    assert not budget.consumed
+    # at the bound itself the release goes ahead and moves every counter
+    released = rk.privatize(sk, rk.PrivacyBudget(sk.rows / MAX_NOISE_SCALE), rng_seed=1)
+    assert (released.counts != sk.counts).mean() > 0.99
+
+
+def test_released_n_hat_is_unbiased():
+    # 300 seeded releases at R=1000, W=500, epsilon=1: flooring the noise would
+    # bias n_hat by -W/2 = -250, about four standard errors of the mean here
+    fam = rk.new_family("srp", dim=3, depth=4, width=500, seed=1)
+    n = 5000
+    sk = rk.build(np.random.default_rng(0).standard_normal((n, 3)), fam, 1000)
+    errors = np.array([rk.privatize(sk, rk.PrivacyBudget(1.0), rng_seed=s).n_hat - n
+                       for s in range(300)])
+    assert abs(errors.mean()) <= 3 * errors.std(ddof=1) / math.sqrt(errors.size)
+
+
+def _moved_counters(family, rows, records, pair):
+    """Largest L1 change in the counters that inserting one record makes.
+
+    Counting is linear, so inserting a record into any dataset changes the
+    counters by exactly the sketch of that record alone.
+    """
+    return max(int(np.abs(rk.build(np.vstack([z, -z]) if pair else z[None],
+                                   family, rows).counts).sum()) for z in records)
+
+
+def _calibrated_sensitivity(released, inserted, epsilon):
+    """Sensitivity the release's noise was drawn for, read off its row sums.
+
+    Every clean row sums to ``inserted``, so each released row sum carries the
+    sum of ``width`` noise draws; their variance 2 alpha / (1 - alpha)^2 gives
+    the scale b by alpha = exp(-1 / b), and the sensitivity is b * epsilon.
+    """
+    variance = float(np.mean((released.counts.sum(axis=1) - inserted) ** 2)) / released.width
+    return epsilon / (2 * math.asinh(math.sqrt(0.5 / variance)))
+
+
+_RELEASE_FAMILIES = {
+    "srp": dict(kind="srp", dim=2, depth=4, width=64, seed=11),
+    "srp-rebucketed": dict(kind="srp", dim=2, depth=12, width=50, seed=12),
+    "euclidean": dict(kind="euclidean", dim=2, depth=3, width=40, bandwidth=0.75, seed=13),
+    "regression-pair": None,  # the pair sketch fit_regression builds and releases
+}
+
+
+@pytest.mark.parametrize("kind", list(_RELEASE_FAMILIES))
+def test_release_noise_matches_the_counters_one_record_moves(kind):
+    params = _RELEASE_FAMILIES[kind]
+    rows, epsilon = 2000, 1.0
+    rng = np.random.default_rng(3)
+    if params is None:
+        x = np.linspace(-1.0, 1.0, 64)
+        model = rk.fit_regression(x[:, None], 2 * x, depth=4, rows=rows, width=32,
+                                  epsilon=epsilon, seed=5,
+                                  config=rk.OptimizerConfig(max_iters=1, restarts=0))
+        released, inserted = model.sketch, 2 * x.size
+        family, pair = released.family, True
+        assert family.kind is rk.HashKind.ASYMMETRIC_SRP
+    else:
+        family, pair = rk.new_family(**params), False
+        data = rng.standard_normal((200, 2))
+        released = rk.privatize(rk.build(data, family, rows), rk.PrivacyBudget(epsilon),
+                                rng_seed=21)
+        inserted = len(data)
+    moved = _moved_counters(family, rows, rng.uniform(-1, 1, (20, family.dim)), pair)
+    assert moved == (2 if pair else 1) * rows
+    sensitivity = _calibrated_sensitivity(released, inserted, epsilon)
+    assert abs(sensitivity / moved - 1) <= 0.1

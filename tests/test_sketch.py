@@ -12,6 +12,7 @@ from racekit.errors import (
     IncompatibleSketchError,
     InvalidParameterError,
     MalformedHeaderError,
+    SketchFormatError,
     TruncationError,
     VersionMismatchError,
 )
@@ -112,6 +113,28 @@ def test_build_golden_digest_with_small_blocks(monkeypatch, name, threads):
     monkeypatch.setattr(rk.sketch, "_SCATTER_BUDGET", 7 * chunk)
     sk = rk.build(_GOLDEN_POINTS, rk.new_family(**params), 30, threads=threads)
     assert hashlib.sha256(rk.serialize(sk)).hexdigest() == digest
+
+
+# serialize(privatize(build(...), PrivacyBudget(1.0), rng_seed=2024)) digests
+# over _GOLDEN_POINTS with rows=30. They pin the release mechanism bit for bit:
+# its noise draws, their scale (doubled for the pair sketch) and the sum.
+_GOLDEN_RELEASE = {
+    "srp": (_GOLDEN["srp"][0], False,
+            "b4fbb96baf910bea0e99b84d0ffee7ff93c3bbec9844317e14be2a7497e35b23"),
+    "euclidean": (_GOLDEN["euclidean"][0], False,
+                  "3b0423f7144de19d97a02a8f24ce0e9a6754049f3d376dd7579c48620e55d7b2"),
+    "regression-pair": (dict(kind="asymmetric-srp", dim=3, depth=4, width=64, seed=14), True,
+                        "0a1204d0ad06cffa74362d74b4cd47a014cdb576bf57d43603a2ed0781967d3b"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_GOLDEN_RELEASE))
+def test_release_golden_digest(name):
+    params, pair, digest = _GOLDEN_RELEASE[name]
+    points = np.vstack([_GOLDEN_POINTS, -_GOLDEN_POINTS]) if pair else _GOLDEN_POINTS
+    clean = rk.build(points, rk.new_family(**params), 30)
+    released = rk.privatize(clean, rk.PrivacyBudget(1.0), rng_seed=2024)
+    assert hashlib.sha256(rk.serialize(released)).hexdigest() == digest
 
 
 @pytest.mark.parametrize("make,threads", [
@@ -261,6 +284,43 @@ def test_deserialize_maps_invalid_header_fields_to_format_error(offset, fmt, val
     rows, width = struct.unpack_from("<II", buf, 16)
     with pytest.raises(MalformedHeaderError):
         rk.deserialize(bytes(buf[:48 + 8 * rows * width]))
+
+
+def test_deserialize_rejects_non_canonical_headers():
+    clean = rk.serialize(rk.build(np.ones((1, 2)), _family(), 3))
+    for offset, value in [(7, 2), (7, 0x81), (32, 1), (38, 0xF0), (39, 0x3F)]:
+        buf = bytearray(clean)
+        buf[offset] = value  # an unknown flag bit, or a bandwidth on an angular family
+        with pytest.raises(MalformedHeaderError):
+            rk.deserialize(bytes(buf))
+
+
+_FUZZ_PAYLOADS = [
+    rk.serialize(rk.build(np.random.default_rng(1).standard_normal((30, 2)), _family(), 3)),
+    rk.serialize(rk.privatize(
+        rk.build(np.random.default_rng(2).standard_normal((30, 2)),
+                 _family(kind="euclidean", bandwidth=0.5, width=8), 2),
+        rk.PrivacyBudget(0.5), rng_seed=1)),
+    rk.serialize(rk.privatize(
+        rk.build(np.random.default_rng(3).standard_normal((30, 3)),
+                 _family(kind="asymmetric-srp", dim=3, width=16), 2),
+        rk.PrivacyBudget(2.0), rng_seed=2)),
+]
+
+
+@settings(max_examples=1000, deadline=None)
+@given(payload=st.sampled_from(_FUZZ_PAYLOADS),
+       edits=st.lists(st.tuples(st.integers(0, 47), st.integers(0, 255)),
+                      min_size=1, max_size=3))
+def test_deserialize_mutated_header_raises_or_round_trips(payload, edits):
+    buf = bytearray(payload)
+    for offset, value in edits:
+        buf[offset] = value
+    try:
+        decoded = rk.deserialize(bytes(buf))
+    except SketchFormatError:
+        return
+    assert rk.serialize(decoded) == bytes(buf)
 
 
 def test_save_load_files(tmp_path):
