@@ -15,7 +15,6 @@ import dataclasses
 import json
 import os
 import sys
-import time
 
 import numpy as np
 
@@ -267,35 +266,6 @@ def cmd_mode(args) -> int:
     return 0
 
 
-def cmd_bench(args) -> int:
-    sizes = [int(s) for s in args.sizes.split(",")]
-    rng = np.random.default_rng(args.seed)
-    rows_out = []
-    prev = None
-    for n in sizes:
-        data = rng.standard_normal((n, args.dim))
-        family = _family_from_args(args, args.dim)
-        rsketch.build(data[:2000], family, args.rows)  # warm caches
-        t0 = time.perf_counter()
-        sk = rsketch.build(data, family, args.rows)
-        build_s = time.perf_counter() - t0
-        queries = rng.standard_normal((args.queries, args.dim))
-        t0 = time.perf_counter()
-        estimation.query_many(sk, queries, "median_of_means", 0.1)
-        query_s = (time.perf_counter() - t0) / max(args.queries, 1)
-        ratio = build_s / prev if prev else float("nan")
-        prev = build_s
-        rows_out.append((n, args.dim, args.rows, args.range, args.depth,
-                         build_s, query_s, ratio))
-    with _open_out(args.output) as out:
-        out.write("n,dim,rows,range,depth,build_seconds,query_seconds,ratio_vs_prev\n")
-        for row in rows_out:
-            out.write(",".join(f"{v:.6g}" if isinstance(v, float) else str(v)
-                               for v in row) + "\n")
-    _emit_manifest(args, "bench", {})
-    return 0
-
-
 def _add_csv_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--header", action="store_true",
                    help="first CSV line is a header row")
@@ -413,17 +383,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", default="-")
     p.add_argument("--manifest")
     p.set_defaults(func=cmd_mode)
-
-    p = sub.add_parser("bench", help="build/query timing sweep over dataset sizes")
-    p.add_argument("--sizes", default="100000,200000",
-                   help="comma-separated point counts")
-    p.add_argument("--dim", type=int, default=10)
-    _add_family_flags(p)
-    p.add_argument("--queries", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--output", default="-")
-    p.add_argument("--manifest")
-    p.set_defaults(func=cmd_bench)
 
     return parser
 

@@ -1,18 +1,21 @@
 """Seeded LSH families with analytic collision probabilities.
 
-Two families are provided. Signed random projection (SRP) concatenates
-``depth`` sign bits of Gaussian projections; its collision probability for
-one sign bit is ``1 - angle(x, y) / pi``, so the depth-p kernel is
-``(1 - angle / pi) ** p``. The Euclidean p-stable family concatenates
-``depth`` values ``floor((g . x + b) / bandwidth)`` with Gaussian ``g`` and
-offset ``b`` uniform on ``[0, bandwidth)``; a single hash collides with the
-standard 2-stable probability ``q(c)`` at distance ``c``, so the depth-p
-kernel is ``q(c) ** p``.
+Signed random projection (SRP) concatenates ``depth`` sign bits of Gaussian
+projections; its collision probability for one sign bit is
+``1 - angle(x, y) / pi``, so the depth-p kernel is ``(1 - angle / pi) ** p``.
+Folded SRP maps each SRP code ``c`` to ``min(c, c ^ (2 ** p - 1))``: the code
+of ``-x`` is the complement of the code of ``x``, so ``x`` and ``y`` share a
+folded code when ``y`` collides with ``x`` or with ``-x``, and the kernel is
+``(1 - angle / pi) ** p + (angle / pi) ** p``. The Euclidean p-stable family
+concatenates ``depth`` values ``floor((g . x + b) / bandwidth)`` with Gaussian
+``g`` and offset ``b`` uniform on ``[0, bandwidth)``; a single hash collides
+with the standard 2-stable probability ``q(c)`` at distance ``c``, so the
+depth-p kernel is ``q(c) ** p``.
 
 Raw hash codes are mapped into ``[0, width)`` so that every family fits a
-fixed-width count array. SRP codes are used directly whenever
-``2 ** depth <= width`` (no extra collisions); otherwise, and always for the
-unbounded p-stable codes, a seeded 2-universal mix
+fixed-width count array. SRP and folded codes are used directly whenever
+``2 ** depth <= width`` (no extra collisions); otherwise (after the fold), and
+always for the unbounded p-stable codes, a seeded 2-universal mix
 ``((a * code + b) mod P) mod width`` is applied, which adds a false-collision
 rate of at most ``1 / width``.
 
@@ -58,7 +61,7 @@ _BLOCK_BUDGET = 1 << 19
 class HashKind(Enum):
     SRP = "srp"
     EUCLIDEAN = "euclidean"
-    ASYMMETRIC_SRP = "asymmetric-srp"
+    FOLDED_SRP = "folded-srp"
 
     @property
     def angular(self) -> bool:
@@ -72,9 +75,9 @@ class LshFamily:
 
     Fields
     ------
-    kind: hash family; ASYMMETRIC_SRP hashes exactly like SRP and marks a
-        pair sketch (regression: each record is inserted as z and -z), whose
-        release noise is calibrated to two counters per row per record.
+    kind: hash family; FOLDED_SRP identifies each SRP code with its
+        complement, so one record z answers queries for both z and -z
+        (regression) while still landing in one bucket per row.
     dim: input dimension d.
     depth: number of elementary hashes concatenated per row (p).
     width: bucket count per row (W); all buckets lie in [0, width).
@@ -191,6 +194,8 @@ def hash_batch(family: LshFamily, rows: int, points) -> np.ndarray:
             np.greater_equal(proj[::p], 0, out=codes)
             for i in range(1, p):
                 codes |= (proj[i::p] >= 0).astype(code_dtype) << code_dtype.type(i)
+            if family.kind is HashKind.FOLDED_SRP:
+                np.minimum(codes, codes ^ code_dtype.type((1 << p) - 1), out=codes)
             if direct:
                 continue
             mixed = (params.mix_a[r0:r1, :1] * (codes % _MIX_PRIME)
@@ -230,8 +235,10 @@ def kernel_values(family: LshFamily, points, q) -> np.ndarray:
         if qnorm == 0.0 or np.any(norms == 0.0):
             raise ZeroVectorError("angle to a zero vector is undefined")
         cos = np.clip((pts @ qv) / (norms * qnorm), -1.0, 1.0)
-        theta = np.arccos(cos)
-        return (1.0 - theta / math.pi) ** family.depth
+        theta = np.arccos(cos) / math.pi
+        if family.kind is HashKind.FOLDED_SRP:
+            return (1.0 - theta) ** family.depth + theta ** family.depth
+        return (1.0 - theta) ** family.depth
     dist = np.linalg.norm(pts - qv[None, :], axis=1)
     return _pstable_single_collision(dist, family.bandwidth) ** family.depth
 

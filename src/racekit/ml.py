@@ -6,13 +6,15 @@ data, so each class sketch is released with the full budget (parallel
 composition); everything after release is post-processing and costs nothing.
 
 Linear regression uses the sign-projection kernel's monotonicity in the
-inner product: every training pair [x, y] is inserted together with its
-negation into one sketch of dimension d + 1, and the sketched kernel sum at
-the normalized query [theta, -1] is a surrogate for the squared loss. The
-surrogate is piecewise constant, so it is minimized with the derivative-free
-driver from :mod:`racekit.optimize`. Inputs and targets are min-max scaled
-to [-1, 1] before pairing (the kernel only sees angles); fitted weights are
-reported in original units.
+inner product: the surrogate for the squared loss is the kernel sum, at the
+normalized query [theta, -1], of every training record z = [x, y] and its
+negation -z. A folded-SRP sketch of dimension d + 1 answers that pair sum
+with each record inserted once (N insertions), since a folded code stands
+for a sign code and its complement, the code of -z. The surrogate is
+piecewise constant, so it is minimized with the derivative-free search from
+:mod:`racekit.optimize`. Inputs and targets are min-max scaled to [-1, 1]
+before sketching (the kernel only sees angles); fitted weights are reported
+in original units.
 
 Mode finding runs the same derivative-free search uphill on the sketch
 density. Anomaly scoring thresholds it.
@@ -174,8 +176,9 @@ def fit_regression(x_points, y_targets, *, depth: int = 4, rows: int = 1000,
                    seed: int = 0) -> RegressionModel:
     """Fit linear weights by minimizing the sketched surrogate loss.
 
-    Builds a single sketch over the (+, -) augmented pairs (2N insertions),
-    releases it once with ``epsilon``, then runs derivative-free search over
+    Builds a single folded-SRP sketch over the N augmented records ``[x, y]``
+    (N insertions; the fold supplies each record's negation), releases it
+    once with ``epsilon``, then runs derivative-free search over
     the scaled weight space starting from zero.
     """
     if depth < 2:
@@ -196,11 +199,10 @@ def fit_regression(x_points, y_targets, *, depth: int = 4, rows: int = 1000,
     x_scaled = _affine_to_unit(x, x_mins, x_maxs)
     y_scaled = _affine_to_unit(y, y_min, y_max)
 
-    z_plus = np.hstack([x_scaled, y_scaled[:, None]])
-    pairs = np.vstack([z_plus, -z_plus])
-    family = LshFamily(kind=HashKind.ASYMMETRIC_SRP, dim=x.shape[1] + 1,
+    z = np.hstack([x_scaled, y_scaled[:, None]])
+    family = LshFamily(kind=HashKind.FOLDED_SRP, dim=x.shape[1] + 1,
                        depth=depth, width=width, seed=seed)
-    clean = sketch_mod.build(pairs, family, rows)
+    clean = sketch_mod.build(z, family, rows)
     released = privatize(clean, PrivacyBudget(epsilon), _derive_seed(seed, 0x4E6))
 
     theta_scaled, _, trace = minimize_derivative_free(

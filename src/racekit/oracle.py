@@ -9,7 +9,7 @@ the documented rebucket allowance on the sketch side.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -48,7 +48,10 @@ def monte_carlo_collision(family: LshFamily, x, y, trials: int, seed: int = 0) -
     px = proj @ xv
     py = proj @ yv
     if family.kind.angular:
-        hits = ((px >= 0) == (py >= 0)).all(axis=1)
+        same = (px >= 0) == (py >= 0)
+        hits = same.all(axis=1)
+        if family.kind is HashKind.FOLDED_SRP:
+            hits |= ~same.any(axis=1)  # y collides with -x
     else:
         b = rng.uniform(0.0, family.bandwidth, size=(trials, p))
         w = family.bandwidth
@@ -79,6 +82,8 @@ def exact_kde_classify(per_class_data, q, family: LshFamily):
 def exact_surrogate_loss(x_points, y_targets, theta, family: LshFamily) -> OracleResult:
     """Exact regression surrogate: kernel sum of the (+, -) augmented pairs at q_theta.
 
+    The pairs are summed explicitly under the plain SRP kernel, which is the
+    reference a folded sketch of the ``+`` records alone must match.
     ``family`` must have dimension d + 1 for d-dimensional inputs. Pairs that
     augment to the zero vector are not representable (angles undefined).
     """
@@ -88,7 +93,7 @@ def exact_surrogate_loss(x_points, y_targets, theta, family: LshFamily) -> Oracl
     z = np.vstack([z_plus, -z_plus])
     q = np.append(np.asarray(theta, dtype=np.float64).ravel(), -1.0)
     q /= np.linalg.norm(q)
-    return exact_kernel_sum(z, q, family)
+    return exact_kernel_sum(z, q, replace(family, kind=HashKind.SRP))
 
 
 def error_bound_reference(f_tilde: float, rows: int, epsilon: float, delta: float) -> float:

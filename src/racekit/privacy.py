@@ -1,10 +1,10 @@
 """Discrete Laplace release of a sketch and one-shot budget bookkeeping.
 
-A record moves one counter per row, so the R rows stack to an L1 sensitivity
-of R; a pair sketch (``HashKind.ASYMMETRIC_SRP``) inserts each record as ``z``
-and ``-z``, two counters per row, so its sensitivity is 2R. The release adds
+A record moves one counter per row in every sketch, regression sketches
+included (their folded family answers for ``z`` and ``-z`` from one insertion
+of ``z``), so the R rows stack to an L1 sensitivity of R. The release adds
 i.i.d. discrete Laplace noise, ``P(k) ~ alpha ** |k|`` with ``alpha =
-exp(-1 / scale)`` and ``scale = sensitivity / epsilon`` (Ghosh, Roughgarden
+exp(-1 / scale)`` and ``scale = R / epsilon`` (Ghosh, Roughgarden
 and Sundararajan, STOC 2009): each released counter is an integer with
 zero-mean noise of variance ``2 alpha / (1 - alpha) ** 2``. A noise value is
 the difference of two geometric draws ``floor(scale * E)``, ``E`` standard
@@ -27,7 +27,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DoubleReleaseError, FrozenSketchError, InvalidParameterError
-from .lsh import HashKind
 from .sketch import RaceSketch
 
 # floor(scale * E) reaches 2**53, where doubles stop being exact integers, only
@@ -72,7 +71,7 @@ def laplace_noise_matrix(rows: int, cols: int, scale: float, seed: int) -> np.nd
 
 
 def privatize(sketch: RaceSketch, budget: PrivacyBudget, rng_seed: int | None = None) -> RaceSketch:
-    """Release a clean sketch: add discrete Laplace(sensitivity / epsilon) noise.
+    """Release a clean sketch: add discrete Laplace(rows / epsilon) noise.
 
     Returns a new privatized sketch carrying epsilon instead of the exact
     element count; the input sketch is left untouched and the budget is
@@ -85,8 +84,7 @@ def privatize(sketch: RaceSketch, budget: PrivacyBudget, rng_seed: int | None = 
         # each row must partition the inserted points across its buckets
         raise InvalidParameterError(
             "row sums do not match the inserted count; refusing to release")
-    pairs = sketch.family.kind is HashKind.ASYMMETRIC_SRP
-    scale = (2 if pairs else 1) * sketch.rows / budget.epsilon
+    scale = sketch.rows / budget.epsilon
     seed = secrets.randbits(128) if rng_seed is None else rng_seed
     _check_noise(scale, seed)
     budget.consume()

@@ -14,7 +14,8 @@ offset size   field
 ====== ====== ===========================================
 0      4      magic ``b"RACE"``
 4      2      format version, u16 (currently 1)
-6      1      family kind: 0 = srp, 1 = euclidean, 2 = asymmetric-srp
+6      1      family kind: 0 = srp, 1 = euclidean, 3 = folded-srp
+              (2, the retired asymmetric-srp pair sketch, is rejected)
 7      1      flags: bit 0 = privatized, other bits 0
 8      4      dim, u32
 12     4      depth, u32
@@ -56,7 +57,7 @@ from .lsh import HashKind, LshFamily
 _MAGIC = b"RACE"
 _VERSION = 1
 _HEADER = struct.Struct("<4sHBBIIIIQd")
-_KIND_CODES = {HashKind.SRP: 0, HashKind.EUCLIDEAN: 1, HashKind.ASYMMETRIC_SRP: 2}
+_KIND_CODES = {HashKind.SRP: 0, HashKind.EUCLIDEAN: 1, HashKind.FOLDED_SRP: 3}
 _KIND_FROM_CODE = {v: k for k, v in _KIND_CODES.items()}
 _NO_BANDWIDTH = struct.pack("<d", float("nan"))  # an angular family's bandwidth bytes
 
@@ -249,6 +250,9 @@ def deserialize(buf: bytes) -> RaceSketch:
         raise MalformedHeaderError(f"bad magic bytes {magic!r}")
     if version != _VERSION:
         raise VersionMismatchError(f"unsupported format version {version}")
+    if kind_code == 2:
+        raise MalformedHeaderError("kind code 2 is the retired asymmetric-srp pair sketch; "
+                                   "regression sketches are now folded-srp (code 3)")
     if kind_code not in _KIND_FROM_CODE:
         raise MalformedHeaderError(f"unknown family kind code {kind_code}")
     kind = _KIND_FROM_CODE[kind_code]

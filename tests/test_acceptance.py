@@ -7,6 +7,7 @@ allowance; released counters are integers with zero-mean noise, so a release
 adds no offset of its own.
 """
 
+import itertools
 import math
 import time
 
@@ -45,14 +46,14 @@ def test_criterion_01_mean_estimator_unbiasedness():
 def test_criterion_02_collision_probability_laws():
     worst = 0.0
     angles = np.linspace(0.15 * math.pi, 0.8 * math.pi, 20)
-    for depth in (1, 2, 4):
-        fam = rk.new_family("srp", dim=2, depth=depth, width=max(2, 2**depth), seed=0)
+    for kind, depth in itertools.product(("srp", "folded-srp"), (1, 2, 4)):
+        fam = rk.new_family(kind, dim=2, depth=depth, width=max(2, 2**depth), seed=0)
         for i, a in enumerate(angles):
             x, y = np.array([1.0, 0.0]), np.array([math.cos(a), math.sin(a)])
             analytic = rk.collision_probability(fam, x, y)
             mc = oracle.monte_carlo_collision(fam, x, y, trials=100_000, seed=100 + i)
             worst = max(worst, abs(analytic - mc.value) / max(mc.std_err, 1e-12))
-    srp_worst = worst
+    angular_worst = worst
 
     worst = 0.0
     for depth in (1, 2):
@@ -64,8 +65,8 @@ def test_criterion_02_collision_probability_laws():
             mc = oracle.monte_carlo_collision(fam, x, y, trials=100_000,
                                               seed=200 + i + 10 * depth)
             worst = max(worst, abs(analytic - mc.value) / max(mc.std_err, 1e-12))
-    _report(2, "collision-probability laws", srp_worst <= 3.0 and worst <= 3.0,
-            f"worst z: srp {srp_worst:.2f}, euclidean {worst:.2f}")
+    _report(2, "collision-probability laws", angular_worst <= 3.0 and worst <= 3.0,
+            f"worst z: srp and folded-srp {angular_worst:.2f}, euclidean {worst:.2f}")
 
 
 def test_criterion_03_noise_calibration():
@@ -183,14 +184,15 @@ def test_criterion_08_regression_surrogate():
                                   epsilon=1e6, seed=seed, config=config)
         good += abs(float(model.theta[0]) - 2.0) <= 0.2
 
-    # scaled theta = 1 is orthogonal to every augmented pair: the sketched
-    # surrogate must sit at the analytic minimum 2N * 0.5^p up to the rebucket
-    # allowance (0 here) and Monte-Carlo noise
+    # scaled theta = 1 is orthogonal to every augmented record: the sketched
+    # surrogate must sit at the analytic minimum N * 2 * 0.5^p (the folded
+    # kernel at a right angle) up to the rebucket allowance (0 here) and
+    # Monte-Carlo noise
     loss = ml.surrogate_loss(model.sketch, np.array([1.0]))
     expected = 2 * n * 0.5**4
     rate = 2 * 0.5**4
     sigma = n * math.sqrt(rate * (1 - rate) / model.sketch.rows)
-    allowance = rk.rebucket_allowance(model.sketch.family, 2 * n)
+    allowance = rk.rebucket_allowance(model.sketch.family, n)
     minimum_ok = abs(loss - expected) <= allowance + 4 * sigma
     _report(8, "regression surrogate", good >= 9 and minimum_ok,
             f"slope within 0.2 in {good}/10 runs; orthogonal loss {loss:.2f} "

@@ -239,6 +239,18 @@ def test_query_corrupt_sketch_is_data_error(workdir, capsys):
     assert code == 3
 
 
+def test_retired_pair_kind_is_a_format_error(workdir, capsys):
+    sk = rk.build(np.ones((4, 3)), rk.new_family("folded-srp", dim=3, depth=2, width=8), 3)
+    buf = bytearray(rk.serialize(sk))
+    buf[6] = 2  # kind code of the asymmetric-srp pair sketch, which stored z and -z
+    with pytest.raises(rk.MalformedHeaderError, match="asymmetric-srp"):
+        rk.deserialize(bytes(buf))
+    old = workdir / "pair.race"
+    old.write_bytes(bytes(buf))
+    code, _, err = _run(capsys, ["info", "--sketch", old])
+    assert code == 3 and "asymmetric-srp" in err
+
+
 def test_query_sketch_with_invalid_epsilon_is_data_error(workdir, capsys):
     sk = rk.build(np.ones((4, 2)), rk.new_family("srp", dim=2, depth=2, width=8), 3)
     buf = bytearray(rk.serialize(rk.privatize(sk, rk.PrivacyBudget(1.0), rng_seed=0)))
@@ -315,18 +327,6 @@ def test_mode_outputs_point(workdir, capsys):
     assert code == 0
     point = np.array([float(v) for v in out.strip().split(",")])
     assert np.linalg.norm(point - np.array([1.0, -0.5])) <= 0.5
-
-
-def test_bench_emits_timing_table(workdir, capsys):
-    code, out, _ = _run(capsys, ["bench", "--sizes", "2000,4000", "--dim", 4,
-                                 "--rows", 50, "--range", 50, "--queries", 20])
-    assert code == 0
-    lines = out.strip().splitlines()
-    assert lines[0] == "n,dim,rows,range,depth,build_seconds,query_seconds,ratio_vs_prev"
-    assert len(lines) == 3
-    last = lines[2].split(",")
-    assert float(last[5]) > 0
-    assert np.isfinite(float(last[7]))  # ratio column parses
 
 
 def test_scaled_build_writes_transform_and_query_applies_it(workdir, capsys):

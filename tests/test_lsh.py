@@ -153,7 +153,7 @@ def test_srp_collision_scale_invariant():
 @pytest.mark.parametrize("kind,kwargs", [
     ("srp", {}),
     ("euclidean", {"bandwidth": 0.8}),
-    ("asymmetric-srp", {}),
+    ("folded-srp", {}),
 ])
 def test_self_collision_is_one(kind, kwargs):
     fam = rk.new_family(kind, dim=4, depth=3, width=32, seed=2, **kwargs)
@@ -180,6 +180,8 @@ def test_kernel_monotone_in_angle_and_distance():
     ("srp", 4, 50, {}),                     # identity bucketing, no allowance
     ("srp", 8, 50, {}),                     # 2^8 codes squeezed into 50 buckets
     ("euclidean", 2, 100, {"bandwidth": 0.5}),
+    ("folded-srp", 4, 50, {}),              # folded codes stand for c and ~c
+    ("folded-srp", 8, 50, {}),
 ])
 def test_empirical_collision_matches_kernel_plus_allowance(kind, depth, width, kwargs):
     fam = rk.new_family(kind, dim=3, depth=depth, width=width, seed=13, **kwargs)
@@ -208,6 +210,7 @@ _BLOCK_FAMILIES = {
     "srp-direct": dict(kind="srp", depth=4, width=64),
     "srp-depth12": dict(kind="srp", depth=12, width=50),
     "srp-depth62": dict(kind="srp", depth=62, width=50),
+    "folded-depth62": dict(kind="folded-srp", depth=62, width=50),
     "euclidean": dict(kind="euclidean", depth=3, width=97, bandwidth=0.5),
 }
 

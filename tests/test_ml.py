@@ -160,17 +160,16 @@ def test_surrogate_orthogonal_theta_hits_analytic_minimum():
     assert abs(loss - expected) <= 4 * sigma
 
 
-def _released_pair_sketch():
+def _released_regression_sketch():
     x, y = _regression_fixture()
     z = np.column_stack([x[:, 0], y / 2.0])
-    fam = rk.new_family("asymmetric-srp", dim=2, depth=4, width=32, seed=6)
-    return rk.privatize(rk.build(np.vstack([z, -z]), fam, 200),
-                        rk.PrivacyBudget(1.0), rng_seed=4)
+    fam = rk.new_family("folded-srp", dim=2, depth=4, width=32, seed=6)
+    return rk.privatize(rk.build(z, fam, 200), rk.PrivacyBudget(1.0), rng_seed=4)
 
 
 @pytest.mark.parametrize("estimator", ["mean", "median_of_means"])
 def test_surrogate_loss_is_the_query_estimate_at_theta(estimator):
-    sk = _released_pair_sketch()
+    sk = _released_regression_sketch()
     theta = np.array([0.6])
     q = np.append(theta, -1.0)
     q /= np.linalg.norm(q)
@@ -180,7 +179,7 @@ def test_surrogate_loss_is_the_query_estimate_at_theta(estimator):
 
 def test_surrogate_loss_rejects_unknown_estimator():
     with pytest.raises(InvalidParameterError):
-        ml.surrogate_loss(_released_pair_sketch(), [0.6], estimator="bogus")
+        ml.surrogate_loss(_released_regression_sketch(), [0.6], estimator="bogus")
 
 
 def test_surrogate_query_scale_invariance():
@@ -196,7 +195,7 @@ def test_surrogate_query_scale_invariance():
 
 def test_oracle_surrogate_unimodal_and_sketch_tracks_it():
     x, y = _regression_fixture(n=128)
-    fam = rk.LshFamily(kind=rk.HashKind.ASYMMETRIC_SRP, dim=2, depth=4,
+    fam = rk.LshFamily(kind=rk.HashKind.FOLDED_SRP, dim=2, depth=4,
                        width=32, seed=11)
     xs = x.ravel()
     ys = y / 2.0  # scaled targets as fit_regression sees them
@@ -207,14 +206,52 @@ def test_oracle_surrogate_unimodal_and_sketch_tracks_it():
     assert drops.size > 0 and (np.diff(exact)[drops.min():] > 0).all()
 
     rows, eps, delta = 4000, 50.0, 0.1
-    pairs = np.vstack([np.column_stack([xs, ys]), -np.column_stack([xs, ys])])
-    sk = rk.privatize(rk.build(pairs, fam, rows), rk.PrivacyBudget(eps), rng_seed=7)
+    z = np.column_stack([xs, ys])
+    sk = rk.privatize(rk.build(z, fam, rows), rk.PrivacyBudget(eps), rng_seed=7)
     for t, exact_value in zip(probes, exact):
         sketched = ml.surrogate_loss(sk, np.array([t]), estimator="median_of_means",
                                      delta=delta)
-        ft = rk.f_tilde(pairs, np.array([t, -1.0]) / np.hypot(t, 1.0), fam)
+        ft = rk.f_tilde(z, np.array([t, -1.0]) / np.hypot(t, 1.0), fam)
         bound = rk.error_bound(ft, rows, eps, delta)
         assert abs(sketched - exact_value) <= bound
+
+
+_FOLD_RECORDS = np.random.default_rng(17).uniform(-1.0, 1.0, (300, 3))
+_FOLD_QUERIES = np.random.default_rng(18).standard_normal((50, 3))
+
+
+@pytest.mark.parametrize("depth,width", [(4, 16), (4, 32), (6, 64)])
+def test_folded_reads_equal_pair_sketch_reads_at_direct_depths(depth, width):
+    # h(-z) is the complement of h(z), so in a pair sketch count[c] and
+    # count[~c] both count the records coded c or ~c; the folded sketch keeps
+    # that count once, at min(c, ~c), which is below 2^(p-1)
+    params = dict(dim=3, depth=depth, width=width, seed=5)
+    z = _FOLD_RECORDS
+    pair = rk.build(np.vstack([z, -z]), rk.new_family("srp", **params), 500)
+    folded = rk.build(z, rk.new_family("folded-srp", **params), 500)
+    assert np.array_equal(estimation.estimate(folded, _FOLD_QUERIES, "mean")[2],
+                          estimation.estimate(pair, _FOLD_QUERIES, "mean")[2])
+    half = 1 << (depth - 1)
+    assert np.array_equal(folded.counts[:, :half], pair.counts[:, :half])
+    assert not folded.counts[:, half:].any()
+
+
+@pytest.mark.parametrize("depth,width", [(12, 50), (4, 8)])
+def test_folded_reads_track_the_pair_surrogate_at_rebucketed_depths(depth, width):
+    # the mix adds false collisions (at most rebucket_allowance in total) and
+    # the mean read has Monte Carlo error; 4 standard errors of the row reads
+    fam = rk.new_family("folded-srp", dim=3, depth=depth, width=width, seed=5)
+    rows = 2000
+    sk = rk.build(_FOLD_RECORDS, fam, rows)
+    f_hat, _, reads = estimation.estimate(sk, _FOLD_QUERIES, "mean")
+    tolerance = 4 * reads.std(axis=0, ddof=1) / np.sqrt(rows)
+    allowance = rk.rebucket_allowance(fam, len(_FOLD_RECORDS))
+    for q, read, tol in zip(_FOLD_QUERIES, f_hat, tolerance):
+        # the surrogate's query [theta, -1] is any direction with a last coordinate < 0
+        q = q if q[-1] < 0 else -q
+        exact = oracle.exact_surrogate_loss(_FOLD_RECORDS[:, :2], _FOLD_RECORDS[:, 2],
+                                            q[:2] / -q[2], fam).value
+        assert -tol <= read - exact <= allowance + tol
 
 
 def test_find_mode_tracks_oracle_ascent():

@@ -86,7 +86,7 @@ def test_exact_kde_classify_point_masses():
 
 def test_exact_surrogate_loss_orthogonal_theta():
     # all pairs [x, 2x]; theta = 2 makes [theta, -1] orthogonal to every pair
-    fam = rk.LshFamily(kind=rk.HashKind.ASYMMETRIC_SRP, dim=2, depth=4, width=16, seed=0)
+    fam = rk.LshFamily(kind=rk.HashKind.FOLDED_SRP, dim=2, depth=4, width=16, seed=0)
     x = np.linspace(0.1, 1.0, 25)
     res = oracle.exact_surrogate_loss(x[:, None], 2 * x, [2.0], fam)
     assert res.value == pytest.approx(2 * 25 * 0.5**4)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import racekit as rk
+from racekit import estimation
 from racekit.errors import DoubleReleaseError, FrozenSketchError, InvalidParameterError
 from racekit.privacy import MAX_NOISE_SCALE, laplace_noise_matrix
 
@@ -142,14 +143,13 @@ def test_released_n_hat_is_unbiased():
     assert abs(errors.mean()) <= 3 * errors.std(ddof=1) / math.sqrt(errors.size)
 
 
-def _moved_counters(family, rows, records, pair):
+def _moved_counters(family, rows, records):
     """Largest L1 change in the counters that inserting one record makes.
 
     Counting is linear, so inserting a record into any dataset changes the
     counters by exactly the sketch of that record alone.
     """
-    return max(int(np.abs(rk.build(np.vstack([z, -z]) if pair else z[None],
-                                   family, rows).counts).sum()) for z in records)
+    return max(int(np.abs(rk.build(z[None], family, rows).counts).sum()) for z in records)
 
 
 def _calibrated_sensitivity(released, inserted, epsilon):
@@ -167,8 +167,21 @@ _RELEASE_FAMILIES = {
     "srp": dict(kind="srp", dim=2, depth=4, width=64, seed=11),
     "srp-rebucketed": dict(kind="srp", dim=2, depth=12, width=50, seed=12),
     "euclidean": dict(kind="euclidean", dim=2, depth=3, width=40, bandwidth=0.75, seed=13),
-    "regression-pair": None,  # the pair sketch fit_regression builds and releases
+    "regression-folded": None,  # the folded sketch fit_regression builds and releases
 }
+
+
+def _fit_regression_sketch(rows, epsilon):
+    """The released sketch of a short fit_regression run, and the data it holds.
+
+    x spans [-1, 1] and y = 2x, so the scaled records fit_regression inserts
+    are exactly [x, x].
+    """
+    x = np.linspace(-1.0, 1.0, 64)
+    model = rk.fit_regression(x[:, None], 2 * x, depth=4, rows=rows, width=32,
+                              epsilon=epsilon, seed=5,
+                              config=rk.OptimizerConfig(max_iters=1, restarts=0))
+    return model.sketch, np.column_stack([x, x])
 
 
 @pytest.mark.parametrize("kind", list(_RELEASE_FAMILIES))
@@ -177,20 +190,33 @@ def test_release_noise_matches_the_counters_one_record_moves(kind):
     rows, epsilon = 2000, 1.0
     rng = np.random.default_rng(3)
     if params is None:
-        x = np.linspace(-1.0, 1.0, 64)
-        model = rk.fit_regression(x[:, None], 2 * x, depth=4, rows=rows, width=32,
-                                  epsilon=epsilon, seed=5,
-                                  config=rk.OptimizerConfig(max_iters=1, restarts=0))
-        released, inserted = model.sketch, 2 * x.size
-        family, pair = released.family, True
-        assert family.kind is rk.HashKind.ASYMMETRIC_SRP
+        released, records = _fit_regression_sketch(rows, epsilon)
+        family, inserted = released.family, len(records)
+        assert family.kind is rk.HashKind.FOLDED_SRP
     else:
-        family, pair = rk.new_family(**params), False
+        family = rk.new_family(**params)
         data = rng.standard_normal((200, 2))
         released = rk.privatize(rk.build(data, family, rows), rk.PrivacyBudget(epsilon),
                                 rng_seed=21)
         inserted = len(data)
-    moved = _moved_counters(family, rows, rng.uniform(-1, 1, (20, family.dim)), pair)
-    assert moved == (2 if pair else 1) * rows
+    moved = _moved_counters(family, rows, rng.uniform(-1, 1, (20, family.dim)))
+    assert moved == rows
     sensitivity = _calibrated_sensitivity(released, inserted, epsilon)
     assert abs(sensitivity / moved - 1) <= 0.1
+
+
+def test_regression_release_noise_matches_error_bound():
+    # The noise term of error_bound is the variance 2R / eps^2 of a mean read's
+    # noise. Over 300 releases, the sample variance has a relative standard
+    # error near sqrt(2 / 299) = 0.08; a release at twice the scale gives 4x.
+    rows, epsilon, releases, tolerance = 2000, 1.0, 300, 0.3
+    released, records = _fit_regression_sketch(rows, epsilon)
+    clean = rk.build(records, released.family, rows)
+    q = np.array([[0.6, -1.0]])
+    clean_read = estimation.estimate(clean, q, "mean")[0][0]
+    noise = np.array([
+        estimation.estimate(rk.privatize(clean, rk.PrivacyBudget(epsilon), rng_seed=s),
+                            q, "mean")[0][0] - clean_read
+        for s in range(releases)])
+    bound_variance = 2 * rows / epsilon**2
+    assert abs(noise.var() / bound_variance - 1) <= tolerance

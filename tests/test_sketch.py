@@ -89,6 +89,10 @@ _GOLDEN = {
                        "de9953f70895d43e7c59bbafaea3dd796e79481c73f3af6276f93261e0bebabd"),
     "euclidean": (dict(kind="euclidean", dim=3, depth=3, width=40, bandwidth=0.75, seed=13),
                   "eac60ffe70353c0bbfc50bcef38116f599d6b5aa10d41fc1d2087451cc1a02bc"),
+    "folded-srp": (dict(kind="folded-srp", dim=3, depth=4, width=64, seed=15),
+                   "181ddae9662e63b26c8a5ca8dba82198cc06012d64af8abb70068097051f6418"),
+    "folded-srp-rebucketed": (dict(kind="folded-srp", dim=3, depth=12, width=50, seed=16),
+                              "412761ea84ec44810c66f30ef45e583246d2f4f69730f166301b7e160f7b83b1"),
 }
 
 
@@ -117,22 +121,21 @@ def test_build_golden_digest_with_small_blocks(monkeypatch, name, threads):
 
 # serialize(privatize(build(...), PrivacyBudget(1.0), rng_seed=2024)) digests
 # over _GOLDEN_POINTS with rows=30. They pin the release mechanism bit for bit:
-# its noise draws, their scale (doubled for the pair sketch) and the sum.
+# its noise draws, their scale (rows / epsilon for every kind) and the sum.
 _GOLDEN_RELEASE = {
-    "srp": (_GOLDEN["srp"][0], False,
+    "srp": (_GOLDEN["srp"][0],
             "b4fbb96baf910bea0e99b84d0ffee7ff93c3bbec9844317e14be2a7497e35b23"),
-    "euclidean": (_GOLDEN["euclidean"][0], False,
+    "euclidean": (_GOLDEN["euclidean"][0],
                   "3b0423f7144de19d97a02a8f24ce0e9a6754049f3d376dd7579c48620e55d7b2"),
-    "regression-pair": (dict(kind="asymmetric-srp", dim=3, depth=4, width=64, seed=14), True,
-                        "0a1204d0ad06cffa74362d74b4cd47a014cdb576bf57d43603a2ed0781967d3b"),
+    "regression-folded": (dict(kind="folded-srp", dim=3, depth=4, width=64, seed=14),
+                          "dc6b3e5ab1b1f5804072e553bfe537ef5fcfa534e5aa868138802ba546cd3b9d"),
 }
 
 
 @pytest.mark.parametrize("name", sorted(_GOLDEN_RELEASE))
 def test_release_golden_digest(name):
-    params, pair, digest = _GOLDEN_RELEASE[name]
-    points = np.vstack([_GOLDEN_POINTS, -_GOLDEN_POINTS]) if pair else _GOLDEN_POINTS
-    clean = rk.build(points, rk.new_family(**params), 30)
+    params, digest = _GOLDEN_RELEASE[name]
+    clean = rk.build(_GOLDEN_POINTS, rk.new_family(**params), 30)
     released = rk.privatize(clean, rk.PrivacyBudget(1.0), rng_seed=2024)
     assert hashlib.sha256(rk.serialize(released)).hexdigest() == digest
 
@@ -303,7 +306,7 @@ _FUZZ_PAYLOADS = [
         rk.PrivacyBudget(0.5), rng_seed=1)),
     rk.serialize(rk.privatize(
         rk.build(np.random.default_rng(3).standard_normal((30, 3)),
-                 _family(kind="asymmetric-srp", dim=3, width=16), 2),
+                 _family(kind="folded-srp", dim=3, width=16), 2),
         rk.PrivacyBudget(2.0), rng_seed=2)),
 ]
 
