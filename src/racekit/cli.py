@@ -18,7 +18,7 @@ import sys
 
 import numpy as np
 
-from . import __version__, estimation, io as rio, ml, privacy, sketch as rsketch
+from . import __version__, estimation, io as rio, lsh, ml, privacy, sketch as rsketch
 from .errors import (
     CsvError,
     DimensionMismatchError,
@@ -74,9 +74,9 @@ def _open_out(path):
             yield fh
 
 
-def _load_queries(args) -> np.ndarray:
+def _load_queries(args, dim: int) -> np.ndarray:
     ds = rio.load_csv(args.queries, header=args.header, delimiter=args.delimiter)
-    pts = ds.points
+    pts = lsh._as_matrix(ds.points, dim)  # an empty file gives (0, dim)
     if getattr(args, "transform", None):
         with open(args.transform) as fh:
             rec = json.load(fh)
@@ -184,14 +184,15 @@ def cmd_merge(args) -> int:
 
 def cmd_query(args) -> int:
     sk = rsketch.load(args.sketch)
-    pts = _load_queries(args)
+    pts = _load_queries(args, sk.family.dim)
     estimator = "median_of_means" if args.estimator == "mom" else "mean"
-    estimates = estimation.query_many(sk, pts, estimator, args.delta)
+    f_hat, kde, _ = estimation.estimate(sk, pts, estimator, args.delta)
+    n_hat = f"{sk.n_hat:.17g}"
     with _open_out(args.output) as out:
         out.write("query_id,f_hat,n_hat,kde\n")
-        for i, est in enumerate(estimates):
-            out.write(f"{i},{est.f_hat:.17g},{est.n_hat:.17g},{est.kde:.17g}\n")
-    _emit_manifest(args, "query", {"n_queries": len(estimates)})
+        out.writelines(f"{i},{f:.17g},{n_hat},{k:.17g}\n"
+                       for i, (f, k) in enumerate(zip(f_hat.tolist(), kde.tolist())))
+    _emit_manifest(args, "query", {"n_queries": len(f_hat)})
     return 0
 
 
@@ -221,11 +222,9 @@ def cmd_classify_predict(args) -> int:
         default_transform = os.path.join(args.model, "scaling.transform.json")
         if os.path.exists(default_transform):
             args.transform = default_transform
-    pts = _load_queries(args)
-    kdes = clf.score_matrix(pts, rule="ml", delta=args.delta)
-    scores = kdes if args.rule == "ml" else clf.score_matrix(pts, rule="map",
-                                                             delta=args.delta)
-    winners = np.argmax(scores, axis=0)
+    pts = _load_queries(args, clf.dim)
+    f_hats, kdes = clf.scores(pts, delta=args.delta)
+    winners = np.argmax(kdes if args.rule == "ml" else f_hats, axis=0)
     with _open_out(args.output) as out:
         names = ",".join(f"kde_{c}" for c in clf.classes)
         out.write(f"query_id,label,{names}\n")

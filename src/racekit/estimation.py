@@ -30,6 +30,11 @@ from .sketch import RaceSketch
 
 _N_FLOOR = 1.0
 
+# Flat counter indices formed per block of rows in _gather, as many as
+# sketch._SCATTER_BUDGET (4 MiB of intp): one index for a whole 10k-query
+# batch at R=1000 would be 80 MB.
+_GATHER_BUDGET = 1 << 19
+
 
 @dataclass
 class QueryEstimate:
@@ -50,13 +55,36 @@ def mom_group_count(delta: float) -> int:
 
 
 def _gather(sketch: RaceSketch, points) -> np.ndarray:
-    """Counter reads for each query: shape (rows, n_queries)."""
+    """Counter reads for each query: shape (rows, n_queries).
+
+    Reads ``counts.ravel()`` with a flat ``take`` over blocks of rows holding
+    about ``_GATHER_BUDGET`` indices, so no flat index is formed for the
+    whole batch. Buckets lie in ``[0, width)`` by construction, so ``clip``
+    never clips; it spares ``take`` the buffered copy of its raise mode.
+    """
     buckets = lsh.hash_batch(sketch.family, sketch.rows, points)
-    return sketch.counts[np.arange(sketch.rows)[:, None], buckets]
+    rows, n = buckets.shape
+    flat = sketch.counts.ravel()
+    out = np.empty((rows, n), flat.dtype)
+    step = max(1, _GATHER_BUDGET // max(n, 1))
+    base = np.arange(0, rows * sketch.width, sketch.width)[:, None]
+    index = np.empty((min(step, rows), n), np.intp)
+    for r0 in range(0, rows, step):
+        r1 = min(r0 + step, rows)
+        np.add(buckets[r0:r1], base[r0:r1], out=index[:r1 - r0])
+        np.take(flat, index[:r1 - r0], out=out[r0:r1], mode="clip")
+    return out
 
 
 def _mom_aggregate(values: np.ndarray, delta: float) -> np.ndarray:
-    """Median of k contiguous group means along axis 0; surplus rows ignored."""
+    """Median of k contiguous group means along axis 0; surplus rows ignored.
+
+    Equal, bit for bit, to ``np.median(groups.mean(axis=1), axis=0)``: the
+    group means are the float64 sums divided by the group size, as
+    ``ndarray.mean`` computes them, and the median is read off a partition
+    at the central index, or the two central indices for an even k, whose
+    values are averaged as ``(a + b) / 2``.
+    """
     rows = values.shape[0]
     k = mom_group_count(delta)
     m = rows // k
@@ -65,7 +93,13 @@ def _mom_aggregate(values: np.ndarray, delta: float) -> np.ndarray:
             f"median-of-means at delta={delta} needs k={k} groups, "
             f"but the sketch has only {rows} rows")
     groups = values[:k * m].reshape(k, m, *values.shape[1:])
-    return np.median(groups.mean(axis=1), axis=0)
+    means = np.add.reduce(groups, axis=1, dtype=np.float64) / m
+    half = k // 2
+    if k % 2:
+        means.partition(half, axis=0)
+        return means[half]
+    means.partition((half - 1, half), axis=0)
+    return (means[half - 1] + means[half]) / 2
 
 
 def estimate(sketch: RaceSketch, points, estimator: str = "median_of_means",

@@ -152,7 +152,9 @@ def _as_matrix(points, dim: int) -> np.ndarray:
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim == 1:
         pts = pts.reshape(1, -1) if pts.size else pts.reshape(0, dim)
-    if pts.ndim != 2 or (pts.shape[0] > 0 and pts.shape[1] != dim):
+    elif pts.ndim == 2 and pts.shape[0] == 0:
+        pts = pts.reshape(0, dim)  # no rows, such as an empty CSV's (0, 0)
+    if pts.ndim != 2 or pts.shape[1] != dim:
         raise DimensionMismatchError(
             f"expected points of dimension {dim}, got shape {pts.shape}")
     return pts
@@ -172,7 +174,11 @@ def hash_batch(family: LshFamily, rows: int, points) -> np.ndarray:
     smallest unsigned dtype that holds ``width - 1`` (``2 ** depth - 1`` for
     SRP codes used directly); never uint64, since width < 2**32. Rows are
     evaluated in blocks of about ``_BLOCK_BUDGET`` projections, so the float64
-    projection is never materialized for all rows at once.
+    projection is never materialized for all rows at once. Angular codes are
+    packed in one pass per block: the signs of all ``depth`` projections go
+    into one bool buffer, and an ``einsum`` against the bit weights
+    ``2 ** i`` sums them into the code dtype (bit i of row r is the sign of
+    projection ``r * depth + i``).
     """
     if rows < 1:
         raise InvalidParameterError(f"rows must be >= 1, got {rows}")
@@ -185,15 +191,19 @@ def hash_batch(family: LshFamily, rows: int, points) -> np.ndarray:
     step = max(1, _BLOCK_BUDGET // (p * max(n, 1)))
     # one projection buffer for all blocks: a fresh one per block faults in anew
     buf = np.empty((min(step, rows) * p, n))
+    if family.kind.angular:
+        signs = np.empty(buf.shape, np.bool_)
+        weights = 1 << np.arange(p, dtype=code_dtype)
+        if not direct:
+            packed = np.empty((min(step, rows), n), code_dtype)
     for r0 in range(0, rows, step):
         r1 = min(r0 + step, rows)
         proj = np.matmul(params.proj[r0 * p:r1 * p], pts.T, out=buf[:(r1 - r0) * p])
         if family.kind.angular:
-            # bit i of row r is the sign of projection r * p + i
-            codes = out[r0:r1] if direct else np.empty((r1 - r0, n), code_dtype)
-            np.greater_equal(proj[::p], 0, out=codes)
-            for i in range(1, p):
-                codes |= (proj[i::p] >= 0).astype(code_dtype) << code_dtype.type(i)
+            bits = np.greater_equal(proj, 0, out=signs[:(r1 - r0) * p])
+            codes = out[r0:r1] if direct else packed[:r1 - r0]
+            np.einsum("rpn,p->rn", bits.view(np.uint8).reshape(r1 - r0, p, n), weights,
+                      out=codes, dtype=code_dtype, casting="unsafe")
             if family.kind is HashKind.FOLDED_SRP:
                 np.minimum(codes, codes ^ code_dtype.type((1 << p) - 1), out=codes)
             if direct:

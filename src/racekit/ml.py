@@ -66,16 +66,25 @@ class Classifier:
     def dim(self) -> int:
         return self.sketches[0].family.dim
 
+    def scores(self, points, delta: float = 0.1) -> tuple[np.ndarray, np.ndarray]:
+        """MAP and ML scores from one read of each class sketch.
+
+        Returns ``(f_hat, kde)``, each of shape (n_classes, n_queries): the raw
+        median-of-means kernel sums (MAP) and the normalized densities (ML).
+        """
+        pts = lsh._as_matrix(points, self.dim)
+        f_hat = np.empty((len(self.classes), pts.shape[0]))
+        kde = np.empty_like(f_hat)
+        for i, sk in enumerate(self.sketches):
+            f_hat[i], kde[i], _ = estimation.estimate(sk, pts, "median_of_means", delta)
+        return f_hat, kde
+
     def score_matrix(self, points, rule: str = "ml", delta: float = 0.1) -> np.ndarray:
         """Per-class decision scores, shape (n_classes, n_queries)."""
         if rule not in ("ml", "map"):
             raise InvalidParameterError(f"unknown decision rule {rule!r}")
-        pts = lsh._as_matrix(points, self.dim)
-        scores = np.empty((len(self.classes), pts.shape[0]))
-        for i, sk in enumerate(self.sketches):
-            f_hat, kde, _ = estimation.estimate(sk, pts, "median_of_means", delta)
-            scores[i] = f_hat if rule == "map" else kde
-        return scores
+        f_hat, kde = self.scores(points, delta)
+        return f_hat if rule == "map" else kde
 
     def predict(self, points, rule: str = "ml", delta: float = 0.1) -> list:
         """Labels for a batch of queries; ties break to the lowest class index."""

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import struct
 import sys
@@ -290,6 +291,99 @@ def test_classify_train_predict_flow(workdir, capsys):
     assert lines[0] == "query_id,label,kde_0.0,kde_1.0"
     assert lines[1].split(",")[1] == "0.0"
     assert lines[2].split(",")[1] == "1.0"
+
+
+def _train_scaled_model(workdir, capsys):
+    model_dir = workdir / "model"
+    code, _, _ = _run(capsys, ["classify-train", "--input", workdir / "train.csv",
+                               "--label-col", 2, "--scale", "cube", "--rows", 200,
+                               "--range", 64, "--epsilon", 1.0, "--seed", 4,
+                               "--output", model_dir])
+    assert code == 0
+    return model_dir
+
+
+# sha256 of the answer files, taken before the read path was rewritten
+_PREDICT_DIGESTS = {
+    "ml": "88876409a769207a2264c2ddb9cc5c92e0805cdd8d0c07cf5e58b6e2b1bcdaec",
+    "map": "66e6901ccfbafc02e2c6f6ea550de615df435cd3af5ab2fbff41fa4f909b7a85",
+}
+
+
+@pytest.mark.parametrize("rule", sorted(_PREDICT_DIGESTS))
+def test_classify_predict_reads_each_class_once(workdir, capsys, monkeypatch, rule):
+    model_dir = _train_scaled_model(workdir, capsys)
+    rk.write_csv(np.random.default_rng(9).normal(0.0, 3.0, (200, 2)), workdir / "probe.csv")
+    calls = []
+    hash_batch = rk.lsh.hash_batch
+
+    def counted(*args):
+        calls.append(args)
+        return hash_batch(*args)
+
+    monkeypatch.setattr(rk.lsh, "hash_batch", counted)
+    out = workdir / f"{rule}.csv"
+    code, _, _ = _run(capsys, ["classify-predict", "--model", model_dir,
+                               "--queries", workdir / "probe.csv", "--rule", rule,
+                               "--output", out])
+    assert code == 0
+    assert len(calls) == 2  # one read of each class sketch, whichever the rule
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == _PREDICT_DIGESTS[rule]
+
+
+_QUERY_DIGESTS = {
+    ("mom", 0.1): "6f2bd1b3b75bd68efea7f0b9a1155b940878b9f9af5c3f254794483050da25e0",
+    ("mom", 0.05): "ec96c2d1d2374fe7f53f8af4a0ea2ec9e6193f40061a5121325a23e3dc75a1a0",
+    ("mean", 0.1): "9141ad32e3a6da6f48dd5726c0ace891bfe81908daf8b31275899d43cdd56c1d",
+}
+
+
+@pytest.mark.parametrize("estimator,delta", sorted(_QUERY_DIGESTS),
+                         ids=["mean", "mom-even-k", "mom-odd-k"])
+def test_query_answer_bytes_are_pinned(workdir, capsys, estimator, delta):
+    rk.write_csv(np.random.default_rng(9).normal(0.0, 1.0, (300, 2)), workdir / "many.csv")
+    _run(capsys, ["build", "--input", workdir / "data.csv", "--rows", 200, "--range", 64,
+                  "--seed", 3, "--output", workdir / "s.race"])
+    _run(capsys, ["privatize", "--sketch", workdir / "s.race", "--epsilon", 1.0,
+                  "--seed", 5, "--output", workdir / "r.race"])
+    out = workdir / "answers.csv"
+    code, _, _ = _run(capsys, ["query", "--sketch", workdir / "r.race",
+                               "--queries", workdir / "many.csv", "--estimator", estimator,
+                               "--delta", delta, "--output", out])
+    assert code == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == _QUERY_DIGESTS[estimator, delta]
+
+
+@pytest.mark.parametrize("content,flags", [("", []), ("x,y\n", ["--header"])],
+                         ids=["empty", "header-only"])
+def test_empty_query_file_writes_only_the_header(workdir, capsys, content, flags):
+    (workdir / "none.csv").write_text(content)
+    _run(capsys, ["build", "--input", workdir / "data.csv", "--scale", "cube",
+                  "--rows", 64, "--range", 32, "--output", workdir / "s.race"])
+    code, out, _ = _run(capsys, ["query", "--sketch", workdir / "s.race",
+                                 "--queries", workdir / "none.csv",
+                                 "--transform", workdir / "s.race.transform.json"] + flags)
+    assert code == 0
+    assert out == "query_id,f_hat,n_hat,kde\n"
+
+    model_dir = _train_scaled_model(workdir, capsys)  # predict applies its cube transform
+    for rule in ("ml", "map"):
+        code, out, _ = _run(capsys, ["classify-predict", "--model", model_dir,
+                                     "--queries", workdir / "none.csv",
+                                     "--rule", rule] + flags)
+        assert code == 0
+        assert out == "query_id,label,kde_0.0,kde_1.0\n"
+
+
+def test_query_of_the_wrong_dimension_is_data_error(workdir, capsys):
+    _run(capsys, ["build", "--input", workdir / "data.csv", "--scale", "cube",
+                  "--rows", 64, "--range", 32, "--output", workdir / "s.race"])
+    rk.write_csv(np.ones((3, 5)), workdir / "wide.csv")
+    code, _, err = _run(capsys, ["query", "--sketch", workdir / "s.race",
+                                 "--queries", workdir / "wide.csv",
+                                 "--transform", workdir / "s.race.transform.json"])
+    assert code == 3
+    assert "dimension" in err
 
 
 def test_regress_prints_slope(workdir, capsys):

@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 import racekit as rk
 from racekit import estimation, oracle
@@ -104,6 +106,69 @@ def test_mom_of_constant_rows_is_that_constant(value, rows):
     # counter reads are integers; equal rows must reproduce the value exactly
     values = np.full((rows, 1), value, dtype=np.int64)
     assert estimation._mom_aggregate(values, 0.1)[0] == value
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([0.1, 0.05]), st.integers(1, 6), st.data())
+def test_mom_aggregate_equals_median_of_group_means(delta, m, data):
+    # k = 19 (odd) at delta 0.1 and 24 (even) at 0.05; rows are never a multiple of k
+    k = estimation.mom_group_count(delta)
+    rows = k * m + data.draw(st.integers(1, k - 1))
+    n = data.draw(st.sampled_from([0, 1, 7]))
+    values = data.draw(hnp.arrays(np.int64, (rows, n),
+                                  elements=st.integers(-2**62, 2**62)))
+    want = np.median(values[:k * m].reshape(k, m, n).mean(axis=1), axis=0)
+    got = estimation._mom_aggregate(values, delta)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+_GATHER_FAMILIES = [
+    dict(kind="srp", depth=4, width=64),
+    dict(kind="srp", depth=12, width=50),
+    dict(kind="folded-srp", depth=4, width=64),
+    dict(kind="euclidean", depth=3, width=97, bandwidth=0.5),
+]
+
+
+@pytest.mark.parametrize("n", [0, 1, 3, 40])
+@pytest.mark.parametrize("kwargs", _GATHER_FAMILIES, ids=lambda kw: f"{kw['kind']}-{kw['depth']}")
+def test_gather_equals_fancy_indexing_in_small_blocks(monkeypatch, kwargs, n):
+    fam = rk.new_family(dim=3, seed=6, **kwargs)
+    rng = np.random.default_rng(n)
+    sk = rk.privatize(rk.build(rng.standard_normal((300, 3)), fam, 30),
+                      rk.PrivacyBudget(1.0), rng_seed=2)  # released: negative reads too
+    queries = rng.standard_normal((n, 3))
+    buckets = rk.hash_batch(fam, sk.rows, queries)
+    want = sk.counts[np.arange(sk.rows)[:, None], buckets]
+    monkeypatch.setattr(estimation, "_GATHER_BUDGET", 5)  # a few indices per block
+    got = estimation._gather(sk, queries)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def test_gather_memory_is_its_output_plus_one_block(monkeypatch):
+    # a 10k-query batch at R=1000: one flat index for it all would be 80 MB
+    fam = rk.new_family("srp", dim=10, depth=4, width=500, seed=3)
+    sk = rk.build(np.random.default_rng(0).standard_normal((100, 10)), fam, 1000)
+    queries = np.random.default_rng(1).standard_normal((10_000, 10))
+    buckets = rk.hash_batch(fam, sk.rows, queries)
+    monkeypatch.setattr(estimation.lsh, "hash_batch", lambda *args: buckets)
+    tracemalloc.start()
+    try:
+        reads = estimation._gather(sk, queries)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    block = estimation._GATHER_BUDGET * np.dtype(np.intp).itemsize
+    assert reads.nbytes == 1000 * 10_000 * 8
+    assert peak <= reads.nbytes + block + 2**20
+
+
+def test_estimate_of_no_queries_is_empty():
+    sk, _ = _point_mass_sketch(rows=40)
+    for estimator in ("mean", "median_of_means"):
+        f_hat, kde, reads = estimation.estimate(sk, np.zeros((0, 0)), estimator)
+        assert f_hat.shape == kde.shape == (0,) and reads.shape == (40, 0)
 
 
 def test_query_works_on_private_sketch():

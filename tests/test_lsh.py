@@ -257,3 +257,42 @@ def test_hash_batch_memory_stays_block_sized(kind, kwargs):
         tracemalloc.stop()
     # a single (rows * depth, n) float64 projection alone would be 244 MiB
     assert peak < 64 * 2**20
+
+
+def test_zero_row_input_takes_the_family_dimension():
+    fam = rk.new_family("srp", dim=3, depth=2, width=8, seed=1)
+    for empty in (np.zeros((0, 0)), np.zeros((0, 7)), np.zeros(0), []):
+        assert lsh._as_matrix(empty, 3).shape == (0, 3)
+        assert rk.hash_batch(fam, 5, empty).shape == (5, 0)
+
+
+def _per_bit_reference(fam, rows, pts):
+    """Buckets of an angular family, one sign bit at a time in uint64."""
+    params = lsh._row_params(fam, rows)
+    p, n = fam.depth, len(pts)
+    signs = (params.proj @ pts.T >= 0).reshape(rows, p, n)
+    codes = np.zeros((rows, n), np.uint64)
+    for i in range(p):
+        codes |= signs[:, i, :].astype(np.uint64) << np.uint64(i)
+    if fam.kind is lsh.HashKind.FOLDED_SRP:
+        codes = np.minimum(codes, codes ^ np.uint64(2**p - 1))
+    if 2**p <= fam.width:
+        return codes
+    prime = lsh._MIX_PRIME
+    return (params.mix_a[:, :1] * (codes % prime) + params.mix_b[:, None]) % prime \
+        % np.uint64(fam.width)
+
+
+@pytest.mark.parametrize("n", [0, 1, 3])
+@pytest.mark.parametrize("kind", ["srp", "folded-srp"])
+def test_angular_hash_batch_equals_per_bit_reference(monkeypatch, kind, n):
+    monkeypatch.setattr(lsh, "_BLOCK_BUDGET", 5)  # one row per block
+    pts = np.random.default_rng(n).standard_normal((n, 3))
+    for depth in range(1, 63):
+        # a width that takes the codes directly (up to depth 31), and one that mixes
+        for width in sorted({2 ** min(depth, 31), 50}):
+            fam = rk.new_family(kind, dim=3, depth=depth, width=width, seed=depth)
+            got = rk.hash_batch(fam, 9, pts)
+            want = _per_bit_reference(fam, 9, pts)
+            assert got.shape == (9, n) and got.dtype.kind == "u"
+            assert np.array_equal(got, want), (depth, width)
