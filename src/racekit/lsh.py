@@ -17,7 +17,11 @@ fixed-width count array. SRP and folded codes are used directly whenever
 ``2 ** depth <= width`` (no extra collisions); otherwise (after the fold), and
 always for the unbounded p-stable codes, a seeded 2-universal mix
 ``((a * code + b) mod P) mod width`` is applied, which adds a false-collision
-rate of at most ``1 / width``.
+rate of at most ``1 / width``. A p-stable row mixes its ``depth`` floors as
+``(b + sum_i a_i * (floor_i mod P)) mod P``; each floor enters as a shifted
+representative in ``[1, 2P)`` (exact through ``fmod`` for floors past
+``+-P``, including those past int64), and the sum is reduced once per two
+terms.
 
 All per-row parameters derive deterministically from the family seed, so the
 bucket of a point depends only on (seed, row, point). ``hash_batch`` therefore
@@ -39,8 +43,9 @@ from scipy.special import ndtr
 
 from .errors import DimensionMismatchError, InvalidParameterError, ZeroVectorError
 
-# Mersenne prime for the 2-universal bucket mix. Operands stay below 2**31,
-# so products fit in uint64 without overflow.
+# Mersenne prime for the 2-universal bucket mix. Multipliers lie below P and
+# the values they multiply below 2P, so a product is below 2**63, and a
+# residue plus two products still fits in uint64.
 _MIX_PRIME = np.uint64((1 << 31) - 1)
 
 # Stream tags so projection, offset, and mixer draws never interleave. Row r
@@ -48,6 +53,12 @@ _MIX_PRIME = np.uint64((1 << 31) - 1)
 _PROJ_TAG = 0x5EED_0001
 _OFFSET_TAG = 0x5EED_0002
 _MIX_TAG = 0x5EED_0003
+
+# A euclidean floor in (-P, P) plus _SHIFT is an exact double in
+# (2**52, 2**52 + 2P), whose low 52 bits hold floor + P.
+_PRIME_F = float(_MIX_PRIME)
+_SHIFT = 2.0 ** 52 + _PRIME_F
+_LOW_52 = np.uint64((1 << 52) - 1)
 
 _MAX_DEPTH = 62  # SRP codes are packed into an unsigned 64-bit word
 _MAX_WIDTH = 1 << 32  # the .race header stores width as u32
@@ -172,17 +183,33 @@ def hash_batch(family: LshFamily, rows: int, points) -> np.ndarray:
 
     Returns an array of shape (rows, n) with entries in [0, width), in the
     smallest unsigned dtype that holds ``width - 1`` (``2 ** depth - 1`` for
-    SRP codes used directly); never uint64, since width < 2**32. Rows are
+    SRP codes used directly); never uint64, since width < 2**32. Points must
+    be finite; NaN or inf raises ``InvalidParameterError``. Rows are
     evaluated in blocks of about ``_BLOCK_BUDGET`` projections, so the float64
     projection is never materialized for all rows at once. Angular codes are
     packed in one pass per block: the signs of all ``depth`` projections go
     into one bool buffer, and an ``einsum`` against the bit weights
     ``2 ** i`` sums them into the code dtype (bit i of row r is the sign of
     projection ``r * depth + i``).
+
+    Euclidean blocks work in place in the projection buffer. The floors
+    ``floor((proj + offset) / bandwidth)`` are shifted by P to a
+    representative of ``floor mod P`` in ``[1, 2P)``: directly when one
+    min/max shows the block's floors lie in ``(-P, P)``, otherwise after an
+    ``fmod`` by P, which is exact for every finite double, so floors past
+    int64 still hash apart. A floor that overflowed float64 raises
+    ``InvalidParameterError``. Adding ``2 ** 52`` as well makes each double's
+    low 52 bits that representative, read as uint64 with one mask. Products
+    ``a_i * g_i`` are below ``(P - 1)(2P - 1) < 2 ** 63``, so the mix
+    ``b + sum_i a_i * g_i`` takes one ``% P`` per two terms, and the final
+    ``% width`` runs in uint32. Codes equal those of reducing every floor and
+    every term mod P, since mod P is a ring homomorphism.
     """
     if rows < 1:
         raise InvalidParameterError(f"rows must be >= 1, got {rows}")
     pts = _as_matrix(points, family.dim)
+    if not np.isfinite(pts).all():
+        raise InvalidParameterError("points must be finite, got NaN or inf")
     n, p = pts.shape[0], family.depth
     params = _row_params(family, rows)
     code_dtype = np.min_scalar_type((1 << p) - 1)
@@ -196,6 +223,8 @@ def hash_batch(family: LshFamily, rows: int, points) -> np.ndarray:
         weights = 1 << np.arange(p, dtype=code_dtype)
         if not direct:
             packed = np.empty((min(step, rows), n), code_dtype)
+    else:
+        residues = np.empty((min(step, rows), n), np.uint32)
     for r0 in range(0, rows, step):
         r1 = min(r0 + step, rows)
         proj = np.matmul(params.proj[r0 * p:r1 * p], pts.T, out=buf[:(r1 - r0) * p])
@@ -210,14 +239,30 @@ def hash_batch(family: LshFamily, rows: int, points) -> np.ndarray:
                 continue
             mixed = (params.mix_a[r0:r1, :1] * (codes % _MIX_PRIME)
                      + params.mix_b[r0:r1, None]) % _MIX_PRIME
-        else:
-            grid = np.floor((proj.reshape(r1 - r0, p, n) + params.offsets[r0:r1, :, None])
-                            / family.bandwidth).astype(np.int64)
-            grid = (grid % np.int64(_MIX_PRIME)).astype(np.uint64)
-            mixed = params.mix_b[r0:r1, None]
-            for i in range(p):
-                mixed = (mixed + params.mix_a[r0:r1, i:i + 1] * grid[:, i, :]) % _MIX_PRIME
-        out[r0:r1] = mixed % np.uint64(family.width)
+            out[r0:r1] = mixed % np.uint64(family.width)
+            continue
+        floors = proj.reshape(r1 - r0, p, n)
+        np.add(floors, params.offsets[r0:r1, :, None], out=floors)
+        np.divide(floors, family.bandwidth, out=floors)
+        np.floor(floors, out=floors)
+        lo, hi = floors.min(initial=0.0), floors.max(initial=0.0)
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise InvalidParameterError(
+                "a bucket index overflowed float64: the points are too far from "
+                f"the origin for bandwidth {family.bandwidth!r}")
+        if not -_PRIME_F < lo <= hi < _PRIME_F:
+            np.fmod(floors, _PRIME_F, out=floors)
+        np.add(floors, _SHIFT, out=floors)
+        grid = np.bitwise_and(floors.view(np.uint64), _LOW_52, out=floors.view(np.uint64))
+        np.multiply(grid, params.mix_a[r0:r1, :, None], out=grid)
+        mixed = np.add(grid[:, 0, :], params.mix_b[r0:r1, None], out=grid[:, 0, :])
+        for i in range(1, p):
+            np.add(mixed, grid[:, i, :], out=mixed)
+            if i % 2 and i < p - 1:  # two products added since the last % P
+                np.remainder(mixed, _MIX_PRIME, out=mixed)
+        np.remainder(mixed, _MIX_PRIME, out=residues[:r1 - r0], casting="unsafe")
+        np.remainder(residues[:r1 - r0], np.uint32(family.width), out=out[r0:r1],
+                     casting="unsafe")
     return out
 
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import racekit as rk
-from racekit import lsh, oracle
+from racekit import estimation, lsh, oracle
 from racekit.errors import DimensionMismatchError, InvalidParameterError, ZeroVectorError
 
 # Single-hash 2-stable collision probability at bandwidth 0.5, distance 0.5,
@@ -296,3 +296,81 @@ def test_angular_hash_batch_equals_per_bit_reference(monkeypatch, kind, n):
             want = _per_bit_reference(fam, 9, pts)
             assert got.shape == (9, n) and got.dtype.kind == "u"
             assert np.array_equal(got, want), (depth, width)
+
+
+def _euclidean_reference(fam, rows, pts):
+    """Buckets of a euclidean family as the plain formula, one row per matmul.
+
+    Each floor is reduced mod P with exact Python integers (equal to the int64
+    ``floor % P`` wherever that is defined) and mixed in one term at a time.
+    """
+    params = lsh._row_params(fam, rows)
+    p, prime = fam.depth, int(lsh._MIX_PRIME)
+    # one matmul per row, as hash_batch makes with one row per block
+    proj = np.stack([params.proj[r * p:(r + 1) * p] @ pts.T for r in range(rows)])
+    floors = np.floor((proj + params.offsets[:, :, None]) / fam.bandwidth)
+    grid = np.frompyfunc(lambda v: int(v) % prime, 1, 1)(floors)
+    mixed = params.mix_b.astype(object)[:, None]
+    for i in range(p):
+        mixed = (mixed + params.mix_a[:, i:i + 1].astype(object) * grid[:, i, :]) % prime
+    return (mixed % fam.width).astype(np.uint64)
+
+
+@pytest.mark.parametrize("n", [0, 1, 3, 257])
+@pytest.mark.parametrize("bandwidth", [1e-12, 1e-9, 1e-3, 1.0, 1e6])
+def test_euclidean_hash_batch_equals_reference(monkeypatch, bandwidth, n):
+    monkeypatch.setattr(lsh, "_BLOCK_BUDGET", 1)  # one row per block
+    pts = np.random.default_rng(n).standard_normal((n, 3)) * 2
+    for depth in (1, 2, 3, 4, 5, 62):  # odd depths end on an unpaired term
+        for width in (2, 200, 70_000, 2**32 - 1):
+            fam = rk.new_family("euclidean", dim=3, depth=depth, width=width,
+                                bandwidth=bandwidth, seed=depth)
+            got = rk.hash_batch(fam, 9, pts)
+            assert got.shape == (9, n) and got.dtype == np.min_scalar_type(width - 1)
+            assert np.array_equal(got, _euclidean_reference(fam, 9, pts)), (depth, width)
+
+
+def test_euclidean_rows_inside_and_outside_the_prime_in_one_call(monkeypatch):
+    fam = rk.new_family("euclidean", dim=3, depth=2, width=200, bandwidth=1e-9, seed=4)
+    pts = np.random.default_rng(5).standard_normal((3, 3))
+    params = lsh._row_params(fam, 40)
+    floors = np.floor(((params.proj @ pts.T).reshape(40, 2, 3)
+                       + params.offsets[:, :, None]) / fam.bandwidth)
+    inside = np.abs(floors).max(axis=(1, 2)) < float(lsh._MIX_PRIME)
+    assert inside.any() and not inside.all()  # both reductions run in one call
+    want = _euclidean_reference(fam, 40, pts)
+    assert np.array_equal(rk.hash_batch(fam, 40, pts), want)  # one block, fmod throughout
+    monkeypatch.setattr(lsh, "_BLOCK_BUDGET", 1)  # one row per block
+    assert np.array_equal(rk.hash_batch(fam, 40, pts), want)
+
+
+def test_euclidean_tiny_bandwidth_keeps_points_apart(monkeypatch):
+    # |g.x + b| / bandwidth is about 1e30, past int64: every floor still counts
+    monkeypatch.setattr(lsh, "_BLOCK_BUDGET", 1)  # the reference's matmuls, bit for bit
+    fam = rk.new_family("euclidean", dim=3, depth=2, width=1000, bandwidth=1e-30, seed=3)
+    pts = np.random.default_rng(0).standard_normal((64, 3))
+    buckets = rk.hash_batch(fam, 20, pts)
+    assert min(len(np.unique(row)) for row in buckets) >= 48
+    assert np.array_equal(buckets, _euclidean_reference(fam, 20, pts))
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in divide")
+def test_euclidean_bucket_index_overflowing_float64_is_rejected():
+    fam = rk.new_family("euclidean", dim=3, depth=2, width=1000, bandwidth=1e-320, seed=3)
+    with pytest.raises(InvalidParameterError, match="bandwidth"):
+        rk.hash_batch(fam, 5, np.random.default_rng(0).standard_normal((8, 3)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("kind,kwargs", [("srp", {}), ("euclidean", {"bandwidth": 0.5})])
+def test_non_finite_points_are_rejected(kind, kwargs, bad):
+    fam = rk.new_family(kind, dim=3, depth=2, width=64, seed=1, **kwargs)
+    pts = np.random.default_rng(0).standard_normal((10, 3))
+    pts[4, 1] = bad
+    with pytest.raises(InvalidParameterError, match="finite"):
+        rk.hash_batch(fam, 5, pts)
+    with pytest.raises(InvalidParameterError, match="finite"):
+        rk.build(pts, fam, 5)
+    sketch = rk.build(pts[:4], fam, 5)
+    with pytest.raises(InvalidParameterError, match="finite"):
+        estimation.estimate(sketch, pts)
