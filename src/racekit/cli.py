@@ -253,9 +253,21 @@ def cmd_regress(args) -> int:
     return 0
 
 
+def _parse_point(text: str, flag: str) -> np.ndarray:
+    """A comma-separated point; a field that is not a number is a usage error."""
+    coords = []
+    for i, field in enumerate(text.split(","), 1):
+        try:
+            coords.append(float(field))
+        except ValueError:
+            raise InvalidParameterError(
+                f"{flag}: field {i} ({field!r}) is not a number") from None
+    return np.array(coords)
+
+
 def cmd_mode(args) -> int:
+    init = _parse_point(args.init, "--init")
     sk = rsketch.load(args.sketch)
-    init = np.array([float(v) for v in args.init.split(",")])
     config = OptimizerConfig(max_iters=args.max_iters, initial_step=args.step,
                              restarts=args.restarts)
     point = ml.find_mode(sk, init, config, delta=args.delta)

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -54,24 +55,36 @@ def mom_group_count(delta: float) -> int:
     return math.ceil(8.0 * math.log(1.0 / delta))
 
 
+@lru_cache(maxsize=16)
+def _row_base(rows: int, width: int) -> np.ndarray:
+    """Flat offset of each row's first counter, ``r * width``, read-only."""
+    base = np.arange(0, rows * width, width)
+    base.flags.writeable = False
+    return base
+
+
 def _gather(sketch: RaceSketch, points) -> np.ndarray:
     """Counter reads for each query: shape (rows, n_queries).
 
-    Reads ``counts.ravel()`` with a flat ``take`` over blocks of rows holding
-    about ``_GATHER_BUDGET`` indices, so no flat index is formed for the
-    whole batch. Buckets lie in ``[0, width)`` by construction, so ``clip``
-    never clips; it spares ``take`` the buffered copy of its raise mode.
+    Reads ``counts.ravel()`` at ``bucket + r * width``, with the row offsets
+    cached per shape. One query is read with one ``take`` of its R flat
+    indices. A batch takes a flat ``take`` over blocks of rows holding about
+    ``_GATHER_BUDGET`` indices, so no flat index is formed for the whole
+    batch; buckets lie in ``[0, width)`` by construction, so ``clip`` never
+    clips, and it spares ``take`` the buffered copy of its raise mode.
     """
     buckets = lsh.hash_batch(sketch.family, sketch.rows, points)
     rows, n = buckets.shape
     flat = sketch.counts.ravel()
+    base = _row_base(rows, sketch.width)
+    if n == 1:
+        return flat.take(buckets[:, 0] + base)[:, None]
     out = np.empty((rows, n), flat.dtype)
     step = max(1, _GATHER_BUDGET // max(n, 1))
-    base = np.arange(0, rows * sketch.width, sketch.width)[:, None]
     index = np.empty((min(step, rows), n), np.intp)
     for r0 in range(0, rows, step):
         r1 = min(r0 + step, rows)
-        np.add(buckets[r0:r1], base[r0:r1], out=index[:r1 - r0])
+        np.add(buckets[r0:r1], base[r0:r1, None], out=index[:r1 - r0])
         np.take(flat, index[:r1 - r0], out=out[r0:r1], mode="clip")
     return out
 
@@ -83,7 +96,9 @@ def _mom_aggregate(values: np.ndarray, delta: float) -> np.ndarray:
     group means are the float64 sums divided by the group size, as
     ``ndarray.mean`` computes them, and the median is read off a partition
     at the central index, or the two central indices for an even k, whose
-    values are averaged as ``(a + b) / 2``.
+    values are averaged as ``(a + b) / 2``. One query's (rows, 1) reads take
+    the same path: their cost is the float64 group sums, which a
+    one-dimensional reduction does not make cheaper.
     """
     rows = values.shape[0]
     k = mom_group_count(delta)

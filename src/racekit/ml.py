@@ -148,7 +148,7 @@ def surrogate_loss(sk: RaceSketch, theta, *, estimator: str = "mean",
             f"dimension {sk.family.dim}")
     q = np.append(theta, -1.0)
     q /= np.linalg.norm(q)
-    f_hat, _, _ = estimation.estimate(sk, [q], estimator, delta)
+    f_hat, _, _ = estimation.estimate(sk, q[None, :], estimator, delta)
     return float(f_hat[0])
 
 
@@ -244,7 +244,7 @@ def find_mode(sk: RaceSketch, init, config: OptimizerConfig | None = None,
     start = lsh._as_vector(init, sk.family.dim)
 
     def negative_density(x):
-        _, kde, _ = estimation.estimate(sk, [x], "median_of_means", delta)
+        _, kde, _ = estimation.estimate(sk, x[None, :], "median_of_means", delta)
         return -float(kde[0])
 
     best, _, _ = minimize_derivative_free(negative_density, start, config)

@@ -11,20 +11,34 @@ and a flat objective returns the start point unchanged.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize as _scipy_minimize
 
-from .errors import OptimizerDivergenceError
+from .errors import InvalidParameterError, OptimizerDivergenceError
 
 
 @dataclass
 class OptimizerConfig:
+    """Search budget; every value must allow at least one simplex run."""
+
     max_iters: int = 400      # objective evaluation budget per simplex run
     initial_step: float = 0.5
     restarts: int = 2
     tol: float = 1e-6         # convergence tolerance on the loss
+
+    def __post_init__(self):
+        if not self.max_iters >= 1:
+            raise InvalidParameterError(f"max_iters must be >= 1, got {self.max_iters}")
+        if not self.restarts >= 0:
+            raise InvalidParameterError(f"restarts must be >= 0, got {self.restarts}")
+        for name in ("initial_step", "tol"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise InvalidParameterError(
+                    f"{name} must be positive and finite, got {value!r}")
 
 
 class _BestTracker:
@@ -77,7 +91,7 @@ def minimize_derivative_free(fn, x0, config: OptimizerConfig | None = None):
     tracker = _BestTracker(fn, x0)
 
     step = config.initial_step
-    for _ in range(max(1, config.restarts + 1)):
+    for _ in range(config.restarts + 1):
         start = tracker.best_x
         simplex = np.vstack([start] + [start + step * e
                                        for e in np.eye(start.size)])

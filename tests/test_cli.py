@@ -423,6 +423,47 @@ def test_mode_outputs_point(workdir, capsys):
     assert np.linalg.norm(point - np.array([1.0, -0.5])) <= 0.5
 
 
+def _mode_sketch(workdir, capsys):
+    rk.write_csv(np.random.default_rng(7).normal((1.0, -0.5), 0.2, (200, 2)),
+                 workdir / "cluster.csv")
+    _run(capsys, ["build", "--input", workdir / "cluster.csv", "--lsh", "euclidean",
+                  "--bandwidth", 0.5, "--depth", 2, "--rows", 60, "--range", 64,
+                  "--output", workdir / "c.race"])
+    return workdir / "c.race"
+
+
+@pytest.mark.parametrize("init,field", [("a,b", "field 1 ('a')"),
+                                        ("0.1,,0.2", "field 2 ('')"),
+                                        ("0.5,x", "field 2 ('x')")])
+def test_mode_init_that_is_not_a_number_is_a_usage_error(workdir, capsys, init, field):
+    code, out, err = _run(capsys, ["mode", "--sketch", _mode_sketch(workdir, capsys),
+                                   "--init", init])
+    assert code == 2 and out == ""
+    assert "--init" in err and field in err and "Traceback" not in err
+
+
+def test_mode_init_with_the_wrong_coordinate_count_is_a_data_error(workdir, capsys):
+    code, _, err = _run(capsys, ["mode", "--sketch", _mode_sketch(workdir, capsys),
+                                 "--init", "0.1,0.2,0.3"])
+    assert code == 3 and "dimension" in err
+
+
+@pytest.mark.parametrize("flags", [["--max-iters", 0], ["--max-iters", -5],
+                                   ["--restarts", -1], ["--step", 0], ["--step", "inf"],
+                                   ["--step", "nan"]],
+                         ids=lambda f: " ".join(map(str, f)))
+def test_mode_and_regress_reject_budgets_that_make_no_search(workdir, capsys, flags):
+    code, out, err = _run(capsys, ["mode", "--sketch", _mode_sketch(workdir, capsys),
+                                   "--init", "1,-0.5"] + flags)
+    name = flags[0].lstrip("-").replace("-", "_")  # --step sets initial_step
+    assert code == 2 and out == "" and f"{name} must be" in err
+    code, out, err = _run(capsys, ["regress", "--input", workdir / "reg.csv",
+                                   "--rows", 100, "--range", 32, "--epsilon", 1e6,
+                                   "--output", workdir / "model.json"] + flags)
+    assert code == 2 and out == "" and f"{name} must be" in err
+    assert not (workdir / "model.json").exists()
+
+
 def test_scaled_build_writes_transform_and_query_applies_it(workdir, capsys):
     _run(capsys, ["build", "--input", workdir / "data.csv", "--scale", "cube",
                   "--rows", 64, "--range", 32, "--output", workdir / "scaled.race"])

@@ -146,6 +146,25 @@ def test_gather_equals_fancy_indexing_in_small_blocks(monkeypatch, kwargs, n):
     assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
+@pytest.mark.parametrize("kwargs", _GATHER_FAMILIES, ids=lambda kw: f"{kw['kind']}-{kw['depth']}")
+def test_single_queries_equal_their_batch_entries(kwargs):
+    fam = rk.new_family(dim=3, seed=9, **kwargs)
+    rng = np.random.default_rng(5)
+    sk = rk.privatize(rk.build(rng.standard_normal((400, 3)), fam, 48),
+                      rk.PrivacyBudget(1.0), rng_seed=3)  # released: negative reads too
+    queries = rng.standard_normal((25, 3))
+    for delta in (0.1, 0.05):  # k = 19 (odd) and 24 (even) groups
+        f_hat, kde, reads = estimation.estimate(sk, queries, "median_of_means", delta)
+        for i, q in enumerate(queries):
+            est = rk.query_median_of_means(sk, q, delta)
+            assert est.f_hat == f_hat[i] and est.kde == kde[i]
+            assert np.array_equal(est.row_values, reads[:, i])
+    f_hat, kde, _ = estimation.estimate(sk, queries, "mean")
+    for i, q in enumerate(queries):
+        est = rk.query_mean(sk, q)
+        assert est.f_hat == f_hat[i] and est.kde == kde[i]
+
+
 def test_gather_memory_is_its_output_plus_one_block(monkeypatch):
     # a 10k-query batch at R=1000: one flat index for it all would be 80 MB
     fam = rk.new_family("srp", dim=10, depth=4, width=500, seed=3)

@@ -227,6 +227,42 @@ def test_hash_batch_blocks_match_one_block(monkeypatch, name):
     assert np.array_equal(blocked, whole)
 
 
+def _assert_single_points_match_batch(fam, rows, pts):
+    batch = rk.hash_batch(fam, rows, pts)
+    for i in range(len(pts)):
+        single = rk.hash_batch(fam, rows, pts[i:i + 1])
+        assert single.shape == (rows, 1) and single.dtype == batch.dtype
+        assert np.array_equal(single[:, 0], batch[:, i]), (fam, rows, i)
+
+
+@pytest.mark.parametrize("one_row_blocks", [False, True])
+@pytest.mark.parametrize("kind", ["srp", "folded-srp", "euclidean"])
+def test_single_point_equals_its_batch_column(monkeypatch, kind, one_row_blocks):
+    if one_row_blocks:
+        monkeypatch.setattr(lsh, "_BLOCK_BUDGET", 1)
+    kwargs = {"bandwidth": 0.7} if kind == "euclidean" else {}
+    pts = np.random.default_rng(12).standard_normal((4, 3)) * 2
+    for depth in (*range(1, 10), 12, 62):
+        # direct (2**depth <= width) and rebucketed codes; multiply-shift at 2, 4, 8
+        for width in (2, 16, 500, 2**32 - 1):
+            # a thousand one-row blocks per call would make this test slow, not stronger
+            for rows in (1, 7, 100 if one_row_blocks else 1000):
+                fam = rk.new_family(kind, dim=3, depth=depth, width=width,
+                                    seed=depth, **kwargs)
+                _assert_single_points_match_batch(fam, rows, pts)
+
+
+@pytest.mark.parametrize("kind", ["srp", "folded-srp", "euclidean"])
+def test_single_point_equals_its_batch_column_at_100k_rows(kind):
+    # the regression surrogate's shape: one point through many rows
+    kwargs = {"bandwidth": 0.7} if kind == "euclidean" else {}
+    pts = np.random.default_rng(13).standard_normal((3, 2))
+    for depth, width in ((4, 32), (8, 500), (9, 2**32 - 1)):
+        fam = rk.new_family(kind, dim=2, depth=depth, width=width, seed=depth, **kwargs)
+        _assert_single_points_match_batch(fam, 100_000, pts)
+    lsh._row_params.cache_clear()  # 100k-row parameters are tens of MB
+
+
 @pytest.mark.parametrize("kwargs,dtype", [
     (dict(kind="srp", depth=4, width=16), np.uint8),        # direct codes < 2**4
     (dict(kind="srp", depth=8, width=70_000), np.uint8),    # direct codes < 2**8

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -284,6 +286,23 @@ def test_optimizer_divergence_on_nonfinite_objective():
     with pytest.raises(OptimizerDivergenceError):
         minimize_derivative_free(lambda x: float("nan"), np.zeros(2),
                                  OptimizerConfig(max_iters=20))
+
+
+@pytest.mark.parametrize("kwargs", [dict(max_iters=0), dict(max_iters=-5),
+                                    dict(restarts=-1), dict(initial_step=0.0),
+                                    dict(initial_step=-0.5), dict(initial_step=math.inf),
+                                    dict(tol=0.0), dict(tol=math.nan)],
+                         ids=lambda kw: ",".join(f"{k}={v}" for k, v in kw.items()))
+def test_optimizer_config_rejects_budgets_that_make_no_search(kwargs):
+    with pytest.raises(InvalidParameterError, match=next(iter(kwargs))):
+        OptimizerConfig(**kwargs)
+
+
+def test_smallest_optimizer_budget_still_runs():
+    cfg = OptimizerConfig(max_iters=1, restarts=0)
+    x, f, trace = minimize_derivative_free(lambda v: float((v - 1.0) @ (v - 1.0)),
+                                           np.zeros(2), cfg)
+    assert f <= trace[0] == 2.0
 
 
 def test_classifier_round_trip(tmp_path):
