@@ -35,7 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -168,30 +168,21 @@ def new_family(kind, dim, depth, width, bandwidth=None, seed=0) -> LshFamily:
                      bandwidth=bandwidth, seed=seed)
 
 
-@dataclass(eq=False)
-class _RowParams:
-    proj: np.ndarray      # (rows * depth, dim) Gaussian projections, read-only
+class _RowParams(NamedTuple):
+    proj: np.ndarray      # (rows * depth, dim) Gaussian projections, column-major, read-only
     offsets: np.ndarray | None  # (rows, depth) uniform offsets, p-stable only
     mix_a: np.ndarray     # (rows, depth) uint64 in [1, P)
     mix_b: np.ndarray     # (rows,) uint64 in [0, P)
-
-    @cached_property
-    def proj_columns(self) -> np.ndarray:
-        """``proj`` in column-major order, made when a single point first needs it.
-
-        Its matrix-vector product runs along the projections, which OpenBLAS
-        does about twice as fast as the short dot products of row-major
-        ``proj`` (R=1000, depth 4, dim 10 on 2 vCPUs: 9 against 15-22 us).
-        """
-        cols = np.asfortranarray(self.proj)
-        cols.flags.writeable = False
-        return cols
 
 
 @lru_cache(maxsize=16)
 def _row_params(family: LshFamily, rows: int) -> _RowParams:
     p, d = family.depth, family.dim
-    proj = np.random.default_rng([family.seed, _PROJ_TAG]).standard_normal((rows * p, d))
+    # column-major: one point's matrix-vector product then runs along the
+    # projections, which OpenBLAS does about twice as fast as rows * depth
+    # short dot products; a block of rows is still a strided BLAS operand
+    proj = np.asfortranarray(
+        np.random.default_rng([family.seed, _PROJ_TAG]).standard_normal((rows * p, d)))
     offsets = None
     if family.kind is HashKind.EUCLIDEAN:
         offsets = np.random.default_rng([family.seed, _OFFSET_TAG]).uniform(
@@ -257,14 +248,14 @@ def hash_batch(family: LshFamily, rows: int, points) -> np.ndarray:
     family's plan.
 
     A single angular point skips the blocks: one matrix-vector product with
-    the column-major copy of the projections gives its ``rows * depth``
-    projections (no more doubles than that copy holds) and one
-    ``greater_equal`` their sign bytes, which lie row by row. At depth 2, 4
-    or 8 a row's sign bytes are read as one little-endian word and
+    the (column-major) projections gives its ``rows * depth`` projections and
+    one ``greater_equal`` their sign bytes, which lie row by row. At depth 2,
+    4 or 8 a row's sign bytes are read as one little-endian word and
     multiplied by ``0x102``, ``0x01020408`` or ``0x0102040810204080``, whose
     product's top byte is the code; other depths take a ``matmul`` of the
-    (rows, depth) sign bytes against the bit weights. The codes equal the
-    batch path's.
+    (rows, depth) sign bytes against the bit weights, an integer loop in
+    numpy that at depth 4 runs 2x (R=1000) to 14x (R=100 000) slower than
+    the multiply-shift. The codes equal the batch path's.
 
     Euclidean blocks work in place in the projection buffer. The floors
     ``floor((proj + offset) / bandwidth)`` are shifted by P to a
@@ -289,7 +280,7 @@ def hash_batch(family: LshFamily, rows: int, points) -> np.ndarray:
     plan = family._plan
     code_dtype, direct = plan.code_dtype, plan.direct
     if n == 1 and family.kind.angular:
-        signs = np.greater_equal(params.proj_columns @ pts[0], 0)
+        signs = np.greater_equal(params.proj @ pts[0], 0)
         if plan.word is not None:
             words = np.multiply(signs.view(plan.word), plan.multiplier)
             codes = np.right_shift(words, 8 * (p - 1)).astype(code_dtype)
