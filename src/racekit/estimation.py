@@ -6,11 +6,15 @@ the median-of-means aggregation trades a constant for exponential
 concentration and is what the utility bound covers. The dataset size N-hat
 is the grand counter total divided by the row count: each row of a clean
 sketch sums to N, and a release adds integer, zero-mean discrete Laplace noise
-(its scale is capped so draws stay exact in int64; see ``racekit.privacy``).
-N-hat lives on the sketch as ``RaceSketch.n_hat`` and is computed once per
-counter state, not once per query. Negative values can appear after
-privatization: the raw estimate is reported as-is, while the normalized
-density clamps at zero and the size estimate is floored at one before dividing.
+(its scale is capped so draws stay exact in int64; see ``racekit.privacy``)
+to the family's reachable columns only: N-hat sums R * live draws of
+variance ``2 alpha / (1 - alpha) ** 2``, about ``2 (R / epsilon) ** 2``, over
+R, so its noise variance is about ``2 R live / epsilon ** 2`` with ``live =
+LshFamily.reachable_width``. N-hat lives on the sketch as ``RaceSketch.n_hat``
+and is computed once per counter state, not once per query. Negative values
+can appear after privatization: the raw estimate is reported as-is, while the
+normalized density clamps at zero and the size estimate is floored at one
+before dividing.
 
 Every consumer (the query functions here, the classifier, the regression
 surrogate and mode finding) reads counters through :func:`estimate`.

@@ -93,6 +93,7 @@ class _Plan(NamedTuple):
     code_dtype: np.dtype  # narrowest unsigned dtype holding 2**depth - 1
     out_dtype: np.dtype   # bucket dtype: code_dtype when direct, else for width - 1
     direct: bool          # angular codes are the buckets, with no mix
+    reachable: int        # columns a bucket can land in: 2**depth, 2**(depth-1) folded, or width
     weights: np.ndarray   # (depth,) bit weights 2**i in code_dtype, read-only
     word: np.dtype | None  # little-endian word of depth sign bytes, depths 2, 4, 8
     multiplier: np.unsignedinteger | None  # its multiply-shift constant
@@ -102,13 +103,17 @@ def _make_plan(kind: HashKind, depth: int, width: int) -> _Plan:
     code_dtype = np.min_scalar_type((1 << depth) - 1)
     direct = kind.angular and (1 << depth) <= width
     out_dtype = code_dtype if direct else np.min_scalar_type(width - 1)
+    reachable = width
+    if direct:
+        # a folded code min(c, c ^ (2**depth - 1)) has its top bit clear
+        reachable = 1 << (depth - 1 if kind is HashKind.FOLDED_SRP else depth)
     weights = 1 << np.arange(depth, dtype=code_dtype)
     weights.flags.writeable = False
     word = multiplier = None
     if depth in _PACK_MULTIPLIERS:
         word = np.dtype(f"<u{depth}")
         multiplier = word.type(_PACK_MULTIPLIERS[depth])
-    return _Plan(code_dtype, out_dtype, direct, weights, word, multiplier)
+    return _Plan(code_dtype, out_dtype, direct, reachable, weights, word, multiplier)
 
 
 @dataclass(frozen=True)
@@ -160,6 +165,16 @@ class LshFamily:
             # angular hashes have no length scale
             object.__setattr__(self, "bandwidth", None)
         object.__setattr__(self, "_plan", _make_plan(self.kind, self.depth, self.width))
+
+    @property
+    def reachable_width(self) -> int:
+        """Columns ``[0, reachable_width)`` that a bucket can land in.
+
+        ``2 ** depth`` for SRP codes used directly, ``2 ** (depth - 1)`` for
+        folded codes used directly, and ``width`` otherwise; the columns past
+        it hold 0 in every clean sketch of this family.
+        """
+        return self._plan.reachable
 
 
 def new_family(kind, dim, depth, width, bandwidth=None, seed=0) -> LshFamily:
@@ -379,6 +394,6 @@ def rebucket_allowance(family: LshFamily, n_points: float) -> float:
     Zero when SRP codes fit the width exactly; otherwise the false-collision
     rate is at most 1/width per point.
     """
-    if family.kind.angular and (1 << family.depth) <= family.width:
+    if family._plan.direct:
         return 0.0
     return n_points / family.width

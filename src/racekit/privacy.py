@@ -5,15 +5,26 @@ included (their folded family answers for ``z`` and ``-z`` from one insertion
 of ``z``), so the R rows stack to an L1 sensitivity of R. The release adds
 i.i.d. discrete Laplace noise, ``P(k) ~ alpha ** |k|`` with ``alpha =
 exp(-1 / scale)`` and ``scale = R / epsilon`` (Ghosh, Roughgarden
-and Sundararajan, STOC 2009): each released counter is an integer with
-zero-mean noise of variance ``2 alpha / (1 - alpha) ** 2``. A noise value is
-the difference of two geometric draws ``floor(scale * E)``, ``E`` standard
-exponential, since ``P(floor(scale * E) >= k) = alpha ** k``; a scale above
+and Sundararajan, STOC 2009): each counter it covers is released as an
+integer with zero-mean noise of variance ``2 alpha / (1 - alpha) ** 2``. A
+noise value is the difference of two geometric draws ``floor(scale * E)``,
+``E`` standard exponential, since ``P(floor(scale * E) >= k) = alpha ** k``; a scale above
 ``MAX_NOISE_SCALE``, past which a draw may not be an exact integer, is rejected.
 
-Noise generation is counter-based (Philox keyed by the release seed), so the
-value added at (row, column) is a reproducible function of the seed and the
-counter position, and independent across counters. Passing an explicit
+Only the columns a bucket can reach carry noise (``LshFamily.reachable_width``:
+``2 ** p`` for direct SRP codes, ``2 ** (p - 1)`` for direct folded codes, W
+otherwise). A column past it is 0 in the sketch of every dataset, so adding
+or removing a record never moves it: the record's one counter per row lies
+in a reachable column, the L1 sensitivity of the reachable block is still R,
+and the rest is a constant that releasing as an exact 0 leaks nothing about,
+while noise on it would only add variance to N-hat. A sketch holding a
+non-zero count there was not built by its family and is refused, since that
+count would be published without noise.
+
+Noise generation is counter-based (Philox keyed by the release seed). The
+(rows, reachable width) matrix added is a reproducible function of the seed
+and that shape, and its entries are independent; the value at one counter
+depends on the drawn shape as well as its position. Passing an explicit
 ``rng_seed`` makes the release deterministic, which is for tests only and is
 NOT private; production releases must leave the seed unset so it is drawn
 from the OS entropy pool.
@@ -73,9 +84,12 @@ def laplace_noise_matrix(rows: int, cols: int, scale: float, seed: int) -> np.nd
 def privatize(sketch: RaceSketch, budget: PrivacyBudget, rng_seed: int | None = None) -> RaceSketch:
     """Release a clean sketch: add discrete Laplace(rows / epsilon) noise.
 
-    Returns a new privatized sketch carrying epsilon instead of the exact
-    element count; the input sketch is left untouched and the budget is
-    consumed once every check has passed, before noise is drawn.
+    Noise covers the family's reachable columns; the rest are released as the
+    exact zeros they hold, and a sketch with a non-zero count there raises
+    ``InvalidParameterError``. Returns a new privatized sketch carrying
+    epsilon instead of the exact element count; the input sketch is left
+    untouched and the budget is consumed once every check has passed, before
+    noise is drawn.
     Deterministic only when ``rng_seed`` is given (test mode, not private).
     """
     if sketch.privatized:
@@ -84,10 +98,16 @@ def privatize(sketch: RaceSketch, budget: PrivacyBudget, rng_seed: int | None = 
         # each row must partition the inserted points across its buckets
         raise InvalidParameterError(
             "row sums do not match the inserted count; refusing to release")
+    live = sketch.family.reachable_width
+    if sketch.counts[:, live:].any():
+        # these columns are released without noise
+        raise InvalidParameterError(
+            f"columns {live} and up, which no bucket reaches, hold non-zero counts; "
+            "refusing to release")
     scale = sketch.rows / budget.epsilon
     seed = secrets.randbits(128) if rng_seed is None else rng_seed
     _check_noise(scale, seed)
     budget.consume()
-    noise = laplace_noise_matrix(sketch.rows, sketch.width, scale, seed)
-    return RaceSketch(sketch.counts + noise, sketch.family, privatized=True,
-                      epsilon=budget.epsilon)
+    counts = sketch.counts.copy()
+    counts[:, :live] += laplace_noise_matrix(sketch.rows, live, scale, seed)
+    return RaceSketch(counts, sketch.family, privatized=True, epsilon=budget.epsilon)

@@ -36,8 +36,12 @@ from __future__ import annotations
 
 import collections
 import contextlib
+import ctypes
 import functools
+import glob
+import os
 import struct
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -171,6 +175,54 @@ def _iter_chunks(data, dim: int, chunk: int):
         yield np.vstack(buf)
 
 
+# Holders of the one-thread BLAS setting and the thread count to restore when
+# the last of them ends, so overlapping threaded builds restore it once.
+_BLAS_LOCK = threading.Lock()
+_blas_holders = 0
+_blas_restore = 1
+
+
+@functools.lru_cache(maxsize=1)
+def _numpy_openblas():
+    """``(get, set)`` thread-count functions of numpy's bundled OpenBLAS, or None.
+
+    numpy wheels ship it under ``numpy.libs``; it is already loaded, so
+    opening it again returns the same library. scipy loads a second OpenBLAS,
+    which numpy's matmul never calls.
+    """
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas*"))):
+        try:
+            lib = ctypes.CDLL(path)
+            get = lib.scipy_openblas_get_num_threads64_
+            set_ = lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get.restype, get.argtypes = ctypes.c_int, []
+        set_.restype, set_.argtypes = None, [ctypes.c_int]
+        return get, set_
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread(blas):
+    """Run numpy's OpenBLAS on one thread inside the block, then restore it."""
+    global _blas_holders, _blas_restore
+    get, set_ = blas
+    with _BLAS_LOCK:
+        if _blas_holders == 0:
+            _blas_restore = get()
+            set_(1)
+        _blas_holders += 1
+    try:
+        yield
+    finally:
+        with _BLAS_LOCK:
+            _blas_holders -= 1
+            if _blas_holders == 0:
+                set_(_blas_restore)
+
+
 def build(data, family: LshFamily, rows: int, *, threads: int = 1) -> RaceSketch:
     """One-pass sketch construction.
 
@@ -178,7 +230,11 @@ def build(data, family: LshFamily, rows: int, *, threads: int = 1) -> RaceSketch
     Points are hashed in bounded-size chunks, so a stream never needs to fit
     in memory. With ``threads > 1`` a pool hashes up to ``threads`` chunks of
     the same stream at once; partial counts are added in stream order, so the
-    result is identical to the single-threaded build.
+    result is identical to the single-threaded build. While the pool runs,
+    numpy's OpenBLAS is held at one thread (for the whole process), since each
+    builder's projection matmul would otherwise start its own BLAS threads
+    and oversubscribe the cores; when that BLAS cannot be found, the build
+    runs on one thread.
     """
     if rows < 1:
         raise InvalidParameterError(f"rows must be >= 1, got {rows}")
@@ -199,8 +255,15 @@ def build(data, family: LshFamily, rows: int, *, threads: int = 1) -> RaceSketch
                 minlength=(r1 - r0) * family.width)
         return into
 
+    blas = _numpy_openblas() if threads > 1 else None
+    if blas is None:
+        threads = 1
     inserted, pending = 0, collections.deque()
-    with ThreadPoolExecutor(threads) if threads > 1 else contextlib.nullcontext() as pool:
+    with contextlib.ExitStack() as stack:
+        pool = None
+        if threads > 1:
+            stack.enter_context(_one_blas_thread(blas))
+            pool = stack.enter_context(ThreadPoolExecutor(threads))
         for block in _iter_chunks(data, family.dim, chunk):
             inserted += block.shape[0]
             if pool is None:

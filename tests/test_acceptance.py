@@ -70,8 +70,9 @@ def test_criterion_02_collision_probability_laws():
 
 
 def test_criterion_03_noise_calibration():
-    # one million counters at rows=100, epsilon=1: discrete Laplace scale 100
-    fam = rk.new_family("srp", dim=2, depth=4, width=10_000, seed=6)
+    # one million counters at rows=100, epsilon=1: discrete Laplace scale 100;
+    # depth 14 codes are rebucketed, so all 10 000 columns are reachable
+    fam = rk.new_family("srp", dim=2, depth=14, width=10_000, seed=6)
     clean = rk.build(np.random.default_rng(1).standard_normal((200, 2)), fam, rows=100)
     released = rk.privatize(clean, rk.PrivacyBudget(1.0), rng_seed=777)
     noise = laplace_noise_matrix(100, 10_000, 100.0, seed=777)

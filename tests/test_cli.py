@@ -173,6 +173,26 @@ def test_privatize_invalid_noise_is_usage_error_and_spends_nothing(workdir, caps
     assert not any((workdir / name).exists() for name in ("b.json", "b.json.claim", "p.race"))
 
 
+def test_privatize_refuses_counts_in_unreachable_columns(workdir, capsys):
+    # a crafted clean file: one record of row 0 moved to column 40, which no
+    # depth-4 code reaches, so the row sums still match the inserted count
+    _run(capsys, ["build", "--input", workdir / "data.csv", "--rows", 40,
+                  "--range", 64, "--output", workdir / "s.race"])
+    sk = rk.load(workdir / "s.race")
+    sk.counts[0, int(np.argmax(sk.counts[0]))] -= 1
+    sk.counts[0, 40] += 1
+    assert sk.row_sums_consistent()
+    rk.save(sk, workdir / "crafted.race")
+    budget = workdir / "b.json"
+    budget.write_text(json.dumps({"epsilon": 1.0, "consumed": False}))
+    code, _, err = _run(capsys, ["privatize", "--sketch", workdir / "crafted.race",
+                                 "--epsilon", 1.0, "--budget", budget,
+                                 "--output", workdir / "p.race"])
+    assert code == 2 and "refusing to release" in err
+    assert json.loads(budget.read_text()) == {"epsilon": 1.0, "consumed": False}
+    assert not (workdir / "p.race").exists()
+
+
 def test_privatize_then_mutating_commands_fail_with_contract_code(workdir, capsys):
     _run(capsys, ["build", "--input", workdir / "data.csv", "--rows", 40,
                   "--range", 32, "--output", workdir / "s.race"])
@@ -303,6 +323,18 @@ def _train_scaled_model(workdir, capsys):
     return model_dir
 
 
+def _full_width_release(clean, epsilon, seed):
+    """``clean`` released with noise drawn on every column.
+
+    The answer digests below pin the read path on these fixed released
+    counters, independent of which columns ``privatize`` draws noise for.
+    """
+    noise = rk.privacy.laplace_noise_matrix(clean.rows, clean.width, clean.rows / epsilon,
+                                            seed)
+    return rk.RaceSketch(clean.counts + noise, clean.family, privatized=True,
+                         epsilon=epsilon)
+
+
 # sha256 of the answer files, taken before the read path was rewritten
 _PREDICT_DIGESTS = {
     "ml": "88876409a769207a2264c2ddb9cc5c92e0805cdd8d0c07cf5e58b6e2b1bcdaec",
@@ -312,6 +344,8 @@ _PREDICT_DIGESTS = {
 
 @pytest.mark.parametrize("rule", sorted(_PREDICT_DIGESTS))
 def test_classify_predict_reads_each_class_once(workdir, capsys, monkeypatch, rule):
+    monkeypatch.setattr(rk.ml, "privatize", lambda clean, budget, seed:
+                        _full_width_release(clean, budget.epsilon, seed))
     model_dir = _train_scaled_model(workdir, capsys)
     rk.write_csv(np.random.default_rng(9).normal(0.0, 3.0, (200, 2)), workdir / "probe.csv")
     calls = []
@@ -344,8 +378,7 @@ def test_query_answer_bytes_are_pinned(workdir, capsys, estimator, delta):
     rk.write_csv(np.random.default_rng(9).normal(0.0, 1.0, (300, 2)), workdir / "many.csv")
     _run(capsys, ["build", "--input", workdir / "data.csv", "--rows", 200, "--range", 64,
                   "--seed", 3, "--output", workdir / "s.race"])
-    _run(capsys, ["privatize", "--sketch", workdir / "s.race", "--epsilon", 1.0,
-                  "--seed", 5, "--output", workdir / "r.race"])
+    rk.save(_full_width_release(rk.load(workdir / "s.race"), 1.0, 5), workdir / "r.race")
     out = workdir / "answers.csv"
     code, _, _ = _run(capsys, ["query", "--sketch", workdir / "r.race",
                                "--queries", workdir / "many.csv", "--estimator", estimator,

@@ -100,9 +100,13 @@ def test_privatize_is_deterministic_per_seed_and_matches_noise_matrix():
     c = rk.privatize(sk, rk.PrivacyBudget(0.5), rng_seed=100)
     assert a == b
     assert a != c
-    noise = laplace_noise_matrix(20, 30, sk.rows / 0.5, seed=99)
+    # depth 4 codes reach columns 0-15 of 30; only those are drawn and moved
+    live = sk.family.reachable_width
+    assert live == 16
+    noise = laplace_noise_matrix(20, live, sk.rows / 0.5, seed=99)
     assert noise.dtype == np.int64
-    assert (a.counts == sk.counts + noise).all()
+    assert (a.counts[:, :live] == sk.counts[:, :live] + noise).all()
+    assert (a.counts[:, live:] == 0).all()
 
 
 def test_noise_scale_calibration():
@@ -118,6 +122,20 @@ def test_privatize_refuses_inconsistent_rows():
         rk.privatize(sk, rk.PrivacyBudget(1.0), rng_seed=0)
 
 
+def test_privatize_refuses_counts_in_unreachable_columns():
+    # moving one record of row 0 to column 20, past the 16 a depth-4 code
+    # reaches, keeps the row sums; released as is, that count would escape the
+    # noise
+    sk = _clean_sketch(width=40)
+    sk.counts[0, int(np.argmax(sk.counts[0]))] -= 1
+    sk.counts[0, 20] += 1
+    assert sk.row_sums_consistent()
+    budget = rk.PrivacyBudget(1.0)
+    with pytest.raises(InvalidParameterError, match="refusing to release"):
+        rk.privatize(sk, budget, rng_seed=0)
+    assert not budget.consumed
+
+
 @pytest.mark.parametrize("epsilon", [1e-300, "past-bound"])
 def test_privatize_rejects_a_scale_past_the_bound(epsilon):
     sk = _clean_sketch(rows=10)
@@ -127,20 +145,45 @@ def test_privatize_rejects_a_scale_past_the_bound(epsilon):
     with pytest.raises(InvalidParameterError):
         rk.privatize(sk, budget, rng_seed=1)
     assert not budget.consumed
-    # at the bound itself the release goes ahead and moves every counter
+    # at the bound itself the release goes ahead and moves every reachable
+    # counter; the unreachable ones stay exact zeros
     released = rk.privatize(sk, rk.PrivacyBudget(sk.rows / MAX_NOISE_SCALE), rng_seed=1)
-    assert (released.counts != sk.counts).mean() > 0.99
+    live = sk.family.reachable_width
+    assert (released.counts[:, :live] != sk.counts[:, :live]).mean() > 0.99
+    assert (released.counts[:, live:] == 0).all()
 
 
 def test_released_n_hat_is_unbiased():
-    # 300 seeded releases at R=1000, W=500, epsilon=1: flooring the noise would
-    # bias n_hat by -W/2 = -250, about four standard errors of the mean here
-    fam = rk.new_family("srp", dim=3, depth=4, width=500, seed=1)
+    # 300 seeded releases at R=1000, W=500, epsilon=1, every column reachable
+    # (depth 12 codes are rebucketed): flooring the noise would bias n_hat by
+    # -W/2 = -250, about four standard errors of the mean here
+    fam = rk.new_family("srp", dim=3, depth=12, width=500, seed=1)
+    assert fam.reachable_width == 500
     n = 5000
     sk = rk.build(np.random.default_rng(0).standard_normal((n, 3)), fam, 1000)
     errors = np.array([rk.privatize(sk, rk.PrivacyBudget(1.0), rng_seed=s).n_hat - n
                        for s in range(300)])
     assert abs(errors.mean()) <= 3 * errors.std(ddof=1) / math.sqrt(errors.size)
+
+
+def test_released_n_hat_variance_counts_only_reachable_columns():
+    # N-hat sums R * live noise draws over R, so its variance is
+    # R * live * 2 alpha / (1 - alpha)^2 / R^2. Over 1000 releases the sample
+    # variance has a relative standard error of sqrt(2 / 999) = 0.045; the
+    # tolerance, fixed before the run, is 0.15, more than three of them.
+    rows, width, epsilon, releases, tolerance = 100, 500, 1.0, 1000, 0.15
+    fam = rk.new_family("srp", dim=3, depth=4, width=width, seed=2)
+    live = fam.reachable_width
+    assert live == 16
+    sk = rk.build(np.random.default_rng(4).standard_normal((300, 3)), fam, rows)
+    n_hats = np.array([rk.privatize(sk, rk.PrivacyBudget(epsilon), rng_seed=s).n_hat
+                       for s in range(releases)])
+    per_counter = _discrete_laplace_variance(rows / epsilon)
+    expected = rows * live * per_counter / rows**2
+    assert abs(n_hats.var(ddof=1) / expected - 1) <= tolerance
+    # noise on all W columns would give W / live = 31x the variance
+    full_width = rows * width * per_counter / rows**2
+    assert n_hats.var(ddof=1) * 20 <= full_width
 
 
 def _moved_counters(family, rows, records):
@@ -156,10 +199,12 @@ def _calibrated_sensitivity(released, inserted, epsilon):
     """Sensitivity the release's noise was drawn for, read off its row sums.
 
     Every clean row sums to ``inserted``, so each released row sum carries the
-    sum of ``width`` noise draws; their variance 2 alpha / (1 - alpha)^2 gives
-    the scale b by alpha = exp(-1 / b), and the sensitivity is b * epsilon.
+    sum of one noise draw per reachable column; their variance
+    2 alpha / (1 - alpha)^2 gives the scale b by alpha = exp(-1 / b), and the
+    sensitivity is b * epsilon.
     """
-    variance = float(np.mean((released.counts.sum(axis=1) - inserted) ** 2)) / released.width
+    variance = float(np.mean((released.counts.sum(axis=1) - inserted) ** 2)) \
+        / released.family.reachable_width
     return epsilon / (2 * math.asinh(math.sqrt(0.5 / variance)))
 
 

@@ -1,5 +1,7 @@
 import hashlib
 import struct
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -121,14 +123,21 @@ def test_build_golden_digest_with_small_blocks(monkeypatch, name, threads):
 
 # serialize(privatize(build(...), PrivacyBudget(1.0), rng_seed=2024)) digests
 # over _GOLDEN_POINTS with rows=30. They pin the release mechanism bit for bit:
-# its noise draws, their scale (rows / epsilon for every kind) and the sum.
+# its noise draws, their scale (rows / epsilon for every kind), the columns
+# they cover (16 of 64 for direct srp, 8 of 64 for direct folded, all of them
+# otherwise) and the sum.
 _GOLDEN_RELEASE = {
     "srp": (_GOLDEN["srp"][0],
-            "b4fbb96baf910bea0e99b84d0ffee7ff93c3bbec9844317e14be2a7497e35b23"),
+            "6fe0450ce2af39e64be3eaa3d4904735b714cd56954af300449b1058591a7000"),
+    "srp-rebucketed": (_GOLDEN["srp-rebucketed"][0],
+                       "3bd6515230895f46f8393c25d769bd57f8496972e58c69922ad45b36cc66e9f2"),
+    "folded-srp-rebucketed": (
+        _GOLDEN["folded-srp-rebucketed"][0],
+        "e6493e021e1af8cb449add1187148b8f2da72a5035c033d452e9ab550039f1fc"),
     "euclidean": (_GOLDEN["euclidean"][0],
                   "3b0423f7144de19d97a02a8f24ce0e9a6754049f3d376dd7579c48620e55d7b2"),
     "regression-folded": (dict(kind="folded-srp", dim=3, depth=4, width=64, seed=14),
-                          "dc6b3e5ab1b1f5804072e553bfe537ef5fcfa534e5aa868138802ba546cd3b9d"),
+                          "3ce169ff05a4c39ce26834d4eb2522ce5adcb790a2791563a51b914dc3e174cd"),
 }
 
 
@@ -155,6 +164,84 @@ def test_build_rejects_threads_below_one():
     for threads in (0, -2):
         with pytest.raises(InvalidParameterError):
             rk.build(np.ones((3, 2)), _family(), rows=5, threads=threads)
+
+
+def _fake_blas(threads):
+    """A (get, set) pair standing in for numpy's OpenBLAS thread count."""
+    state = {"threads": threads}
+    return state, (lambda: state["threads"], lambda n: state.update(threads=n))
+
+
+def test_overlapping_threaded_builds_restore_blas_once(monkeypatch):
+    # six threaded builds at once, with a short switch interval: BLAS must stay
+    # at one thread while any of them hashes and be restored when all are done
+    state, blas = _fake_blas(5)
+    monkeypatch.setattr(rk.sketch, "_numpy_openblas", lambda: blas)
+    seen = []
+    hash_batch = rk.lsh.hash_batch
+
+    def recorded(*args):
+        seen.append(state["threads"])
+        return hash_batch(*args)
+
+    monkeypatch.setattr(rk.lsh, "hash_batch", recorded)
+    monkeypatch.setattr(rk.sketch, "_CHUNK_BUDGET", 50 * 5 * 4)  # 50-point chunks
+    pts = np.random.default_rng(4).standard_normal((400, 2))
+    expected = rk.build(pts, _family(), rows=5)
+    seen.clear()
+    results = [None] * 6
+
+    def run(i):
+        results[i] = rk.build(pts, _family(), rows=5, threads=2)
+
+    workers = [threading.Thread(target=run, args=(i,)) for i in range(6)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in workers:
+            t.start()
+        for t in workers:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in workers)
+    assert all(r == expected for r in results)
+    assert seen == [1] * 6 * 8
+    assert state["threads"] == 5
+
+
+def test_serial_build_leaves_blas_alone(monkeypatch):
+    def untouchable():
+        raise AssertionError("a threads=1 build looked up the BLAS")
+
+    monkeypatch.setattr(rk.sketch, "_numpy_openblas", untouchable)
+    assert rk.build(np.ones((3, 2)), _family(), rows=5).inserted == 3
+
+
+def test_threaded_build_without_numpy_openblas_runs_one_thread(monkeypatch):
+    def no_pool(*args):
+        raise AssertionError("a pool was started without a pinned BLAS")
+
+    pts = np.random.default_rng(2).standard_normal((500, 2))
+    serial = rk.build(pts, _family(), rows=5)
+    monkeypatch.setattr(rk.sketch, "_numpy_openblas", lambda: None)
+    monkeypatch.setattr(rk.sketch, "ThreadPoolExecutor", no_pool)
+    assert rk.build(pts, _family(), rows=5, threads=3) == serial
+
+
+def test_threaded_build_restores_numpy_blas_threads():
+    blas = rk.sketch._numpy_openblas()
+    if blas is None:
+        pytest.skip("numpy does not bundle a scipy-openblas library here")
+    get, set_ = blas
+    before = get()
+    try:
+        set_(2)
+        rk.build(np.random.default_rng(3).standard_normal((300, 2)), _family(), rows=5,
+                 threads=2)
+        assert get() == 2
+    finally:
+        set_(before)
 
 
 def test_threaded_stream_build_keeps_memory_bounded():
