@@ -67,13 +67,46 @@ _NO_BANDWIDTH = struct.pack("<d", float("nan"))  # an angular family's bandwidth
 
 # Sizes build chunks at _CHUNK_BUDGET // (rows * depth) points, so the
 # (rows, chunk) bucket array of a chunk in flight holds at most
-# _CHUNK_BUDGET / depth entries; peak memory is the sketch plus `threads` such
-# chunks, with their partial counts, for any stream length.
+# _CHUNK_BUDGET / depth entries; peak memory is the sketch plus `threads`
+# such bucket arrays for any stream length, as the caller does every count.
 _CHUNK_BUDGET = 32_000_000
-# Flat counter indices (int64) formed per block of rows in the scatter, about
-# 4 MiB: one flat index over the whole chunk (64 MB at R=1000, chunk 8000)
-# would be allocated and page-faulted in afresh for every chunk.
-_SCATTER_BUDGET = 1 << 19
+# Flat counter indices (intp) per block of rows counted or read, about 4 MiB:
+# one index over a whole chunk or query batch (80 MB for 10k points at R=1000)
+# would be allocated and page-faulted in afresh for every call.
+_INDEX_BUDGET = 1 << 19
+
+
+@functools.lru_cache(maxsize=16)
+def _row_base(rows: int, width: int) -> np.ndarray:
+    """Flat offset of each row's first counter, ``r * width``, read-only."""
+    base = np.arange(0, rows * width, width)
+    base.flags.writeable = False
+    return base
+
+
+def _row_blocks(counts: np.ndarray, buckets: np.ndarray):
+    """Yield ``(row slice, flat counters, flat indices)`` per block of rows.
+
+    The counters view the C-contiguous (R, W) table; the indices, ``bucket +
+    r * W`` from the block's first row, fill one reused ``_INDEX_BUDGET`` buffer.
+    """
+    rows, n = buckets.shape
+    step = min(rows, max(1, _INDEX_BUDGET // max(n, 1)))
+    base = _row_base(step, counts.shape[1])
+    index = np.empty((step, n), np.intp)
+    for r0 in range(0, rows, step):
+        r1 = min(r0 + step, rows)
+        np.add(buckets[r0:r1], base[:r1 - r0, None], out=index[:r1 - r0])
+        yield slice(r0, r1), counts[r0:r1].ravel(), index[:r1 - r0]
+
+
+def _scatter(counts: np.ndarray, buckets: np.ndarray) -> None:
+    """Count (R, n) buckets into the (R, W) table: one increment per row and point."""
+    for _, flat, index in _row_blocks(counts, buckets):
+        if index.size < flat.size:  # sparse: a bincount would zero and add them all
+            np.add.at(flat, index.ravel(), 1)
+        else:
+            flat += np.bincount(index.ravel(), minlength=flat.size)
 
 
 class RaceSketch:
@@ -86,9 +119,7 @@ class RaceSketch:
         if counts.ndim != 2 or counts.shape[0] < 1 or counts.shape[1] != family.width:
             raise InvalidParameterError(
                 f"counts must be (rows, {family.width}), got shape {counts.shape}")
-        if counts.dtype != np.int64:
-            counts = counts.astype(np.int64)
-        self.counts = counts
+        self.counts = np.ascontiguousarray(counts, dtype=np.int64)
         self.family = family
         self.privatized = bool(privatized)
         if self.privatized:
@@ -130,8 +161,8 @@ class RaceSketch:
         """Insert one point: increments one counter in every row."""
         if self.privatized:
             raise FrozenSketchError("cannot add to a privatized sketch")
-        buckets = lsh.hash_batch(self.family, self.rows, np.asarray(x, float)[None, :])
-        self.counts[np.arange(self.rows), buckets[:, 0]] += 1
+        _scatter(self.counts,
+                 lsh.hash_batch(self.family, self.rows, np.asarray(x, float)[None, :]))
         self.inserted += 1
         self.__dict__.pop("n_hat", None)
 
@@ -229,8 +260,9 @@ def build(data, family: LshFamily, rows: int, *, threads: int = 1) -> RaceSketch
     ``data`` may be an (N, dim) array, a Dataset, or any iterable of points.
     Points are hashed in bounded-size chunks, so a stream never needs to fit
     in memory. With ``threads > 1`` a pool hashes up to ``threads`` chunks of
-    the same stream at once; partial counts are added in stream order, so the
-    result is identical to the single-threaded build. While the pool runs,
+    the same stream at once and the caller counts each chunk in stream order,
+    so the result is identical to the single-threaded build and peak memory
+    is the table plus ``threads`` chunks' bucket arrays. While the pool runs,
     numpy's OpenBLAS is held at one thread (for the whole process), since each
     builder's projection matmul would otherwise start its own BLAS threads
     and oversubscribe the cores; when that BLAS cannot be found, the build
@@ -241,20 +273,7 @@ def build(data, family: LshFamily, rows: int, *, threads: int = 1) -> RaceSketch
     if threads < 1:
         raise InvalidParameterError(f"threads must be >= 1, got {threads}")
     chunk = int(np.clip(_CHUNK_BUDGET // (rows * family.depth), 1, 8192))
-    counts = np.zeros(rows * family.width, dtype=np.int64)
-    row_base = np.arange(rows, dtype=np.int64) * family.width
-
-    def count(block, into):
-        """Add one chunk's counter increments into ``into``, a block of rows at a time."""
-        buckets = lsh.hash_batch(family, rows, block)  # (rows, n)
-        step = max(1, _SCATTER_BUDGET // block.shape[0])
-        for r0 in range(0, rows, step):
-            r1 = min(r0 + step, rows)
-            into[r0 * family.width:r1 * family.width] += np.bincount(
-                (buckets[r0:r1] + row_base[:r1 - r0, None]).ravel(),
-                minlength=(r1 - r0) * family.width)
-        return into
-
+    counts = np.zeros((rows, family.width), dtype=np.int64)
     blas = _numpy_openblas() if threads > 1 else None
     if blas is None:
         threads = 1
@@ -267,14 +286,14 @@ def build(data, family: LshFamily, rows: int, *, threads: int = 1) -> RaceSketch
         for block in _iter_chunks(data, family.dim, chunk):
             inserted += block.shape[0]
             if pool is None:
-                count(block, counts)
+                _scatter(counts, lsh.hash_batch(family, rows, block))
                 continue
             if len(pending) == threads:
-                counts += pending.popleft().result()
-            pending.append(pool.submit(count, block, np.zeros_like(counts)))
-        for partial in pending:
-            counts += partial.result()
-    return RaceSketch(counts.reshape(rows, family.width), family, inserted=inserted)
+                _scatter(counts, pending.popleft().result())
+            pending.append(pool.submit(lsh.hash_batch, family, rows, block))
+        for buckets in pending:
+            _scatter(counts, buckets.result())
+    return RaceSketch(counts, family, inserted=inserted)
 
 
 def merge(a: RaceSketch, b: RaceSketch) -> RaceSketch:

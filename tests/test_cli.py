@@ -313,6 +313,25 @@ def test_classify_train_predict_flow(workdir, capsys):
     assert lines[2].split(",")[1] == "1.0"
 
 
+def test_classify_predict_kde_stays_in_the_unit_interval(workdir, capsys):
+    # 100 rows per class released at epsilon 1: noise puts f_hat past N-hat
+    rng = np.random.default_rng(3)
+    a = np.hstack([rng.normal((3, 0), 1.0, (100, 2)), np.zeros((100, 1))])
+    b = np.hstack([rng.normal((-3, 0), 1.0, (100, 2)), np.ones((100, 1))])
+    rk.write_csv(np.vstack([a, b]), workdir / "small.csv")
+    rk.write_csv(np.vstack([a, b])[:, :2], workdir / "small-points.csv")
+    code, _, _ = _run(capsys, ["classify-train", "--input", workdir / "small.csv",
+                               "--label-col", 2, "--rows", 200, "--range", 64,
+                               "--epsilon", 1.0, "--seed", 4, "--output", workdir / "small"])
+    assert code == 0
+    code, out, _ = _run(capsys, ["classify-predict", "--model", workdir / "small",
+                                 "--queries", workdir / "small-points.csv"])
+    assert code == 0
+    kdes = np.array([line.split(",")[2:] for line in out.strip().splitlines()[1:]], float)
+    assert kdes.shape == (200, 2)
+    assert ((kdes >= 0) & (kdes <= 1)).all()
+
+
 def _train_scaled_model(workdir, capsys):
     model_dir = workdir / "model"
     code, _, _ = _run(capsys, ["classify-train", "--input", workdir / "train.csv",
@@ -335,10 +354,11 @@ def _full_width_release(clean, epsilon, seed):
                          epsilon=epsilon)
 
 
-# sha256 of the answer files, taken before the read path was rewritten
+# sha256 of the answer files, taken before the read path was rewritten and
+# re-derived once when kde was clipped to [0, 1]
 _PREDICT_DIGESTS = {
-    "ml": "88876409a769207a2264c2ddb9cc5c92e0805cdd8d0c07cf5e58b6e2b1bcdaec",
-    "map": "66e6901ccfbafc02e2c6f6ea550de615df435cd3af5ab2fbff41fa4f909b7a85",
+    "ml": "d78810da1faa58b0fb426b70b36886d127c025b2b8785dc5431f70d29d04c89b",
+    "map": "fcf17ee8dcc0c87cb7457e83ef8735f3904969c49fd5a75d0296e722ba8271ea",
 }
 
 

@@ -141,7 +141,7 @@ def test_gather_equals_fancy_indexing_in_small_blocks(monkeypatch, kwargs, n):
     queries = rng.standard_normal((n, 3))
     buckets = rk.hash_batch(fam, sk.rows, queries)
     want = sk.counts[np.arange(sk.rows)[:, None], buckets]
-    monkeypatch.setattr(estimation, "_GATHER_BUDGET", 5)  # a few indices per block
+    monkeypatch.setattr(rk.sketch, "_INDEX_BUDGET", 5)  # a few indices per block
     got = estimation._gather(sk, queries)
     assert got.dtype == want.dtype and np.array_equal(got, want)
 
@@ -178,7 +178,7 @@ def test_gather_memory_is_its_output_plus_one_block(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    block = estimation._GATHER_BUDGET * np.dtype(np.intp).itemsize
+    block = rk.sketch._INDEX_BUDGET * np.dtype(np.intp).itemsize
     assert reads.nbytes == 1000 * 10_000 * 8
     assert peak <= reads.nbytes + block + 2**20
 

@@ -116,7 +116,7 @@ def test_build_golden_digest_with_small_blocks(monkeypatch, name, threads):
     chunk = 5000
     monkeypatch.setattr(rk.sketch, "_CHUNK_BUDGET", chunk * 30 * params["depth"])
     monkeypatch.setattr(rk.lsh, "_BLOCK_BUDGET", 7 * params["depth"] * chunk)
-    monkeypatch.setattr(rk.sketch, "_SCATTER_BUDGET", 7 * chunk)
+    monkeypatch.setattr(rk.sketch, "_INDEX_BUDGET", 7 * chunk)
     sk = rk.build(_GOLDEN_POINTS, rk.new_family(**params), 30, threads=threads)
     assert hashlib.sha256(rk.serialize(sk)).hexdigest() == digest
 
@@ -257,6 +257,48 @@ def test_threaded_stream_build_keeps_memory_bounded():
     assert peak < 10 * 2**20  # the whole stream as arrays would take ~30 MB
 
 
+def test_threaded_stream_build_counts_on_the_calling_thread_in_stream_order(monkeypatch):
+    _, blas = _fake_blas(1)
+    monkeypatch.setattr(rk.sketch, "_numpy_openblas", lambda: blas)
+    monkeypatch.setattr(rk.sketch, "_CHUNK_BUDGET", 50 * 5 * 4)  # 50-point chunks
+    calls = []
+    scatter = rk.sketch._scatter
+
+    def recorded(counts, buckets):
+        calls.append((threading.get_ident(), buckets.copy()))
+        scatter(counts, buckets)
+
+    monkeypatch.setattr(rk.sketch, "_scatter", recorded)
+    pts = np.random.default_rng(6).standard_normal((420, 2))
+    fam = _family()
+    sk = rk.build(iter(pts), fam, rows=5, threads=2)
+    assert [ident for ident, _ in calls] == [threading.get_ident()] * 9
+    for (_, buckets), start in zip(calls, range(0, 420, 50)):
+        assert np.array_equal(buckets, rk.hash_batch(fam, 5, pts[start:start + 50]))
+    assert sk == rk.build(pts, fam, rows=5)
+
+
+def test_threaded_build_memory_is_the_table_plus_bucket_arrays():
+    # a 16 MB table against 4 MB bucket arrays of 2000-point chunks: a zeroed
+    # partial table per chunk in flight would add 16 MB for each
+    fam = rk.new_family("srp", dim=2, depth=8, width=1000, seed=3)
+    pts = np.random.default_rng(7).standard_normal((6000, 2))
+    tracemalloc.start()
+    try:
+        rk.hash_batch(fam, 2000, pts[:2000])  # one chunk
+        hashing = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        sk = rk.build(pts, fam, 2000, threads=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the table, two chunks' hashing, and one count block: its intp indices
+    # and a bincount no longer than them
+    count_block = 2 * rk.sketch._INDEX_BUDGET * np.dtype(np.intp).itemsize
+    assert sk.inserted == 6000
+    assert peak <= sk.counts.nbytes + 2 * hashing + count_block
+
+
 def test_add_single_point():
     fam = _family()
     sk = rk.build(np.zeros((0, 2)), fam, rows=12)
@@ -267,6 +309,16 @@ def test_add_single_point():
     assert int((sk.counts == 1).sum()) == 12
     sk.add(x)
     assert int((sk.counts == 2).sum()) == 12  # same counters again
+
+
+@pytest.mark.parametrize("name", sorted(_GOLDEN))
+def test_add_each_point_equals_build(name):
+    fam = rk.new_family(**_GOLDEN[name][0])
+    pts = _GOLDEN_POINTS[:200]
+    sk = rk.build(np.zeros((0, 3)), fam, 30)
+    for x in pts:
+        sk.add(x)
+    assert sk == rk.build(pts, fam, 30)
 
 
 def test_add_to_privatized_sketch_fails():
