@@ -224,7 +224,7 @@ def cmd_classify_predict(args) -> int:
             args.transform = default_transform
     pts = _load_queries(args, clf.dim)
     f_hats, kdes = clf.scores(pts, delta=args.delta)
-    winners = np.argmax(kdes if args.rule == "ml" else f_hats, axis=0)
+    winners = np.argmax(clf.rank(f_hats, args.rule), axis=0)
     with _open_out(args.output) as out:
         names = ",".join(f"kde_{c}" for c in clf.classes)
         out.write(f"query_id,label,{names}\n")

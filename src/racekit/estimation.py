@@ -100,6 +100,11 @@ def _mom_aggregate(values: np.ndarray, delta: float) -> np.ndarray:
     return (means[half - 1] + means[half]) / 2
 
 
+def density(sketch: RaceSketch, f_hat: np.ndarray) -> np.ndarray:
+    """``max(f_hat, 0) / max(n_hat, 1)`` unclipped, for ranking: ``kde`` ties at 1."""
+    return np.maximum(f_hat, 0.0) / max(sketch.n_hat, _N_FLOOR)
+
+
 def estimate(sketch: RaceSketch, points, estimator: str = "median_of_means",
              delta: float = 0.1):
     """Kernel-sum estimates for a batch of queries, arrays in and arrays out.
@@ -115,8 +120,8 @@ def estimate(sketch: RaceSketch, points, estimator: str = "median_of_means",
         f_hat = _mom_aggregate(values, delta)
     else:
         raise InvalidParameterError(f"unknown estimator {estimator!r}")
-    # clipped to [0, 1] without np.clip, whose Python wrapper costs ~2.5 us a call
-    kde = np.minimum(np.maximum(f_hat, 0.0) / max(sketch.n_hat, _N_FLOOR), 1.0)
+    # clipped without np.clip, whose Python wrapper costs ~2.5 us a call
+    kde = np.minimum(density(sketch, f_hat), 1.0)
     return f_hat, kde, values
 
 

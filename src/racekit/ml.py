@@ -70,7 +70,7 @@ class Classifier:
         """MAP and ML scores from one read of each class sketch.
 
         Returns ``(f_hat, kde)``, each of shape (n_classes, n_queries): the raw
-        median-of-means kernel sums (MAP) and the normalized densities (ML).
+        median-of-means kernel sums and the reported (clipped) densities.
         """
         pts = lsh._as_matrix(points, self.dim)
         f_hat = np.empty((len(self.classes), pts.shape[0]))
@@ -80,15 +80,20 @@ class Classifier:
         return f_hat, kde
 
     def score_matrix(self, points, rule: str = "ml", delta: float = 0.1) -> np.ndarray:
-        """Per-class decision scores, shape (n_classes, n_queries)."""
+        """Per-class scores as reported, shape (n_classes, n_queries)."""
+        f_hat, kde = self.scores(points, delta)
+        return kde if rule == "ml" else self.rank(f_hat, rule)
+
+    def rank(self, f_hat: np.ndarray, rule: str = "ml") -> np.ndarray:
+        """Decision scores: ``f_hat`` (MAP) or the unclipped density (ML), as clipped kdes tie."""
         if rule not in ("ml", "map"):
             raise InvalidParameterError(f"unknown decision rule {rule!r}")
-        f_hat, kde = self.scores(points, delta)
-        return f_hat if rule == "map" else kde
+        return f_hat if rule == "map" else np.stack(
+            [estimation.density(sk, f) for sk, f in zip(self.sketches, f_hat)])
 
     def predict(self, points, rule: str = "ml", delta: float = 0.1) -> list:
         """Labels for a batch of queries; ties break to the lowest class index."""
-        scores = self.score_matrix(points, rule=rule, delta=delta)
+        scores = self.rank(self.scores(points, delta)[0], rule)
         return [self.classes[i] for i in np.argmax(scores, axis=0)]
 
 
@@ -236,7 +241,7 @@ def fit_regression(x_points, y_targets, *, depth: int = 4, rows: int = 1000,
 
 def find_mode(sk: RaceSketch, init, config: OptimizerConfig | None = None,
               *, delta: float = 0.1) -> np.ndarray:
-    """Derivative-free ascent on the sketch density from ``init``.
+    """Derivative-free ascent on the unclipped sketch density from ``init``.
 
     Returns the best accepted iterate (``init`` itself when the density is
     flat). The density is generally non-convex; no global claim is made.
@@ -244,8 +249,8 @@ def find_mode(sk: RaceSketch, init, config: OptimizerConfig | None = None,
     start = lsh._as_vector(init, sk.family.dim)
 
     def negative_density(x):
-        _, kde, _ = estimation.estimate(sk, x[None, :], "median_of_means", delta)
-        return -float(kde[0])
+        f_hat, _, _ = estimation.estimate(sk, x[None, :], "median_of_means", delta)
+        return -float(estimation.density(sk, f_hat)[0])
 
     best, _, _ = minimize_derivative_free(negative_density, start, config)
     return best

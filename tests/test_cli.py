@@ -355,9 +355,10 @@ def _full_width_release(clean, epsilon, seed):
 
 
 # sha256 of the answer files, taken before the read path was rewritten and
-# re-derived once when kde was clipped to [0, 1]
+# re-derived when kde was clipped to [0, 1] (the ml labels still rank on
+# the unclipped density)
 _PREDICT_DIGESTS = {
-    "ml": "d78810da1faa58b0fb426b70b36886d127c025b2b8785dc5431f70d29d04c89b",
+    "ml": "fbdb9c0e1a56f8a7bf1a697b6308211d8e0d4a9e4e6168107f6dbd4fdfa7544d",
     "map": "fcf17ee8dcc0c87cb7457e83ef8735f3904969c49fd5a75d0296e722ba8271ea",
 }
 
@@ -384,6 +385,24 @@ def test_classify_predict_reads_each_class_once(workdir, capsys, monkeypatch, ru
     assert len(calls) == 2  # one read of each class sketch, whichever the rule
     assert hashlib.sha256(out.read_bytes()).hexdigest() == _PREDICT_DIGESTS[rule]
 
+
+
+def test_classify_predict_ml_labels_capped_kdes_by_the_unclipped_density(
+        workdir, capsys, monkeypatch):
+    monkeypatch.setattr(rk.ml, "privatize", lambda clean, budget, seed:
+                        _full_width_release(clean, budget.epsilon, seed))
+    model_dir = _train_scaled_model(workdir, capsys)
+    rk.write_csv(np.random.default_rng(9).normal(0.0, 3.0, (200, 2)), workdir / "probe.csv")
+    out = workdir / "ml.csv"
+    code, _, _ = _run(capsys, ["classify-predict", "--model", model_dir,
+                               "--queries", workdir / "probe.csv", "--rule", "ml",
+                               "--output", out])
+    assert code == 0
+    table = np.loadtxt(out, delimiter=",", skiprows=1)
+    capped = (table[:, 2:] == 1.0).all(axis=1)
+    # both printed kdes tie at the cap, yet the labels still split by class
+    assert capped.sum() > 0
+    assert set(table[capped, 1]) == {0.0, 1.0}
 
 _QUERY_DIGESTS = {
     ("mom", 0.1): "6f2bd1b3b75bd68efea7f0b9a1155b940878b9f9af5c3f254794483050da25e0",

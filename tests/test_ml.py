@@ -73,6 +73,25 @@ def test_map_prefers_majority_class_when_likelihoods_tie():
     assert rk.classify(clf, x0, rule="map") == "majority"
 
 
+
+def _low_n_hat_release(clean, shift):
+    """``clean`` less ``shift`` on every counter, as released counters with low N-hat noise.
+
+    Every read drops by ``shift`` and N-hat by ``shift * width``, so the
+    densities rank points as the clean sketch does but pass 1 near its data.
+    """
+    return rk.RaceSketch(clean.counts - shift, clean.family, privatized=True, epsilon=1.0)
+
+
+def test_ml_ranks_densities_past_the_kde_cap():
+    fam = rk.new_family("srp", dim=2, depth=3, width=16, seed=3)
+    x0 = np.array([0.7, -0.1])
+    low = _low_n_hat_release(rk.build(np.tile(x0, (40, 1)), fam, 30), 2)   # 38 / 8
+    high = _low_n_hat_release(rk.build(np.tile(x0, (50, 1)), fam, 30), 3)  # 47 / 2
+    clf = rk.Classifier(classes=["low", "high"], sketches=[low, high], epsilon=1.0)
+    assert clf.score_matrix(x0[None, :], "ml").ravel().tolist() == [1.0, 1.0]
+    assert rk.classify(clf, x0, rule="ml") == "high"
+
 def test_decision_invariant_under_class_relabeling():
     rng = np.random.default_rng(6)
     fam = rk.new_family("srp", dim=2, depth=4, width=32, seed=4)
@@ -273,6 +292,18 @@ def test_find_mode_tracks_oracle_ascent():
     kde_init = estimation.query_median_of_means(sk, init).kde
     assert kde_found >= kde_init
 
+
+
+def test_find_mode_climbs_where_the_kde_is_capped():
+    rng = np.random.default_rng(42)
+    center = np.array([1.5, -0.8])
+    data = center + 0.15 * rng.standard_normal((2000, 2))
+    fam = rk.new_family("euclidean", dim=2, depth=2, width=200, bandwidth=0.5, seed=3)
+    sk = _low_n_hat_release(rk.build(data, fam, 500), 9)  # N-hat 200
+    init = center + np.array([0.35, -0.3])
+    assert estimation.query_median_of_means(sk, init).kde == 1.0
+    found = rk.find_mode(sk, init, OptimizerConfig(max_iters=200, initial_step=0.3))
+    assert np.linalg.norm(found - center) < 0.5 * np.linalg.norm(init - center)
 
 def test_find_mode_on_empty_sketch_returns_init():
     fam = rk.new_family("euclidean", dim=2, depth=2, width=32, bandwidth=0.5, seed=0)
