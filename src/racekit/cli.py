@@ -38,12 +38,27 @@ _USAGE_ERRORS = (InvalidParameterError, InsufficientRowsError)
 _DATA_ERRORS = (CsvError, DimensionMismatchError, ZeroVectorError,
                 SketchFormatError, OSError)
 _CONTRACT_ERRORS = (FrozenSketchError, DoubleReleaseError, IncompatibleSketchError)
+_TASK_SEED_HELP = ("family seed that also fixes the noise (TEST ONLY, not private); "
+                   "unset: family seed 0, noise from the OS entropy pool")
 
 
 def _family_from_args(args, dim: int) -> LshFamily:
     return new_family(args.lsh, dim=dim, depth=args.depth, width=args.range,
                       bandwidth=args.bandwidth if args.lsh == "euclidean" else None,
-                      seed=args.seed)
+                      seed=0 if args.seed is None else args.seed)
+
+
+def _load_input(args, label_column: int | None = None) -> rio.Dataset:
+    ds = rio.load_csv(args.input, header=args.header, delimiter=args.delimiter,
+                      label_column=label_column)
+    if len(ds) == 0:
+        raise CsvError(f"{args.input} contains no data rows")
+    return ds
+
+
+def _search_config(args) -> OptimizerConfig:
+    return OptimizerConfig(max_iters=args.max_iters, initial_step=args.step,
+                           restarts=args.restarts)
 
 
 def _emit_manifest(args, command: str, extra: dict | None = None) -> None:
@@ -101,10 +116,7 @@ def _write_transform(dataset: rio.Dataset, path: str) -> str | None:
 
 
 def cmd_build(args) -> int:
-    ds = rio.load_csv(args.input, header=args.header, delimiter=args.delimiter)
-    if len(ds) == 0:
-        raise CsvError(f"{args.input} contains no data rows")
-    ds = rio.scale(ds, args.scale)
+    ds = rio.scale(_load_input(args), args.scale)
     family = _family_from_args(args, ds.dim)
     sk = rsketch.build(ds, family, args.rows, threads=args.threads)
     rsketch.save(sk, args.output)
@@ -197,11 +209,7 @@ def cmd_query(args) -> int:
 
 
 def cmd_classify_train(args) -> int:
-    ds = rio.load_csv(args.input, header=args.header, delimiter=args.delimiter,
-                      label_column=args.label_col)
-    if len(ds) == 0:
-        raise CsvError(f"{args.input} contains no data rows")
-    ds = rio.scale(ds, args.scale)
+    ds = rio.scale(_load_input(args, args.label_col), args.scale)
     labels = ds.labels
     classes = sorted(set(float(v) for v in labels))
     per_class = [(c, ds.points[labels == c]) for c in classes]
@@ -223,8 +231,8 @@ def cmd_classify_predict(args) -> int:
         if os.path.exists(default_transform):
             args.transform = default_transform
     pts = _load_queries(args, clf.dim)
-    f_hats, kdes = clf.scores(pts, delta=args.delta)
-    winners = np.argmax(clf.rank(f_hats, args.rule), axis=0)
+    decision, kdes = clf.scores(pts, args.rule, args.delta)
+    winners = np.argmax(decision, axis=0)
     with _open_out(args.output) as out:
         names = ",".join(f"kde_{c}" for c in clf.classes)
         out.write(f"query_id,label,{names}\n")
@@ -236,15 +244,10 @@ def cmd_classify_predict(args) -> int:
 
 
 def cmd_regress(args) -> int:
-    ds = rio.load_csv(args.input, header=args.header, delimiter=args.delimiter,
-                      label_column=args.target_col)
-    if len(ds) == 0:
-        raise CsvError(f"{args.input} contains no data rows")
-    config = OptimizerConfig(max_iters=args.max_iters, initial_step=args.step,
-                             restarts=args.restarts)
+    ds = _load_input(args, args.target_col)
     model = ml.fit_regression(ds.points, ds.labels, depth=args.depth,
-                              rows=args.rows, width=args.range,
-                              epsilon=args.epsilon, config=config, seed=args.seed)
+                              rows=args.rows, width=args.range, epsilon=args.epsilon,
+                              config=_search_config(args), seed=args.seed)
     ml.save_regression(model, args.output)
     for j, coef in enumerate(model.theta):
         print(f"theta_{j},{coef:.17g}")
@@ -268,9 +271,7 @@ def _parse_point(text: str, flag: str) -> np.ndarray:
 def cmd_mode(args) -> int:
     init = _parse_point(args.init, "--init")
     sk = rsketch.load(args.sketch)
-    config = OptimizerConfig(max_iters=args.max_iters, initial_step=args.step,
-                             restarts=args.restarts)
-    point = ml.find_mode(sk, init, config, delta=args.delta)
+    point = ml.find_mode(sk, init, _search_config(args), delta=args.delta)
     with _open_out(args.output) as out:
         out.write(",".join(f"{v:.17g}" for v in point) + "\n")
     _emit_manifest(args, "mode", {})
@@ -289,6 +290,12 @@ def _add_shape_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--rows", type=int, default=1000)
     p.add_argument("--range", type=int, default=500,
                    help="buckets per row")
+
+
+def _add_search_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--max-iters", type=int, default=400)
+    p.add_argument("--step", type=float, default=0.5)
+    p.add_argument("--restarts", type=int, default=2)
 
 
 def _add_family_flags(p: argparse.ArgumentParser) -> None:
@@ -353,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_family_flags(p)
     p.add_argument("--scale", choices=["none", "sphere", "cube"], default="none")
     p.add_argument("--epsilon", type=float, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=None, help=_TASK_SEED_HELP)
     p.add_argument("--output", required=True, help="model directory")
     p.add_argument("--manifest")
     _add_csv_flags(p)
@@ -375,10 +382,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target-col", type=int, default=-1)
     _add_shape_flags(p)
     p.add_argument("--epsilon", type=float, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-iters", type=int, default=400)
-    p.add_argument("--step", type=float, default=0.5)
-    p.add_argument("--restarts", type=int, default=2)
+    p.add_argument("--seed", type=int, default=None, help=_TASK_SEED_HELP)
+    _add_search_flags(p)
     p.add_argument("--output", required=True, help="model JSON path")
     p.add_argument("--manifest")
     _add_csv_flags(p)
@@ -388,9 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sketch", required=True)
     p.add_argument("--init", required=True, help="comma-separated start point")
     p.add_argument("--delta", type=float, default=0.1)
-    p.add_argument("--max-iters", type=int, default=400)
-    p.add_argument("--step", type=float, default=0.5)
-    p.add_argument("--restarts", type=int, default=2)
+    _add_search_flags(p)
     p.add_argument("--output", default="-")
     p.add_argument("--manifest")
     p.set_defaults(func=cmd_mode)

@@ -12,9 +12,9 @@ locations.
 Hash kernels behave best on bounded inputs, so two scaling modes are
 provided: ``sphere`` divides each row by its own L2 norm (rows of norm zero
 are rejected), and ``cube`` min-max maps each feature into [0, 1] using the
-training minima and maxima (a constant feature maps to 0.5 by convention).
-The fitted transform is stored with the dataset so later queries can be
-mapped with :func:`apply_transform`.
+training minima and maxima (a constant feature maps to 0.5;
+``fit_regression`` follows with ``2t - 1``). The fitted transform is stored
+with the dataset so later queries can be mapped with :func:`apply_transform`.
 """
 
 from __future__ import annotations

@@ -18,6 +18,12 @@ in original units.
 
 Mode finding runs the same derivative-free search uphill on the sketch
 density. Anomaly scoring thresholds it.
+
+Releases follow :func:`racekit.privacy.privatize`'s seed rule: with the default
+``seed=None`` the noise comes from the OS entropy pool. An explicit ``seed``
+(split per release by ``_derive_seed``) makes a run deterministic and is for
+tests only: it regenerates the noise, and ``fit_regression`` and the CLI write
+it into every ``.race`` header as the family seed.
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import estimation, lsh, sketch as sketch_mod
+from . import estimation, io as rio, lsh, sketch as sketch_mod
 from .errors import DimensionMismatchError, InvalidParameterError
 from .lsh import HashKind, LshFamily
 from .optimize import OptimizerConfig, minimize_derivative_free
@@ -36,7 +42,9 @@ from .privacy import PrivacyBudget, privatize
 from .sketch import RaceSketch
 
 
-def _derive_seed(base: int, *tags: int) -> int:
+def _derive_seed(base: int | None, *tags: int) -> int | None:
+    if base is None:
+        return None
     state = np.random.SeedSequence([base, *tags]).generate_state(2, np.uint64)
     return int(state[0]) | (int(state[1]) << 64)
 
@@ -66,35 +74,27 @@ class Classifier:
     def dim(self) -> int:
         return self.sketches[0].family.dim
 
-    def scores(self, points, delta: float = 0.1) -> tuple[np.ndarray, np.ndarray]:
-        """MAP and ML scores from one read of each class sketch.
+    def scores(self, points, rule: str = "ml",
+               delta: float = 0.1) -> tuple[np.ndarray, np.ndarray]:
+        """``(decision, kde)`` from one read of each class sketch, each (n_classes, n_queries).
 
-        Returns ``(f_hat, kde)``, each of shape (n_classes, n_queries): the raw
-        median-of-means kernel sums and the reported (clipped) densities.
+        ``decision`` is ``f_hat`` for MAP and the unclipped density for ML, as
+        the reported (clipped) ``kde`` values tie at 1.
         """
-        pts = lsh._as_matrix(points, self.dim)
-        f_hat = np.empty((len(self.classes), pts.shape[0]))
-        kde = np.empty_like(f_hat)
-        for i, sk in enumerate(self.sketches):
-            f_hat[i], kde[i], _ = estimation.estimate(sk, pts, "median_of_means", delta)
-        return f_hat, kde
-
-    def score_matrix(self, points, rule: str = "ml", delta: float = 0.1) -> np.ndarray:
-        """Per-class scores as reported, shape (n_classes, n_queries)."""
-        f_hat, kde = self.scores(points, delta)
-        return kde if rule == "ml" else self.rank(f_hat, rule)
-
-    def rank(self, f_hat: np.ndarray, rule: str = "ml") -> np.ndarray:
-        """Decision scores: ``f_hat`` (MAP) or the unclipped density (ML), as clipped kdes tie."""
         if rule not in ("ml", "map"):
             raise InvalidParameterError(f"unknown decision rule {rule!r}")
-        return f_hat if rule == "map" else np.stack(
-            [estimation.density(sk, f) for sk, f in zip(self.sketches, f_hat)])
+        pts = lsh._as_matrix(points, self.dim)
+        decision = np.empty((len(self.classes), pts.shape[0]))
+        kde = np.empty_like(decision)
+        for i, sk in enumerate(self.sketches):
+            f_hat, kde[i], _ = estimation.estimate(sk, pts, "median_of_means", delta)
+            decision[i] = f_hat if rule == "map" else estimation.density(sk, f_hat)
+        return decision, kde
 
     def predict(self, points, rule: str = "ml", delta: float = 0.1) -> list:
         """Labels for a batch of queries; ties break to the lowest class index."""
-        scores = self.rank(self.scores(points, delta)[0], rule)
-        return [self.classes[i] for i in np.argmax(scores, axis=0)]
+        decision, _ = self.scores(points, rule, delta)
+        return [self.classes[i] for i in np.argmax(decision, axis=0)]
 
 
 def _class_items(per_class_data):
@@ -105,12 +105,14 @@ def _class_items(per_class_data):
 
 
 def train_classifier(per_class_data, family: LshFamily, rows: int,
-                     epsilon: float, *, seed: int = 0) -> Classifier:
+                     epsilon: float, *, seed: int | None = None) -> Classifier:
     """Build and release one sketch per class.
 
     ``per_class_data`` maps labels to point matrices (or is a sequence of
     (label, points) pairs; the given order fixes tie-breaking). Each class
     receives the full epsilon: the classes are disjoint subsets of the data.
+    ``seed=None`` draws each release's noise from the OS entropy pool; an
+    explicit seed makes the releases deterministic (test mode, not private).
     """
     items = _class_items(per_class_data)
     if len(items) < 2:
@@ -120,8 +122,8 @@ def train_classifier(per_class_data, family: LshFamily, rows: int,
         if pts.shape[0] == 0:
             raise InvalidParameterError(f"class {label!r} has no points")
         clean = sketch_mod.build(pts, family, rows)
-        budget = PrivacyBudget(epsilon)
-        released.append(privatize(clean, budget, _derive_seed(seed, i, 0xC1A5)))
+        released.append(privatize(clean, PrivacyBudget(epsilon),
+                                  _derive_seed(seed, i, 0xC1A5)))
     return Classifier(classes=[label for label, _ in items],
                       sketches=released, epsilon=epsilon)
 
@@ -177,23 +179,17 @@ class RegressionModel:
         return pts @ self.theta + self.intercept
 
 
-def _affine_to_unit(values, lo, hi):
-    """Columnwise map onto [-1, 1]; constant columns map to 0."""
-    span = hi - lo
-    safe = np.where(span == 0.0, 1.0, span)
-    scaled = 2.0 * (values - lo) / safe - 1.0
-    return np.where(span == 0.0, 0.0, scaled)
-
-
 def fit_regression(x_points, y_targets, *, depth: int = 4, rows: int = 1000,
                    width: int = 500, epsilon: float, config: OptimizerConfig | None = None,
-                   seed: int = 0) -> RegressionModel:
+                   seed: int | None = None) -> RegressionModel:
     """Fit linear weights by minimizing the sketched surrogate loss.
 
     Builds a single folded-SRP sketch over the N augmented records ``[x, y]``
     (N insertions; the fold supplies each record's negation), releases it
     once with ``epsilon``, then runs derivative-free search over
-    the scaled weight space starting from zero.
+    the scaled weight space starting from zero. ``seed=None`` hashes with
+    family seed 0 and draws the noise from the OS entropy pool; an explicit
+    seed is the family seed and fixes the noise (test mode, not private).
     """
     if depth < 2:
         raise InvalidParameterError(
@@ -208,14 +204,14 @@ def fit_regression(x_points, y_targets, *, depth: int = 4, rows: int = 1000,
     if not (np.isfinite(x).all() and np.isfinite(y).all()):
         raise InvalidParameterError("inputs and targets must be finite")
 
-    x_mins, x_maxs = x.min(axis=0), x.max(axis=0)
-    y_min, y_max = float(y.min()), float(y.max())
-    x_scaled = _affine_to_unit(x, x_mins, x_maxs)
-    y_scaled = _affine_to_unit(y, y_min, y_max)
+    # cube maps each column onto [0, 1], a constant one to 0.5; 2t - 1 then onto [-1, 1]
+    cube = rio.scale(rio.Dataset(np.column_stack([x, y])), "cube")
+    z = 2.0 * cube.points - 1.0
+    x_mins, x_maxs = cube.transform.mins[:-1], cube.transform.maxs[:-1]
+    y_min, y_max = float(cube.transform.mins[-1]), float(cube.transform.maxs[-1])
 
-    z = np.hstack([x_scaled, y_scaled[:, None]])
     family = LshFamily(kind=HashKind.FOLDED_SRP, dim=x.shape[1] + 1,
-                       depth=depth, width=width, seed=seed)
+                       depth=depth, width=width, seed=0 if seed is None else seed)
     clean = sketch_mod.build(z, family, rows)
     released = privatize(clean, PrivacyBudget(epsilon), _derive_seed(seed, 0x4E6))
 

@@ -19,6 +19,8 @@ from scipy.optimize import minimize as _scipy_minimize
 
 from .errors import InvalidParameterError, OptimizerDivergenceError
 
+_TOL = 1e-6  # convergence tolerance on the loss and on simplex moves
+
 
 @dataclass
 class OptimizerConfig:
@@ -27,18 +29,15 @@ class OptimizerConfig:
     max_iters: int = 400      # objective evaluation budget per simplex run
     initial_step: float = 0.5
     restarts: int = 2
-    tol: float = 1e-6         # convergence tolerance on the loss
 
     def __post_init__(self):
         if not self.max_iters >= 1:
             raise InvalidParameterError(f"max_iters must be >= 1, got {self.max_iters}")
         if not self.restarts >= 0:
             raise InvalidParameterError(f"restarts must be >= 0, got {self.restarts}")
-        for name in ("initial_step", "tol"):
-            value = getattr(self, name)
-            if not 0 < value < math.inf:
-                raise InvalidParameterError(
-                    f"{name} must be positive and finite, got {value!r}")
+        if not 0 < self.initial_step < math.inf:
+            raise InvalidParameterError(
+                f"initial_step must be positive and finite, got {self.initial_step!r}")
 
 
 class _BestTracker:
@@ -61,11 +60,11 @@ class _BestTracker:
         return f
 
 
-def _coordinate_search(tracker: _BestTracker, step: float, max_evals: int, tol: float):
+def _coordinate_search(tracker: _BestTracker, step: float, max_evals: int):
     """Axis-aligned pattern search with halving steps."""
     dim = tracker.best_x.size
     start = tracker.evals
-    while step > tol and tracker.evals - start < max_evals:
+    while step > _TOL and tracker.evals - start < max_evals:
         improved = False
         for axis in range(dim):
             for sign in (+1.0, -1.0):
@@ -98,16 +97,15 @@ def minimize_derivative_free(fn, x0, config: OptimizerConfig | None = None):
         before = tracker.best_f
         _scipy_minimize(tracker, start, method="Nelder-Mead",
                         options={"maxfev": config.max_iters,
-                                 "fatol": config.tol, "xatol": config.tol,
+                                 "fatol": _TOL, "xatol": _TOL,
                                  "initial_simplex": simplex, "disp": False})
-        if tracker.best_f >= before - config.tol:
+        if tracker.best_f >= before - _TOL:
             break  # restart would reshrink an already stalled simplex
         step /= 2.0
 
     if tracker.best_f == tracker.trace[0]:
         # simplex never moved; sweep the axes before giving up
-        _coordinate_search(tracker, config.initial_step,
-                           max_evals=config.max_iters, tol=config.tol)
+        _coordinate_search(tracker, config.initial_step, max_evals=config.max_iters)
 
     if not np.isfinite(tracker.best_f):
         raise OptimizerDivergenceError(

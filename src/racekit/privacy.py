@@ -26,8 +26,8 @@ Noise generation is counter-based (Philox keyed by the release seed). The
 and that shape, and its entries are independent; the value at one counter
 depends on the drawn shape as well as its position. Passing an explicit
 ``rng_seed`` makes the release deterministic, which is for tests only and is
-NOT private; production releases must leave the seed unset so it is drawn
-from the OS entropy pool.
+NOT private; production releases must leave the seed unset so it is drawn from
+the OS entropy pool. ``seed`` in :mod:`racekit.ml` follows this rule.
 """
 
 from __future__ import annotations

@@ -332,6 +332,44 @@ def test_classify_predict_kde_stays_in_the_unit_interval(workdir, capsys):
     assert ((kdes >= 0) & (kdes <= 1)).all()
 
 
+def _recovers_clean_counts(released, clean, noise_seed):
+    """True when subtracting the noise ``noise_seed`` draws leaves the clean counts."""
+    rows, live = released.rows, released.family.reachable_width
+    noise = rk.laplace_noise_matrix(rows, live, rows / released.epsilon, noise_seed)
+    return np.array_equal(released.counts[:, :live] - noise, clean.counts[:, :live])
+
+
+@pytest.mark.parametrize("flags,recovered", [([], False), (["--seed", 0], True)],
+                         ids=["default", "explicit-seed"])
+def test_classify_train_noise_is_derived_from_the_header_seed_only_when_seeded(
+        workdir, capsys, flags, recovered):
+    # at the default 1000 rows and epsilon 0.5 the noise sd is about 2800 per
+    # counter, yet a noise seed derived from the header's family seed undoes it
+    code, _, _ = _run(capsys, ["classify-train", "--input", workdir / "train.csv",
+                               "--label-col", 2, "--epsilon", 0.5,
+                               "--output", workdir / "model"] + flags)
+    assert code == 0
+    ds = rk.load_csv(workdir / "train.csv", label_column=2)
+    for i, label in enumerate([0.0, 1.0]):
+        released = rk.load(workdir / "model" / f"class_{i}.race")
+        clean = rk.build(ds.points[ds.labels == label], released.family, released.rows)
+        seed = rk.ml._derive_seed(released.family.seed, i, 0xC1A5)
+        assert _recovers_clean_counts(released, clean, seed) == recovered
+
+
+def test_classify_train_releases_repeat_only_with_a_seed(workdir, capsys):
+    def release(name, flags):
+        code, _, _ = _run(capsys, ["classify-train", "--input", workdir / "train.csv",
+                                   "--label-col", 2, "--rows", 64, "--range", 32,
+                                   "--epsilon", 1.0, "--output", workdir / name] + flags)
+        assert code == 0
+        return [(workdir / name / f"class_{i}.race").read_bytes() for i in range(2)]
+
+    first, second = release("a", []), release("b", [])
+    assert all(x != y for x, y in zip(first, second))
+    assert release("c", ["--seed", 1]) == release("d", ["--seed", 1])
+
+
 def _train_scaled_model(workdir, capsys):
     model_dir = workdir / "model"
     code, _, _ = _run(capsys, ["classify-train", "--input", workdir / "train.csv",
@@ -470,6 +508,29 @@ def test_regress_prints_slope(workdir, capsys):
     record = json.loads((workdir / "model.json").read_text())
     assert (workdir / "model.race").exists()
     assert len(record["theta"]) == 1
+
+
+# sha256 of the model record and its sketch, taken before the regression
+# scaling moved onto io.scale
+_REGRESS_DIGESTS = {
+    "model.json": "a15643c806e3003d78ba70ad4cfff2db4617a5eda14c8c34a06f0cd384655f3b",
+    "model.race": "58f3ffa89a4515cbcd1073b2767b0bb4d5918f260732ba172c906c2b2ca7fae0",
+}
+
+
+def test_regress_output_bytes_are_pinned(workdir, capsys):
+    rng = np.random.default_rng(21)
+    x = rng.uniform(-3.0, 5.0, (80, 3))
+    x[:, 1] = 7.0  # a constant column scales to 0
+    y = x @ np.array([1.5, 0.0, -0.5]) + 2.0 + 0.1 * rng.standard_normal(80)
+    rk.write_csv(np.column_stack([x, y]), workdir / "wide.csv")
+    code, _, _ = _run(capsys, ["regress", "--input", workdir / "wide.csv",
+                               "--rows", 500, "--range", 32, "--epsilon", 1.0,
+                               "--seed", 4, "--max-iters", 80, "--restarts", 1,
+                               "--output", workdir / "model.json"])
+    assert code == 0
+    for name, digest in _REGRESS_DIGESTS.items():
+        assert hashlib.sha256((workdir / name).read_bytes()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("flag", [["--lsh", "euclidean"], ["--bandwidth", 0.5]],

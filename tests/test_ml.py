@@ -26,15 +26,15 @@ def test_train_and_classify_point_masses():
     assert all(sk.privatized for sk in clf.sketches)
 
 
-def test_score_matrix_matches_per_class_queries():
+def test_scores_match_per_class_queries():
     clf, xa, xb = _two_point_mass_classifier(epsilon=1.0, seed=5)
     pts = np.vstack([xa, xb, [0.3, 0.3], [-1.0, -1.0]])
-    ml_scores = clf.score_matrix(pts, "ml")
-    map_scores = clf.score_matrix(pts, "map")
+    _, kde = clf.scores(pts, "ml")
+    map_decision, _ = clf.scores(pts, "map")
     for i, sk in enumerate(clf.sketches):
         estimates = estimation.query_many(sk, pts)
-        assert ml_scores[i].tolist() == [e.kde for e in estimates]
-        assert map_scores[i].tolist() == [e.f_hat for e in estimates]
+        assert kde[i].tolist() == [e.kde for e in estimates]
+        assert map_decision[i].tolist() == [e.f_hat for e in estimates]
 
 
 def test_train_classifier_rejects_degenerate_input():
@@ -89,7 +89,7 @@ def test_ml_ranks_densities_past_the_kde_cap():
     low = _low_n_hat_release(rk.build(np.tile(x0, (40, 1)), fam, 30), 2)   # 38 / 8
     high = _low_n_hat_release(rk.build(np.tile(x0, (50, 1)), fam, 30), 3)  # 47 / 2
     clf = rk.Classifier(classes=["low", "high"], sketches=[low, high], epsilon=1.0)
-    assert clf.score_matrix(x0[None, :], "ml").ravel().tolist() == [1.0, 1.0]
+    assert clf.scores(x0[None, :], "ml")[1].ravel().tolist() == [1.0, 1.0]
     assert rk.classify(clf, x0, rule="ml") == "high"
 
 def test_decision_invariant_under_class_relabeling():
@@ -167,6 +167,35 @@ def test_fit_regression_sign_flip_flips_slope():
                              seed=9, config=cfg)
     assert abs(up.theta[0] + down.theta[0]) <= 0.5
     assert up.theta[0] > 1.0 and down.theta[0] < -1.0
+
+
+def _default_regression_release(**kwargs):
+    """The released sketch of a one-evaluation fit at the defaults, and its clean twin."""
+    x, y = _regression_fixture()
+    model = rk.fit_regression(x, y, epsilon=1.0, **kwargs,
+                              config=OptimizerConfig(max_iters=1, restarts=0))
+    z = 2.0 * rk.scale(rk.Dataset(np.column_stack([x, y])), "cube").points - 1.0
+    return model.sketch, rk.build(z, model.sketch.family, model.sketch.rows)
+
+
+@pytest.mark.parametrize("seed,recovered", [(None, False), (0, True)],
+                         ids=["default", "explicit-seed"])
+def test_fit_regression_noise_is_derived_from_the_family_seed_only_when_seeded(
+        seed, recovered):
+    released, clean = _default_regression_release(seed=seed)
+    assert released.family.seed == 0
+    live = released.family.reachable_width
+    noise = rk.laplace_noise_matrix(released.rows, live, released.rows / 1.0,
+                                    ml._derive_seed(released.family.seed, 0x4E6))
+    assert np.array_equal(released.counts[:, :live] - noise,
+                          clean.counts[:, :live]) == recovered
+
+
+def test_fit_regression_releases_repeat_only_with_a_seed():
+    first, _ = _default_regression_release()
+    second, _ = _default_regression_release()
+    assert not np.array_equal(first.counts, second.counts)
+    assert _default_regression_release(seed=3)[0] == _default_regression_release(seed=3)[0]
 
 
 def test_surrogate_orthogonal_theta_hits_analytic_minimum():
@@ -321,8 +350,7 @@ def test_optimizer_divergence_on_nonfinite_objective():
 
 @pytest.mark.parametrize("kwargs", [dict(max_iters=0), dict(max_iters=-5),
                                     dict(restarts=-1), dict(initial_step=0.0),
-                                    dict(initial_step=-0.5), dict(initial_step=math.inf),
-                                    dict(tol=0.0), dict(tol=math.nan)],
+                                    dict(initial_step=-0.5), dict(initial_step=math.inf)],
                          ids=lambda kw: ",".join(f"{k}={v}" for k, v in kw.items()))
 def test_optimizer_config_rejects_budgets_that_make_no_search(kwargs):
     with pytest.raises(InvalidParameterError, match=next(iter(kwargs))):
