@@ -48,6 +48,13 @@ def _family_from_args(args, dim: int) -> LshFamily:
                       seed=0 if args.seed is None else args.seed)
 
 
+def _available_cpus() -> int:
+    """CPUs this process may run on, or the machine's count where that is unknown."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _load_input(args, label_column: int | None = None) -> rio.Dataset:
     ds = rio.load_csv(args.input, header=args.header, delimiter=args.delimiter,
                       label_column=label_column)
@@ -317,7 +324,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_family_flags(p)
     p.add_argument("--scale", choices=["none", "sphere", "cube"], default="none")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=_available_cpus(),
+                   help="threads that hash and count (default: the CPUs this process "
+                        "may use, here %(default)s); the output bytes are the same "
+                        "for every value")
     p.add_argument("--output", required=True)
     p.add_argument("--manifest")
     _add_csv_flags(p)

@@ -25,9 +25,9 @@ terms.
 
 All per-row parameters derive deterministically from the family seed, so the
 bucket of a point depends only on (seed, row, point). ``hash_batch`` therefore
-evaluates rows in blocks of cache size and writes buckets into the narrowest
-unsigned dtype that holds them; the grouping never changes a code. Families
-are immutable and safe for concurrent readers.
+evaluates rows in blocks of cache size, or any range of rows alone, and writes
+buckets into the narrowest unsigned dtype that holds them; the grouping never
+changes a code. Families are immutable and safe for concurrent readers.
 """
 
 from __future__ import annotations
@@ -247,15 +247,27 @@ def _angular_buckets(family: LshFamily, codes: np.ndarray, mix_a, mix_b) -> np.n
     return mixed % np.uint64(family.width)
 
 
-def hash_batch(family: LshFamily, rows: int, points) -> np.ndarray:
-    """Bucket every point under every row hash.
+def hash_batch(family: LshFamily, rows: int | range, points, *,
+               table: int | None = None, out: np.ndarray | None = None) -> np.ndarray:
+    """Bucket every point under every row hash, or under a range of rows.
 
-    Returns an array of shape (rows, n) with entries in [0, width), in the
-    smallest unsigned dtype that holds ``width - 1`` (``2 ** depth - 1`` for
-    SRP codes used directly); never uint64, since width < 2**32. Points must
-    be finite; NaN or inf raises ``InvalidParameterError``. Rows are
-    evaluated in blocks of about ``_BLOCK_BUDGET`` projections, so the float64
-    projection is never materialized for all rows at once. Angular codes are
+    ``rows`` is a row count R, for rows ``0 .. R-1``, or a ``range(lo, hi)``
+    of rows out of a table of ``table`` rows (default ``hi``); the buckets of
+    a range equal those rows of the whole table's buckets, since row r's
+    parameters do not depend on how many rows are drawn. The parameters are
+    looked up once per table, so callers that hash a table's rows in ranges
+    share one cache entry.
+
+    Returns an array of shape (len(rows), n) with entries in [0, width), in
+    the smallest unsigned dtype that holds ``width - 1`` (``2 ** depth - 1``
+    for SRP codes used directly); never uint64, since width < 2**32. It is
+    written into ``out`` when given, an array (or strided view) of exactly
+    that shape and dtype, so a caller can keep one bucket array for all its
+    calls. Points must be finite; NaN or inf raises ``InvalidParameterError``. Rows are
+    evaluated in blocks of about ``_BLOCK_BUDGET * len(rows) / table``
+    projections: a table's ranges, hashed at once by one thread each, hold
+    one budget between them, and the float64 projection is never
+    materialized for all rows at once. Angular codes are
     packed in one pass per block: the signs of all ``depth`` projections go
     into one bool buffer, and an ``einsum`` against the bit weights
     ``2 ** i`` sums them into the code dtype (bit i of row r is the sign of
@@ -285,56 +297,73 @@ def hash_batch(family: LshFamily, rows: int, points) -> np.ndarray:
     ``% width`` runs in uint32. Codes equal those of reducing every floor and
     every term mod P, since mod P is a ring homomorphism.
     """
-    if rows < 1:
-        raise InvalidParameterError(f"rows must be >= 1, got {rows}")
+    span = rows if isinstance(rows, range) else range(rows)
+    table = span.stop if table is None else table
+    if not (span.step == 1 and 0 <= span.start < span.stop <= table):
+        raise InvalidParameterError(
+            f"rows must be a count >= 1 or a nonempty range of the table's "
+            f"{table} rows with step 1, got {rows!r}")
     pts = _as_matrix(points, family.dim)
     if not np.isfinite(pts).all():
         raise InvalidParameterError("points must be finite, got NaN or inf")
     n, p = pts.shape[0], family.depth
-    params = _row_params(family, rows)
+    lo, hi = span.start, span.stop
     plan = family._plan
+    if out is not None and (out.shape != (hi - lo, n) or out.dtype != plan.out_dtype):
+        raise InvalidParameterError(
+            f"out must be a {(hi - lo, n)} {plan.out_dtype} array, "
+            f"got {out.shape} {out.dtype}")
+    params = _row_params(family, table)
     code_dtype, direct = plan.code_dtype, plan.direct
     if n == 1 and family.kind.angular:
-        signs = np.greater_equal(params.proj @ pts[0], 0)
+        proj, mix_a, mix_b = params.proj, params.mix_a, params.mix_b
+        if hi - lo < table:  # three slices would cost 5% of a whole-table call
+            proj, mix_a, mix_b = proj[lo * p:hi * p], mix_a[lo:hi], mix_b[lo:hi]
+        signs = np.greater_equal(proj @ pts[0], 0)
         if plan.word is not None:
             words = np.multiply(signs.view(plan.word), plan.multiplier)
             codes = np.right_shift(words, 8 * (p - 1)).astype(code_dtype)
         else:
-            codes = np.matmul(signs.view(np.uint8).reshape(rows, p), plan.weights)
-        buckets = _angular_buckets(family, codes[:, None], params.mix_a, params.mix_b)
-        return buckets.astype(plan.out_dtype, copy=False)
-    out = np.empty((rows, n), plan.out_dtype)
-    step = max(1, _BLOCK_BUDGET // (p * max(n, 1)))
+            codes = np.matmul(signs.view(np.uint8).reshape(hi - lo, p), plan.weights)
+        buckets = _angular_buckets(family, codes[:, None], mix_a, mix_b)
+        if out is None:
+            return buckets.astype(plan.out_dtype, copy=False)
+        out[:] = buckets
+        return out
+    if out is None:
+        out = np.empty((hi - lo, n), plan.out_dtype)
+    step = max(1, _BLOCK_BUDGET * (hi - lo) // (table * p * max(n, 1)))
     # one projection buffer for all blocks: a fresh one per block faults in anew
-    buf = np.empty((min(step, rows) * p, n))
+    buf = np.empty((min(step, hi - lo) * p, n))
     if family.kind.angular:
         signs = np.empty(buf.shape, np.bool_)
         if not direct:
-            packed = np.empty((min(step, rows), n), code_dtype)
+            packed = np.empty((min(step, hi - lo), n), code_dtype)
     else:
-        residues = np.empty((min(step, rows), n), np.uint32)
-    for r0 in range(0, rows, step):
-        r1 = min(r0 + step, rows)
+        residues = np.empty((min(step, hi - lo), n), np.uint32)
+    for r0 in range(lo, hi, step):
+        r1 = min(r0 + step, hi)
+        dest = out[r0 - lo:r1 - lo]
         proj = np.matmul(params.proj[r0 * p:r1 * p], pts.T, out=buf[:(r1 - r0) * p])
         if family.kind.angular:
             bits = np.greater_equal(proj, 0, out=signs[:(r1 - r0) * p])
-            codes = out[r0:r1] if direct else packed[:r1 - r0]
+            codes = dest if direct else packed[:r1 - r0]
             np.einsum("rpn,p->rn", bits.view(np.uint8).reshape(r1 - r0, p, n), plan.weights,
                       out=codes, dtype=code_dtype, casting="unsafe")
             buckets = _angular_buckets(family, codes, params.mix_a[r0:r1], params.mix_b[r0:r1])
             if not direct:
-                out[r0:r1] = buckets
+                dest[:] = buckets
             continue
         floors = proj.reshape(r1 - r0, p, n)
         np.add(floors, params.offsets[r0:r1, :, None], out=floors)
         np.divide(floors, family.bandwidth, out=floors)
         np.floor(floors, out=floors)
-        lo, hi = floors.min(initial=0.0), floors.max(initial=0.0)
-        if not (math.isfinite(lo) and math.isfinite(hi)):
+        least, most = floors.min(initial=0.0), floors.max(initial=0.0)
+        if not (math.isfinite(least) and math.isfinite(most)):
             raise InvalidParameterError(
                 "a bucket index overflowed float64: the points are too far from "
                 f"the origin for bandwidth {family.bandwidth!r}")
-        if not -_PRIME_F < lo <= hi < _PRIME_F:
+        if not -_PRIME_F < least <= most < _PRIME_F:
             np.fmod(floors, _PRIME_F, out=floors)
         np.add(floors, _SHIFT, out=floors)
         grid = np.bitwise_and(floors.view(np.uint64), _LOW_52, out=floors.view(np.uint64))
@@ -345,7 +374,7 @@ def hash_batch(family: LshFamily, rows: int, points) -> np.ndarray:
             if i % 2 and i < p - 1:  # two products added since the last % P
                 np.remainder(mixed, _MIX_PRIME, out=mixed)
         np.remainder(mixed, _MIX_PRIME, out=residues[:r1 - r0], casting="unsafe")
-        np.remainder(residues[:r1 - r0], np.uint32(family.width), out=out[r0:r1],
+        np.remainder(residues[:r1 - r0], np.uint32(family.width), out=dest,
                      casting="unsafe")
     return out
 

@@ -45,6 +45,8 @@ from .sketch import RaceSketch
 def _derive_seed(base: int | None, *tags: int) -> int | None:
     if base is None:
         return None
+    if base < 0:
+        raise InvalidParameterError(f"seed must be >= 0, got {base}")
     state = np.random.SeedSequence([base, *tags]).generate_state(2, np.uint64)
     return int(state[0]) | (int(state[1]) << 64)
 

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import struct
 import sys
 import threading
@@ -95,6 +96,22 @@ def test_threaded_build_writes_the_same_bytes(workdir, capsys):
     code, _, err = _run(capsys, args + ["--threads", 0, "--output", workdir / "t0.race"])
     assert code == 2
     assert "threads" in err
+
+
+def test_build_threads_default_to_the_available_cpus_with_the_same_bytes(
+        workdir, capsys, monkeypatch):
+    args = ["build", "--input", workdir / "data.csv", "--rows", 50,
+            "--range", 32, "--seed", 9]
+    assert _run(capsys, args + ["--threads", 1, "--output", workdir / "t1.race"])[0] == 0
+    assert _run(capsys, args + ["--output", workdir / "default.race"])[0] == 0
+    manifest = json.loads((workdir / "default.race.manifest.json").read_text())
+    assert manifest["threads"] == len(os.sched_getaffinity(0))
+    monkeypatch.setattr(rk.cli, "_available_cpus", lambda: 3)  # threaded on any machine
+    assert _run(capsys, args + ["--output", workdir / "three.race"])[0] == 0
+    assert json.loads((workdir / "three.race.manifest.json").read_text())["threads"] == 3
+    one = (workdir / "t1.race").read_bytes()
+    assert (workdir / "default.race").read_bytes() == one
+    assert (workdir / "three.race").read_bytes() == one
 
 
 def test_privatize_budget_file_blocks_second_release(workdir, capsys):

@@ -295,6 +295,42 @@ def test_hash_batch_memory_stays_block_sized(kind, kwargs):
     assert peak < 64 * 2**20
 
 
+@pytest.mark.parametrize("one_row_blocks", [False, True], ids=["budget", "budget=1"])
+@pytest.mark.parametrize("kind,depth,width", [
+    ("srp", 4, 64), ("srp", 12, 50), ("folded-srp", 4, 64), ("folded-srp", 12, 50),
+    ("euclidean", 3, 40),
+], ids=["srp", "srp-rebucketed", "folded", "folded-rebucketed", "euclidean"])
+def test_row_range_equals_that_slice_of_the_full_hash(monkeypatch, kind, depth, width,
+                                                      one_row_blocks):
+    if one_row_blocks:
+        monkeypatch.setattr(lsh, "_BLOCK_BUDGET", 1)
+    kwargs = {"bandwidth": 0.75} if kind == "euclidean" else {}
+    fam = rk.new_family(kind, dim=3, depth=depth, width=width, seed=depth, **kwargs)
+    for n in (1, 2, 301):  # one point takes the single-point path
+        pts = np.random.default_rng(n).standard_normal((n, 3))
+        for lo, hi in ((0, 1), (0, 13), (3, 4), (5, 13), (7, 31)):
+            want = rk.hash_batch(fam, hi, pts)[lo:]
+            assert np.array_equal(rk.hash_batch(fam, range(lo, hi), pts), want)
+            # the same rows of a larger table
+            assert np.array_equal(rk.hash_batch(fam, range(lo, hi), pts, table=31), want)
+            # written into a strided view of a wider array
+            wide = np.zeros((hi - lo, n + 3), want.dtype)
+            got = rk.hash_batch(fam, range(lo, hi), pts, out=wide[:, :n])
+            assert np.shares_memory(got, wide) and np.array_equal(wide[:, :n], want)
+
+
+def test_row_ranges_and_outputs_must_fit_the_table():
+    fam = rk.new_family("srp", dim=2, depth=2, width=8, seed=1)
+    pts = np.ones((3, 2))
+    for rows, table in ((0, None), (-2, None), (range(3, 3), None), (range(0, 9, 2), None),
+                        (range(-1, 4), None), (range(2, 6), 5)):
+        with pytest.raises(InvalidParameterError, match="rows"):
+            rk.hash_batch(fam, rows, pts, table=table)
+    for out in (np.empty((4, 3), np.uint8), np.empty((5, 3), np.uint16)):
+        with pytest.raises(InvalidParameterError, match="out"):
+            rk.hash_batch(fam, 5, pts, out=out)
+
+
 def test_zero_row_input_takes_the_family_dimension():
     fam = rk.new_family("srp", dim=3, depth=2, width=8, seed=1)
     for empty in (np.zeros((0, 0)), np.zeros((0, 7)), np.zeros(0), []):

@@ -49,6 +49,13 @@ def test_train_classifier_rejects_degenerate_input():
                             fam, 10, 1.0)
 
 
+def test_train_classifier_rejects_a_negative_seed():
+    fam = rk.new_family("srp", dim=2, depth=2, width=8, seed=0)
+    data = {"a": np.ones((5, 2)), "b": -np.ones((5, 2))}
+    with pytest.raises(InvalidParameterError, match="seed"):
+        rk.train_classifier(data, fam, 10, 1.0, seed=-1)
+
+
 def test_tie_breaks_to_lowest_class_index():
     # identical clean sketches for both classes: scores tie exactly
     fam = rk.new_family("srp", dim=2, depth=3, width=16, seed=2)

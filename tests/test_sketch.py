@@ -80,6 +80,55 @@ def test_build_threaded_equals_serial():
     assert rk.build(pts, fam, rows=25, threads=3) == rk.build(pts, fam, rows=25)
 
 
+@pytest.mark.parametrize("rows,threads", [(1, 2), (2, 5), (7, 3), (25, 3)])
+def test_build_with_row_ranges_equals_serial(monkeypatch, rows, threads):
+    # ranges are capped at one row each, so 5 threads over 2 rows run 2 ranges
+    _, blas = _fake_blas(1)
+    monkeypatch.setattr(rk.sketch, "_numpy_openblas", lambda: blas)
+    monkeypatch.setattr(rk.sketch, "_CHUNK_BUDGET", 60 * rows * 4)  # 60-point chunks
+    pts = np.random.default_rng(10).standard_normal((301, 2))
+    fam = _family()
+    assert rk.build(iter(pts), fam, rows, threads=threads) == rk.build(pts, fam, rows)
+
+
+def test_threaded_build_draws_one_set_of_row_parameters():
+    fam = _family(seed=19)
+    pts = np.random.default_rng(11).standard_normal((200, 2))
+    rk.lsh._row_params.cache_clear()
+    rk.build(pts, fam, rows=30, threads=3)
+    assert rk.lsh._row_params.cache_info().currsize == 1
+
+
+def _bincount_reference(width, buckets):
+    return np.stack([np.bincount(row, minlength=width) for row in buckets.astype(np.intp)])
+
+
+@pytest.mark.parametrize("rows,n,alphabet", [
+    (7, 400, 10),     # odd R: three pairs and one plain row
+    (6, 400, 10),     # 4 A**2 = n: the pair path's edge
+    (6, 399, 10),     # 4 A**2 = n + 1: one row at a time
+    (9, 36, 3),       # n < 64
+    (4, 5000, 2),     # two codes, many points
+])
+@pytest.mark.parametrize("budget", [None, 1])
+def test_pair_count_equals_one_row_at_a_time(monkeypatch, rows, n, alphabet, budget):
+    rng = np.random.default_rng(rows * n)
+    buckets = rng.integers(0, alphabet, size=(rows, n)).astype(np.uint8)
+    buckets[0, 0] = alphabet - 1  # the alphabet is the largest bucket + 1
+    width = 20
+    pairs = []
+    count_pairs = rk.sketch._count_pairs
+    monkeypatch.setattr(rk.sketch, "_count_pairs",
+                        lambda c, b, a, s: pairs.append(len(b)) or count_pairs(c, b, a, s))
+    # a row slice of a wider table, counted on top of what it holds
+    table = rng.integers(0, 5, size=(rows + 3, width))
+    want = table.copy()
+    want[2:rows + 2] += _bincount_reference(width, buckets)
+    rk.sketch._scatter(table[2:rows + 2], buckets, budget)
+    assert np.array_equal(table, want)
+    assert pairs == ([rows - rows % 2] if 4 * alphabet**2 <= n else [])
+
+
 # serialize(build(...)) digests over _GOLDEN_POINTS with rows=30. They pin the
 # hash assignments and the .race layout bit for bit, so files already written
 # stay valid across refactors of the build and hashing code.
@@ -180,9 +229,9 @@ def test_overlapping_threaded_builds_restore_blas_once(monkeypatch):
     seen = []
     hash_batch = rk.lsh.hash_batch
 
-    def recorded(*args):
+    def recorded(*args, **kwargs):
         seen.append(state["threads"])
-        return hash_batch(*args)
+        return hash_batch(*args, **kwargs)
 
     monkeypatch.setattr(rk.lsh, "hash_batch", recorded)
     monkeypatch.setattr(rk.sketch, "_CHUNK_BUDGET", 50 * 5 * 4)  # 50-point chunks
@@ -206,7 +255,7 @@ def test_overlapping_threaded_builds_restore_blas_once(monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in workers)
     assert all(r == expected for r in results)
-    assert seen == [1] * 6 * 8
+    assert seen == [1] * 6 * 8 * 2  # six builds, eight chunks, two row ranges each
     assert state["threads"] == 5
 
 
@@ -257,46 +306,75 @@ def test_threaded_stream_build_keeps_memory_bounded():
     assert peak < 10 * 2**20  # the whole stream as arrays would take ~30 MB
 
 
-def test_threaded_stream_build_counts_on_the_calling_thread_in_stream_order(monkeypatch):
+def test_threaded_stream_build_counts_each_row_range_where_it_was_hashed(monkeypatch):
+    # each chunk's rows go out as ranges [0, 2) and [2, 5); every range of every
+    # chunk is hashed and counted once, by one thread, before the next chunk
     _, blas = _fake_blas(1)
     monkeypatch.setattr(rk.sketch, "_numpy_openblas", lambda: blas)
     monkeypatch.setattr(rk.sketch, "_CHUNK_BUDGET", 50 * 5 * 4)  # 50-point chunks
-    calls = []
-    scatter = rk.sketch._scatter
-
-    def recorded(counts, buckets):
-        calls.append((threading.get_ident(), buckets.copy()))
-        scatter(counts, buckets)
-
-    monkeypatch.setattr(rk.sketch, "_scatter", recorded)
     pts = np.random.default_rng(6).standard_normal((420, 2))
     fam = _family()
+    events = []  # (chunk, "hash" or "count", thread, row range, buckets, their values)
+    hash_batch, scatter = rk.lsh.hash_batch, rk.sketch._scatter
+
+    def hashed(family, rows, points, **kwargs):
+        buckets = hash_batch(family, rows, points, **kwargs)
+        chunk = int(np.flatnonzero((pts == points[0]).all(axis=1))[0]) // 50
+        events.append((chunk, "hash", threading.get_ident(), rows, buckets, buckets.copy()))
+        return buckets
+
+    def counted(counts, buckets, *args):
+        first = (counts.ctypes.data - counts.base.ctypes.data) // counts.strides[0]
+        chunk = next(e[0] for e in events if e[4] is buckets)
+        events.append((chunk, "count", threading.get_ident(),
+                       range(first, first + len(counts)), buckets, buckets.copy()))
+        scatter(counts, buckets, *args)
+
+    monkeypatch.setattr(rk.lsh, "hash_batch", hashed)
+    monkeypatch.setattr(rk.sketch, "_scatter", counted)
     sk = rk.build(iter(pts), fam, rows=5, threads=2)
-    assert [ident for ident, _ in calls] == [threading.get_ident()] * 9
-    for (_, buckets), start in zip(calls, range(0, 420, 50)):
-        assert np.array_equal(buckets, rk.hash_batch(fam, 5, pts[start:start + 50]))
+    monkeypatch.undo()
+    assert [e[0] for e in events] == sorted(e[0] for e in events)  # one chunk in flight
+    spans = {range(0, 2): threading.get_ident()}  # the caller takes the first range
+    for chunk in range(9):
+        mine = [e for e in events if e[0] == chunk]
+        hashes = {e[3]: e for e in mine if e[1] == "hash"}
+        counts = {e[3]: e for e in mine if e[1] == "count"}
+        assert len(mine) == 4 and set(hashes) == set(counts) == {range(0, 2), range(2, 5)}
+        want = rk.hash_batch(fam, 5, pts[50 * chunk:50 * chunk + 50])
+        for span, (_, _, thread, _, buckets, values) in hashes.items():
+            assert spans.setdefault(span, thread) == thread == counts[span][2]
+            assert counts[span][4] is buckets
+            assert np.array_equal(counts[span][5], values)
+            assert np.array_equal(values, want[span.start:span.stop])
+    assert spans[range(2, 5)] != threading.get_ident()
     assert sk == rk.build(pts, fam, rows=5)
 
 
 def test_threaded_build_memory_is_the_table_plus_bucket_arrays():
-    # a 16 MB table against 4 MB bucket arrays of 2000-point chunks: a zeroed
-    # partial table per chunk in flight would add 16 MB for each
+    # a 16 MB table against 4 MB bucket arrays of 2000-point chunks; the
+    # threads' row ranges share one chunk's buckets, one hash budget and one
+    # count block, so the peak is the same for any thread count
     fam = rk.new_family("srp", dim=2, depth=8, width=1000, seed=3)
     pts = np.random.default_rng(7).standard_normal((6000, 2))
+    # one chunk's buckets and one hash budget
     tracemalloc.start()
     try:
-        rk.hash_batch(fam, 2000, pts[:2000])  # one chunk
+        rk.hash_batch(fam, 2000, pts[:2000])
         hashing = tracemalloc.get_traced_memory()[1]
-        tracemalloc.reset_peak()
-        sk = rk.build(pts, fam, 2000, threads=2)
-        peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the table, two chunks' hashing, and one count block: its intp indices
-    # and a bincount no longer than them
+    # one count block: its intp indices and a bincount no longer than them
     count_block = 2 * rk.sketch._INDEX_BUDGET * np.dtype(np.intp).itemsize
-    assert sk.inserted == 6000
-    assert peak <= sk.counts.nbytes + 2 * hashing + count_block
+    for threads in (2, 3, 4):
+        tracemalloc.start()
+        try:
+            sk = rk.build(pts, fam, 2000, threads=threads)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sk.inserted == 6000
+        assert peak <= sk.counts.nbytes + hashing + count_block, threads
 
 
 def test_add_single_point():
