@@ -19,12 +19,11 @@ from .errors import (
     ZeroVectorError,
 )
 from .estimation import (
-    QueryEstimate,
+    Estimate,
     error_bound,
+    estimate,
     f_tilde,
     optimal_rows,
-    query_many,
-    query_mean,
     query_median_of_means,
 )
 from .io import Dataset, Transform, apply_transform, load_csv, scale, stream_csv, write_csv
@@ -41,7 +40,6 @@ from .ml import (
     Classifier,
     RegressionModel,
     anomaly_score,
-    classify,
     find_mode,
     fit_regression,
     is_anomaly,

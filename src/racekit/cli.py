@@ -99,15 +99,22 @@ def _open_out(path):
 def _load_queries(args, dim: int) -> np.ndarray:
     ds = rio.load_csv(args.queries, header=args.header, delimiter=args.delimiter)
     pts = lsh._as_matrix(ds.points, dim)  # an empty file gives (0, dim)
-    if getattr(args, "transform", None):
-        with open(args.transform) as fh:
+    path = getattr(args, "transform", None)
+    if not path:
+        return pts
+    try:
+        with open(path) as fh:
             rec = json.load(fh)
-        transform = rio.Transform(
-            mode=rec["mode"],
-            mins=np.array(rec["mins"]) if rec.get("mins") is not None else None,
-            maxs=np.array(rec["maxs"]) if rec.get("maxs") is not None else None)
-        pts = rio.apply_transform(transform, pts)
-    return pts
+        mode = rec["mode"]
+        bounds = ([np.array(rec[key], dtype=np.float64) for key in ("mins", "maxs")]
+                  if mode == "cube" else [None, None])
+        transform = rio.Transform(mode, *bounds)
+    except (ValueError, KeyError, TypeError) as exc:
+        raise SketchFormatError(f"{path} is not a transform file: {exc!r}") from None
+    if mode == "cube" and any(b.shape != (dim,) for b in bounds):
+        raise DimensionMismatchError(f"{path} holds cube bounds of shapes {bounds[0].shape} "
+                                     f"and {bounds[1].shape} for dimension {dim}")
+    return rio.apply_transform(transform, pts)
 
 
 def _write_transform(dataset: rio.Dataset, path: str) -> str | None:
@@ -205,13 +212,13 @@ def cmd_query(args) -> int:
     sk = rsketch.load(args.sketch)
     pts = _load_queries(args, sk.family.dim)
     estimator = "median_of_means" if args.estimator == "mom" else "mean"
-    f_hat, kde, _ = estimation.estimate(sk, pts, estimator, args.delta)
+    est = estimation.estimate(sk, pts, estimator, args.delta)
     n_hat = f"{sk.n_hat:.17g}"
     with _open_out(args.output) as out:
         out.write("query_id,f_hat,n_hat,kde\n")
         out.writelines(f"{i},{f:.17g},{n_hat},{k:.17g}\n"
-                       for i, (f, k) in enumerate(zip(f_hat.tolist(), kde.tolist())))
-    _emit_manifest(args, "query", {"n_queries": len(f_hat)})
+                       for i, (f, k) in enumerate(zip(est.f_hat.tolist(), est.kde.tolist())))
+    _emit_manifest(args, "query", {"n_queries": len(est.f_hat)})
     return 0
 
 

@@ -38,7 +38,7 @@ class OptimizerDivergenceError(RaceError):
 
 
 class SketchFormatError(RaceError):
-    """A serialized sketch could not be decoded."""
+    """A serialized sketch, or a JSON side file beside one (transform, manifest), is unreadable."""
 
 
 class MalformedHeaderError(SketchFormatError):

@@ -1,8 +1,12 @@
 """Query-side estimators over a sketch.
 
 A query reads one counter per row (the row's bucket for the query point).
-The mean of those reads is an unbiased estimate of the kernel sum f_D(q);
-the median-of-means aggregation trades a constant for exponential
+The mean of those reads is an unbiased estimate of the kernel sum f_D(q)
+only where codes are their own buckets (angular, ``2 ** depth <= width``).
+Mixed into W buckets (euclidean, or angular with ``2 ** depth > width``),
+each other point shares the query's bucket with probability 1/W, so
+``E[read] = f + (N - f) / W``, uncorrected here (``lsh.rebucket_allowance``
+bounds it). The median-of-means aggregation trades a constant for exponential
 concentration and is what the utility bound covers. The dataset size N-hat
 is the grand counter total divided by the row count: each row of a clean
 sketch sums to N, and a release adds integer, zero-mean discrete Laplace noise
@@ -16,14 +20,14 @@ can appear after privatization: the raw estimate is reported as-is, the size
 estimate is floored at one before dividing, and the normalized density is
 clipped to [0, 1], the true one's range (post-processing, no privacy cost).
 
-Every consumer (the query functions here, the classifier, the regression
-surrogate and mode finding) reads counters through :func:`estimate`.
+Every consumer (the classifier, the regression surrogate, mode finding and
+the CLI) reads counters through :func:`estimate` and its :class:`Estimate`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,15 +39,16 @@ from .sketch import RaceSketch, _row_base, _row_blocks
 _N_FLOOR = 1.0
 
 
-@dataclass
-class QueryEstimate:
-    """Per-query output bundle."""
+class Estimate(NamedTuple):
+    """Raw kernel-sum estimates, densities ``f_hat / max(n_hat, 1)`` clipped to [0, 1], reads.
 
-    f_hat: float              # estimated kernel sum
-    n_hat: float              # estimated dataset size
-    kde: float                # normalized density, f_hat / max(n_hat, 1) clipped to [0, 1]
-    row_values: np.ndarray    # the R per-row counter reads
-    estimator: str            # "mean" or "median_of_means"
+    Shapes (n,), (n,) and (rows, n) from :func:`estimate`; two floats and
+    (rows,) from :func:`query_median_of_means`.
+    """
+
+    f_hat: np.ndarray | float
+    kde: np.ndarray | float
+    reads: np.ndarray
 
 
 def mom_group_count(delta: float) -> int:
@@ -106,11 +111,9 @@ def density(sketch: RaceSketch, f_hat: np.ndarray) -> np.ndarray:
 
 
 def estimate(sketch: RaceSketch, points, estimator: str = "median_of_means",
-             delta: float = 0.1):
+             delta: float = 0.1) -> Estimate:
     """Kernel-sum estimates for a batch of queries, arrays in and arrays out.
 
-    Returns ``(f_hat, kde, row_reads)``: the raw estimates and the normalized
-    densities, each of shape (n,), and the counter reads of shape (rows, n).
     ``estimator`` is "mean" or "median_of_means" (which uses ``delta``).
     """
     values = _gather(sketch, points)
@@ -121,40 +124,31 @@ def estimate(sketch: RaceSketch, points, estimator: str = "median_of_means",
     else:
         raise InvalidParameterError(f"unknown estimator {estimator!r}")
     # clipped without np.clip, whose Python wrapper costs ~2.5 us a call
-    kde = np.minimum(density(sketch, f_hat), 1.0)
-    return f_hat, kde, values
+    return Estimate(f_hat, np.minimum(density(sketch, f_hat), 1.0), values)
 
 
-def _query_one(sketch: RaceSketch, q, estimator: str, delta: float) -> QueryEstimate:
-    qv = lsh._as_vector(q, sketch.family.dim)
-    f_hat, kde, values = estimate(sketch, qv[None, :], estimator, delta)
-    return QueryEstimate(float(f_hat[0]), sketch.n_hat, float(kde[0]), values[:, 0],
-                         estimator)
-
-
-def query_mean(sketch: RaceSketch, q) -> QueryEstimate:
-    """Mean-of-rows estimate of the kernel sum at q, with N-hat normalization."""
-    return _query_one(sketch, q, "mean", 0.5)
-
-
-def query_median_of_means(sketch: RaceSketch, q, delta: float = 0.1) -> QueryEstimate:
-    """Median-of-means estimate covered by the utility bound at failure rate delta.
+def query_median_of_means(sketch: RaceSketch, q, delta: float = 0.1) -> Estimate:
+    """Median-of-means estimate at one point, covered by the utility bound at failure rate delta.
 
     Rows are split into k = ceil(8 ln(1/delta)) contiguous groups of equal
     size; rows beyond k * floor(rows / k) are ignored. The median of an even
     group count is the average of the two central means.
     """
-    return _query_one(sketch, q, "median_of_means", delta)
+    qv = lsh._as_vector(q, sketch.family.dim)
+    f_hat, kde, values = estimate(sketch, qv[None, :], "median_of_means", delta)
+    return Estimate(float(f_hat[0]), float(kde[0]), values[:, 0])
 
 
 def query_many(sketch: RaceSketch, points, estimator: str = "median_of_means",
-               delta: float = 0.1) -> list[QueryEstimate]:
-    """Batch form of the query estimators (one pass over the counter array)."""
-    pts = lsh._as_matrix(points, sketch.family.dim)
-    f_hat, kde, values = estimate(sketch, pts, estimator, delta)
-    return [QueryEstimate(float(f_hat[i]), sketch.n_hat, float(kde[i]), values[:, i],
-                          estimator)
-            for i in range(pts.shape[0])]
+               delta: float = 0.1) -> list[Estimate]:
+    """One batch read split into per-query ``Estimate``s.
+
+    Kept for ``perfbench``'s serve workload, which reads and times it by name;
+    library code reads :func:`estimate`.
+    """
+    f_hat, kde, values = estimate(sketch, points, estimator, delta)
+    return [Estimate(f, k, values[:, i])
+            for i, (f, k) in enumerate(zip(f_hat.tolist(), kde.tolist()))]
 
 
 def error_bound(f_tilde_value: float, rows: int, epsilon: float, delta: float) -> float:

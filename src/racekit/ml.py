@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import estimation, io as rio, lsh, sketch as sketch_mod
-from .errors import DimensionMismatchError, InvalidParameterError
+from .errors import DimensionMismatchError, InvalidParameterError, SketchFormatError
 from .lsh import HashKind, LshFamily
 from .optimize import OptimizerConfig, minimize_derivative_free
 from .privacy import PrivacyBudget, privatize
@@ -89,8 +89,9 @@ class Classifier:
         decision = np.empty((len(self.classes), pts.shape[0]))
         kde = np.empty_like(decision)
         for i, sk in enumerate(self.sketches):
-            f_hat, kde[i], _ = estimation.estimate(sk, pts, "median_of_means", delta)
-            decision[i] = f_hat if rule == "map" else estimation.density(sk, f_hat)
+            est = estimation.estimate(sk, pts, "median_of_means", delta)
+            kde[i] = est.kde
+            decision[i] = est.f_hat if rule == "map" else estimation.density(sk, est.f_hat)
         return decision, kde
 
     def predict(self, points, rule: str = "ml", delta: float = 0.1) -> list:
@@ -130,11 +131,6 @@ def train_classifier(per_class_data, family: LshFamily, rows: int,
                       sketches=released, epsilon=epsilon)
 
 
-def classify(clf: Classifier, q, *, rule: str = "ml", delta: float = 0.1):
-    """Label for a single query point."""
-    return clf.predict(np.asarray(q, dtype=np.float64)[None, :], rule=rule, delta=delta)[0]
-
-
 def anomaly_score(sk: RaceSketch, q, *, delta: float = 0.1) -> float:
     """Normalized density of q under the sketch; low values mean outliers."""
     return estimation.query_median_of_means(sk, q, delta).kde
@@ -157,8 +153,7 @@ def surrogate_loss(sk: RaceSketch, theta, *, estimator: str = "mean",
             f"dimension {sk.family.dim}")
     q = np.append(theta, -1.0)
     q /= np.linalg.norm(q)
-    f_hat, _, _ = estimation.estimate(sk, q[None, :], estimator, delta)
-    return float(f_hat[0])
+    return float(estimation.estimate(sk, q[None, :], estimator, delta).f_hat[0])
 
 
 @dataclass
@@ -247,7 +242,7 @@ def find_mode(sk: RaceSketch, init, config: OptimizerConfig | None = None,
     start = lsh._as_vector(init, sk.family.dim)
 
     def negative_density(x):
-        f_hat, _, _ = estimation.estimate(sk, x[None, :], "median_of_means", delta)
+        f_hat = estimation.estimate(sk, x[None, :], "median_of_means", delta).f_hat
         return -float(estimation.density(sk, f_hat)[0])
 
     best, _, _ = minimize_derivative_free(negative_density, start, config)
@@ -269,12 +264,16 @@ def save_classifier(clf: Classifier, directory) -> None:
 
 
 def load_classifier(directory) -> Classifier:
-    with open(os.path.join(directory, "classifier.json")) as fh:
-        manifest = json.load(fh)
-    sketches = [sketch_mod.load(os.path.join(directory, name))
-                for name in manifest["files"]]
-    return Classifier(classes=manifest["classes"], sketches=sketches,
-                      epsilon=manifest["epsilon"])
+    """Read what :func:`save_classifier` wrote; a malformed manifest is a SketchFormatError."""
+    path = os.path.join(directory, "classifier.json")
+    try:
+        with open(path) as fh:
+            manifest = json.load(fh)
+        sketches = [sketch_mod.load(os.path.join(directory, name)) for name in manifest["files"]]
+        return Classifier(classes=manifest["classes"], sketches=sketches,
+                          epsilon=manifest["epsilon"])
+    except (ValueError, KeyError, TypeError) as exc:
+        raise SketchFormatError(f"{path} does not describe a classifier: {exc!r}") from None
 
 
 def save_regression(model: RegressionModel, path) -> None:

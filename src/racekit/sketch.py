@@ -205,11 +205,11 @@ class RaceSketch:
         return (self.family, self.rows, self.width)
 
     def add(self, x) -> None:
-        """Insert one point: increments one counter in every row."""
+        """Insert one point, in any shape holding ``dim`` values: one counter per row."""
         if self.privatized:
             raise FrozenSketchError("cannot add to a privatized sketch")
-        _scatter(self.counts,
-                 lsh.hash_batch(self.family, self.rows, np.asarray(x, float)[None, :]))
+        point = lsh._as_vector(x, self.family.dim)
+        _scatter(self.counts, lsh.hash_batch(self.family, self.rows, point[None, :]))
         self.inserted += 1
         self.__dict__.pop("n_hat", None)
 

@@ -33,13 +33,13 @@ def test_criterion_01_mean_estimator_unbiasedness():
     fam = rk.new_family("srp", dim=2, depth=4, width=500, seed=31)
     sk = rk.build(data, fam, rows=4000)
     queries = rng.standard_normal((50, 2))
+    f_hat = rk.estimate(sk, queries, "mean").f_hat
     hits = 0
-    for q in queries:
-        est = rk.query_mean(sk, q)
+    for q, est in zip(queries, f_hat):
         exact = oracle.exact_kernel_sum(data, q, fam).value
         ft = rk.f_tilde(data, q, fam)
         bound = 3.0 * math.sqrt((ft**2 + ft**2 / fam.width) / sk.rows)
-        hits += abs(est.f_hat - exact) <= bound
+        hits += abs(est - exact) <= bound
     _report(1, "mean-estimator unbiasedness", hits >= 47, f"{hits}/50 within 3-sigma")
 
 
@@ -120,8 +120,7 @@ def test_criterion_05_utility_bound_coverage():
     hits = total = 0
     for draw in range(200):
         released = rk.privatize(clean, rk.PrivacyBudget(epsilon), rng_seed=9000 + draw)
-        estimates = rk.query_many(released, queries, "median_of_means", delta)
-        errors = np.abs(np.array([e.f_hat for e in estimates]) - exact)
+        errors = np.abs(rk.estimate(released, queries, "median_of_means", delta).f_hat - exact)
         hits += int(np.sum(errors <= bounds + allowance))
         total += len(queries)
     _report(5, "utility bound coverage", hits / total >= 0.90,

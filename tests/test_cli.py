@@ -513,6 +513,42 @@ def test_query_of_the_wrong_dimension_is_data_error(workdir, capsys):
     assert "dimension" in err
 
 
+_BAD_TRANSFORMS = {
+    "mins-too-long": ('{"mode": "cube", "mins": [0, 0, 0], "maxs": [1, 1]}', "dimension"),
+    "bounds-too-short": ('{"mode": "cube", "mins": [0], "maxs": [1]}', "dimension"),
+    "truncated": ('{"mode": "cube", "mins": [0, 0', "not a transform file"),
+    "no-mode": ('{"mins": [0, 0], "maxs": [1, 1]}', "not a transform file"),
+    "unknown-mode": ('{"mode": "spherical"}', "not a transform file"),
+    "not-an-object": ('["cube"]', "not a transform file"),
+    "cube-without-maxs": ('{"mode": "cube", "mins": [0, 0]}', "not a transform file"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BAD_TRANSFORMS))
+def test_query_with_a_corrupt_transform_is_data_error(workdir, capsys, name):
+    content, message = _BAD_TRANSFORMS[name]
+    _run(capsys, ["build", "--input", workdir / "data.csv", "--scale", "cube",
+                  "--rows", 64, "--range", 32, "--output", workdir / "s.race"])
+    (workdir / "bad.json").write_text(content)
+    code, out, err = _run(capsys, ["query", "--sketch", workdir / "s.race",
+                                   "--queries", workdir / "queries.csv",
+                                   "--transform", workdir / "bad.json"])
+    assert code == 3 and out == ""
+    assert message in err and "bad.json" in err
+
+
+@pytest.mark.parametrize("manifest", ['{"classes": [0.0, 1.0], "epsilon": 1.0, "files": [',
+                                      '{"classes": [0.0, 1.0], "epsilon": 1.0}', "[]"],
+                         ids=["truncated", "no-files", "not-an-object"])
+def test_classify_predict_with_a_corrupt_manifest_is_data_error(workdir, capsys, manifest):
+    model_dir = _train_scaled_model(workdir, capsys)
+    (model_dir / "classifier.json").write_text(manifest)
+    code, out, err = _run(capsys, ["classify-predict", "--model", model_dir,
+                                   "--queries", workdir / "queries.csv"])
+    assert code == 3 and out == ""
+    assert "classifier.json does not describe a classifier" in err
+
+
 def test_regress_prints_slope(workdir, capsys):
     code, out, _ = _run(capsys, ["regress", "--input", workdir / "reg.csv",
                                  "--rows", 20000, "--range", 32,

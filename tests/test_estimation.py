@@ -20,35 +20,36 @@ def _point_mass_sketch(n=50, rows=16):
     return rk.build(pts, fam, rows), np.array([0.8, -0.4])
 
 
-def test_query_mean_point_mass():
+def test_mean_estimate_point_mass():
     sk, x = _point_mass_sketch(n=50)
-    est = rk.query_mean(sk, x)
-    assert est.f_hat == 50.0
-    assert est.n_hat == 50.0
-    assert est.kde == 1.0
-    assert est.estimator == "mean"
-    assert (est.row_values == 50).all()
+    est = rk.estimate(sk, x[None, :], "mean")
+    assert isinstance(est, rk.Estimate)
+    assert est.f_hat.tolist() == [50.0]
+    assert sk.n_hat == 50.0
+    assert est.kde.tolist() == [1.0]
+    assert est.reads.shape == (16, 1) and (est.reads == 50).all()
 
 
-def test_query_mean_empty_sketch():
+def test_mean_estimate_empty_sketch():
     fam = rk.new_family("srp", dim=2, depth=2, width=8, seed=0)
     sk = rk.build(np.zeros((0, 2)), fam, rows=6)
-    est = rk.query_mean(sk, np.array([1.0, 1.0]))
-    assert est.f_hat == 0.0 and est.n_hat == 0.0 and est.kde == 0.0
+    est = rk.estimate(sk, np.array([[1.0, 1.0]]), "mean")
+    assert est.f_hat[0] == 0.0 and sk.n_hat == 0.0 and est.kde[0] == 0.0
 
 
 def test_query_dimension_mismatch():
     sk, _ = _point_mass_sketch()
     with pytest.raises(rk.DimensionMismatchError):
-        rk.query_mean(sk, np.zeros(3))
+        rk.estimate(sk, np.zeros((1, 3)), "mean")
+    with pytest.raises(rk.DimensionMismatchError):
+        rk.query_median_of_means(sk, np.zeros(3))
 
 
 def test_n_hat_equals_inserted_on_clean_sketch():
     rng = np.random.default_rng(12)
     fam = rk.new_family("euclidean", dim=3, depth=2, width=32, bandwidth=0.7, seed=2)
     sk = rk.build(rng.standard_normal((321, 3)), fam, rows=9)
-    est = rk.query_mean(sk, rng.standard_normal(3))
-    assert est.n_hat == 321.0
+    assert sk.n_hat == 321.0
 
 
 def test_n_hat_is_refreshed_by_add():
@@ -56,7 +57,8 @@ def test_n_hat_is_refreshed_by_add():
     assert sk.n_hat == 50.0
     sk.add(x)
     assert sk.n_hat == 51.0
-    assert rk.query_mean(sk, x).n_hat == 51.0
+    f_hat = rk.estimate(sk, x[None, :], "mean").f_hat
+    assert estimation.density(sk, f_hat).tolist() == [1.0]  # 51 / 51, not 51 / 50
 
 
 def test_mom_group_count():
@@ -85,8 +87,8 @@ def test_mom_ignores_surplus_rows():
 def test_mom_equal_rows_give_exact_value():
     sk, x = _point_mass_sketch(n=7, rows=24)
     est = rk.query_median_of_means(sk, x, delta=0.1)
-    assert est.f_hat == 7.0
-    assert est.estimator == "median_of_means"
+    assert est.f_hat == 7.0 and est.kde == 1.0
+    assert est.reads.shape == (24,)
 
 
 def test_mom_insufficient_rows():
@@ -95,9 +97,10 @@ def test_mom_insufficient_rows():
         rk.query_median_of_means(sk, x, delta=0.1)  # needs k = 19 rows
 
 
-def test_mean_and_mom_agree_on_equal_row_values():
+def test_mean_and_mom_agree_on_equal_reads():
     sk, x = _point_mass_sketch(n=13, rows=40)
-    assert rk.query_mean(sk, x).f_hat == rk.query_median_of_means(sk, x, 0.1).f_hat
+    assert rk.estimate(sk, x[None, :], "mean").f_hat[0] \
+        == rk.query_median_of_means(sk, x, 0.1).f_hat
 
 
 @settings(max_examples=50, deadline=None)
@@ -154,15 +157,20 @@ def test_single_queries_equal_their_batch_entries(kwargs):
                       rk.PrivacyBudget(1.0), rng_seed=3)  # released: negative reads too
     queries = rng.standard_normal((25, 3))
     for delta in (0.1, 0.05):  # k = 19 (odd) and 24 (even) groups
-        f_hat, kde, reads = estimation.estimate(sk, queries, "median_of_means", delta)
-        for i, q in enumerate(queries):
-            est = rk.query_median_of_means(sk, q, delta)
-            assert est.f_hat == f_hat[i] and est.kde == kde[i]
-            assert np.array_equal(est.row_values, reads[:, i])
-    f_hat, kde, _ = estimation.estimate(sk, queries, "mean")
-    for i, q in enumerate(queries):
-        est = rk.query_mean(sk, q)
-        assert est.f_hat == f_hat[i] and est.kde == kde[i]
+        batch = estimation.estimate(sk, queries, "median_of_means", delta)
+        singles = [rk.query_median_of_means(sk, q, delta) for q in queries]
+        for many in (singles, estimation.query_many(sk, queries, "median_of_means", delta)):
+            assert len(many) == len(queries)
+            for i, est in enumerate(many):
+                assert est.f_hat == batch.f_hat[i] and est.kde == batch.kde[i]
+                assert np.array_equal(est.reads, batch.reads[:, i])
+    batch = estimation.estimate(sk, queries, "mean")
+    singles = [estimation.estimate(sk, q, "mean") for q in queries]
+    for i, (est, one) in enumerate(zip(estimation.query_many(sk, queries, "mean"), singles)):
+        assert est.f_hat == one.f_hat[0] == batch.f_hat[i]
+        assert est.kde == one.kde[0] == batch.kde[i]
+        assert np.array_equal(est.reads, batch.reads[:, i])
+        assert np.array_equal(one.reads[:, 0], batch.reads[:, i])
 
 
 def test_gather_memory_is_its_output_plus_one_block(monkeypatch):
@@ -186,8 +194,9 @@ def test_gather_memory_is_its_output_plus_one_block(monkeypatch):
 def test_estimate_of_no_queries_is_empty():
     sk, _ = _point_mass_sketch(rows=40)
     for estimator in ("mean", "median_of_means"):
-        f_hat, kde, reads = estimation.estimate(sk, np.zeros((0, 0)), estimator)
-        assert f_hat.shape == kde.shape == (0,) and reads.shape == (40, 0)
+        est = estimation.estimate(sk, np.zeros((0, 0)), estimator)
+        assert est.f_hat.shape == est.kde.shape == (0,) and est.reads.shape == (40, 0)
+        assert estimation.query_many(sk, np.zeros((0, 0)), estimator) == []
 
 
 def test_query_works_on_private_sketch():
@@ -204,10 +213,10 @@ def test_kde_clamps_negative_estimates():
     fam = rk.new_family("srp", dim=2, depth=2, width=8, seed=0)
     counts = np.full((20, 8), -50, dtype=np.int64)
     sk = rk.RaceSketch(counts, fam, privatized=True, epsilon=0.1)
-    est = rk.query_mean(sk, np.array([1.0, 0.0]))
-    assert est.f_hat == -50.0
-    assert est.n_hat < 0
-    assert est.kde == 0.0  # negative f_hat clamps, negative n_hat floors at 1
+    est = rk.estimate(sk, np.array([[1.0, 0.0]]), "mean")
+    assert est.f_hat[0] == -50.0
+    assert sk.n_hat < 0
+    assert est.kde[0] == 0.0  # negative f_hat clamps, negative n_hat floors at 1
 
 
 def test_error_bound_zero_data_term():

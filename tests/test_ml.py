@@ -20,8 +20,7 @@ def _two_point_mass_classifier(epsilon=1e9, seed=0):
 
 def test_train_and_classify_point_masses():
     clf, xa, xb = _two_point_mass_classifier()
-    assert rk.classify(clf, xa) == "a"
-    assert rk.classify(clf, xb) == "b"
+    assert clf.predict([xa, xb]) == ["a", "b"]
     assert clf.epsilon == 1e9
     assert all(sk.privatized for sk in clf.sketches)
 
@@ -32,9 +31,9 @@ def test_scores_match_per_class_queries():
     _, kde = clf.scores(pts, "ml")
     map_decision, _ = clf.scores(pts, "map")
     for i, sk in enumerate(clf.sketches):
-        estimates = estimation.query_many(sk, pts)
-        assert kde[i].tolist() == [e.kde for e in estimates]
-        assert map_decision[i].tolist() == [e.f_hat for e in estimates]
+        est = estimation.estimate(sk, pts)
+        assert kde[i].tolist() == est.kde.tolist()
+        assert map_decision[i].tolist() == est.f_hat.tolist()
 
 
 def test_train_classifier_rejects_degenerate_input():
@@ -64,7 +63,7 @@ def test_tie_breaks_to_lowest_class_index():
     sk2 = rk.build(pts.copy(), fam, 30)
     clf = rk.Classifier(classes=["first", "second"], sketches=[sk1, sk2],
                         epsilon=float("inf"))
-    assert rk.classify(clf, np.array([0.5, 0.5])) == "first"
+    assert clf.predict([[0.5, 0.5]]) == ["first"]
 
 
 def test_map_prefers_majority_class_when_likelihoods_tie():
@@ -76,8 +75,8 @@ def test_map_prefers_majority_class_when_likelihoods_tie():
                         sketches=[minority, majority], epsilon=float("inf"))
     # per-class densities are both exactly 1, so max-likelihood ties to the
     # first class while MAP weighs in the 9:1 class sizes
-    assert rk.classify(clf, x0, rule="ml") == "minority"
-    assert rk.classify(clf, x0, rule="map") == "majority"
+    assert clf.predict([x0], rule="ml") == ["minority"]
+    assert clf.predict([x0], rule="map") == ["majority"]
 
 
 
@@ -97,7 +96,7 @@ def test_ml_ranks_densities_past_the_kde_cap():
     high = _low_n_hat_release(rk.build(np.tile(x0, (50, 1)), fam, 30), 3)  # 47 / 2
     clf = rk.Classifier(classes=["low", "high"], sketches=[low, high], epsilon=1.0)
     assert clf.scores(x0[None, :], "ml")[1].ravel().tolist() == [1.0, 1.0]
-    assert rk.classify(clf, x0, rule="ml") == "high"
+    assert clf.predict([x0], rule="ml") == ["high"]
 
 def test_decision_invariant_under_class_relabeling():
     rng = np.random.default_rng(6)
@@ -230,7 +229,7 @@ def test_surrogate_loss_is_the_query_estimate_at_theta(estimator):
     theta = np.array([0.6])
     q = np.append(theta, -1.0)
     q /= np.linalg.norm(q)
-    expected = estimation.query_many(sk, [q], estimator)[0].f_hat
+    expected = estimation.estimate(sk, [q], estimator).f_hat[0]
     assert ml.surrogate_loss(sk, theta, estimator=estimator) == expected
 
 
@@ -244,10 +243,9 @@ def test_surrogate_query_scale_invariance():
     model = rk.fit_regression(x, y, depth=4, rows=500, width=32, epsilon=1e9,
                               seed=2, config=OptimizerConfig(max_iters=40, restarts=0))
     q = np.array([0.37, -1.0])
-    a = estimation.query_mean(model.sketch, q)
-    b = estimation.query_mean(model.sketch, 3.7 * q)
-    assert (a.row_values == b.row_values).all()
-    assert a.f_hat == b.f_hat
+    est = estimation.estimate(model.sketch, [q, 3.7 * q], "mean")
+    assert (est.reads[:, 0] == est.reads[:, 1]).all()
+    assert est.f_hat[0] == est.f_hat[1]
 
 
 def test_oracle_surrogate_unimodal_and_sketch_tracks_it():
@@ -286,8 +284,8 @@ def test_folded_reads_equal_pair_sketch_reads_at_direct_depths(depth, width):
     z = _FOLD_RECORDS
     pair = rk.build(np.vstack([z, -z]), rk.new_family("srp", **params), 500)
     folded = rk.build(z, rk.new_family("folded-srp", **params), 500)
-    assert np.array_equal(estimation.estimate(folded, _FOLD_QUERIES, "mean")[2],
-                          estimation.estimate(pair, _FOLD_QUERIES, "mean")[2])
+    assert np.array_equal(estimation.estimate(folded, _FOLD_QUERIES, "mean").reads,
+                          estimation.estimate(pair, _FOLD_QUERIES, "mean").reads)
     half = 1 << (depth - 1)
     assert np.array_equal(folded.counts[:, :half], pair.counts[:, :half])
     assert not folded.counts[:, half:].any()
@@ -300,10 +298,10 @@ def test_folded_reads_track_the_pair_surrogate_at_rebucketed_depths(depth, width
     fam = rk.new_family("folded-srp", dim=3, depth=depth, width=width, seed=5)
     rows = 2000
     sk = rk.build(_FOLD_RECORDS, fam, rows)
-    f_hat, _, reads = estimation.estimate(sk, _FOLD_QUERIES, "mean")
-    tolerance = 4 * reads.std(axis=0, ddof=1) / np.sqrt(rows)
+    est = estimation.estimate(sk, _FOLD_QUERIES, "mean")
+    tolerance = 4 * est.reads.std(axis=0, ddof=1) / np.sqrt(rows)
     allowance = rk.rebucket_allowance(fam, len(_FOLD_RECORDS))
-    for q, read, tol in zip(_FOLD_QUERIES, f_hat, tolerance):
+    for q, read, tol in zip(_FOLD_QUERIES, est.f_hat, tolerance):
         # the surrogate's query [theta, -1] is any direction with a last coordinate < 0
         q = q if q[-1] < 0 else -q
         exact = oracle.exact_surrogate_loss(_FOLD_RECORDS[:, :2], _FOLD_RECORDS[:, 2],
@@ -377,7 +375,7 @@ def test_classifier_round_trip(tmp_path):
     again = rk.load_classifier(tmp_path / "model")
     assert again.classes == clf.classes
     assert again.sketches[0] == clf.sketches[0]
-    assert rk.classify(again, xa) == "a"
+    assert again.predict([xa]) == ["a"]
 
 
 def test_regression_round_trip(tmp_path):

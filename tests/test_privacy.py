@@ -258,10 +258,10 @@ def test_regression_release_noise_matches_error_bound():
     released, records = _fit_regression_sketch(rows, epsilon)
     clean = rk.build(records, released.family, rows)
     q = np.array([[0.6, -1.0]])
-    clean_read = estimation.estimate(clean, q, "mean")[0][0]
+    clean_read = estimation.estimate(clean, q, "mean").f_hat[0]
     noise = np.array([
         estimation.estimate(rk.privatize(clean, rk.PrivacyBudget(epsilon), rng_seed=s),
-                            q, "mean")[0][0] - clean_read
+                            q, "mean").f_hat[0] - clean_read
         for s in range(releases)])
     bound_variance = 2 * rows / epsilon**2
     assert abs(noise.var() / bound_variance - 1) <= tolerance

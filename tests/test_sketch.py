@@ -389,6 +389,22 @@ def test_add_single_point():
     assert int((sk.counts == 2).sum()) == 12  # same counters again
 
 
+def test_add_takes_a_point_in_the_shapes_a_query_takes():
+    fam = _family()
+    x = np.array([1.0, 2.0])
+    want = rk.build(np.zeros((0, 2)), fam, rows=12)
+    want.add(x)
+    for shaped in ([[1.0, 2.0]], [[[1.0, 2.0]]], (1.0, 2.0)):
+        sk = rk.build(np.zeros((0, 2)), fam, rows=12)
+        sk.add(shaped)
+        assert sk == want
+        assert rk.query_median_of_means(sk, shaped, 0.78).f_hat == 1.0
+    for wrong in (3.0, [1.0, 2.0, 3.0], [[1.0], [2.0], [3.0]]):
+        with pytest.raises(rk.DimensionMismatchError):
+            want.add(wrong)
+    assert want.inserted == 1
+
+
 @pytest.mark.parametrize("name", sorted(_GOLDEN))
 def test_add_each_point_equals_build(name):
     fam = rk.new_family(**_GOLDEN[name][0])
