@@ -2,9 +2,10 @@
 
 Every run resolves its flags into a manifest (JSON) that suffices to re-run
 the command exactly; the manifest lands next to ``--output`` or on stderr
-when results go to stdout. Results are CSV. Exit codes: 0 success, 2 usage
-or invalid parameters, 3 data and parse errors, 4 contract violations
-(frozen sketch, double release, incompatible merge).
+when results go to stdout. Results are CSV. Exit codes: 0 success; a racekit
+error exits with its class's ``exit_code`` (see :mod:`racekit.errors`: 2 usage
+or invalid parameters, 3 data and parse errors, 4 contract violations), and
+an ``OSError`` exits 3.
 """
 
 from __future__ import annotations
@@ -23,21 +24,13 @@ from .errors import (
     CsvError,
     DimensionMismatchError,
     DoubleReleaseError,
-    FrozenSketchError,
-    IncompatibleSketchError,
-    InsufficientRowsError,
     InvalidParameterError,
     RaceError,
     SketchFormatError,
-    ZeroVectorError,
 )
 from .lsh import LshFamily, new_family
 from .optimize import OptimizerConfig
 
-_USAGE_ERRORS = (InvalidParameterError, InsufficientRowsError)
-_DATA_ERRORS = (CsvError, DimensionMismatchError, ZeroVectorError,
-                SketchFormatError, OSError)
-_CONTRACT_ERRORS = (FrozenSketchError, DoubleReleaseError, IncompatibleSketchError)
 _TASK_SEED_HELP = ("family seed that also fixes the noise (TEST ONLY, not private); "
                    "unset: family seed 0, noise from the OS entropy pool")
 
@@ -160,7 +153,8 @@ class _BudgetFile(privacy.PrivacyBudget):
     """A budget kept in a JSON file and spent by claiming it (fail closed).
 
     The claim is an exclusive create (``O_CREAT | O_EXCL``) of ``<path>.claim``,
-    so of concurrent runs exactly one wins; an unreadable file counts as spent.
+    so of concurrent runs exactly one wins; a file that is unreadable or holds
+    JSON other than an object counts as spent.
     """
 
     path: str = ""
@@ -173,8 +167,8 @@ class _BudgetFile(privacy.PrivacyBudget):
         except FileNotFoundError:
             state = {"epsilon": self.epsilon}
         except ValueError:  # unreadable, or being written by the winning claim
-            state = {"consumed": True}
-        if state.get("consumed"):
+            state = None
+        if not isinstance(state, dict) or state.get("consumed"):
             raise DoubleReleaseError(f"budget file {self.path} is already consumed")
         if state.get("epsilon") != self.epsilon:
             raise InvalidParameterError(
@@ -292,10 +286,16 @@ def cmd_mode(args) -> int:
     return 0
 
 
+def _one_character(text: str) -> str:
+    if len(text) != 1:
+        raise argparse.ArgumentTypeError(f"must be one character, got {text!r}")
+    return text
+
+
 def _add_csv_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--header", action="store_true",
                    help="first CSV line is a header row")
-    p.add_argument("--delimiter", default=",")
+    p.add_argument("--delimiter", default=",", type=_one_character)
 
 
 def _add_shape_flags(p: argparse.ArgumentParser) -> None:
@@ -426,18 +426,12 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except _CONTRACT_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except _USAGE_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except _DATA_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except RaceError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return exc.exit_code
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -6,8 +6,8 @@ or one with a non-finite value, is parsed again cell by cell by
 the fault. ``stream_csv`` also lets arbitrarily long files be sketched without
 materializing the matrix, as
 ``build((vec for _, vec in stream_csv(path)), family, rows)``. Values must be
-finite decimal floats; parse problems are reported with 1-based (row, column)
-locations.
+finite decimal floats; parse problems, bytes that are not UTF-8 included, are
+reported with 1-based (row, column) locations.
 
 Hash kernels behave best on bounded inputs, so two scaling modes are
 provided: ``sphere`` divides each row by its own L2 norm (rows of norm zero
@@ -96,9 +96,20 @@ def _parse_cell(cell: str, row: int, col: int) -> float:
     return value
 
 
+def _open_text(path):
+    """Open a CSV as UTF-8 text; a byte that is not UTF-8 reads as U+FFFD.
+
+    The text layer decodes in blocks, so a strict decoder raises while the
+    parse is still rows short of the bad byte; replacing the byte lets
+    ``_parse_cell`` reject it at its own (row, column), and lets a skipped
+    header hold any bytes.
+    """
+    return open(path, newline="", encoding="utf-8", errors="replace")
+
+
 def stream_csv(path, *, header: bool = False, delimiter: str = ","):
     """Yield ``(line, row)`` pairs one row at a time; validates arity and finiteness."""
-    with open(path, newline="") as fh:
+    with _open_text(path) as fh:
         reader = csv.reader(fh, delimiter=delimiter)
         arity = None
         for i, raw in enumerate(reader, start=1):
@@ -125,7 +136,7 @@ def _loadtxt(path, header: bool, delimiter: str) -> np.ndarray | None:
     anything else the caller falls back to ``stream_csv``, which raises the
     error class and (row, column) of the fault.
     """
-    with open(path, newline="") as fh:
+    with _open_text(path) as fh:
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")  # an empty file only warns

@@ -198,6 +198,8 @@ def fit_regression(x_points, y_targets, *, depth: int = 4, rows: int = 1000,
             f"{x.shape[0]} points but {y.size} targets")
     if x.shape[0] == 0:
         raise InvalidParameterError("cannot fit on an empty dataset")
+    if x.shape[1] == 0:
+        raise InvalidParameterError("cannot fit on zero input columns")
     if not (np.isfinite(x).all() and np.isfinite(y).all()):
         raise InvalidParameterError("inputs and targets must be finite")
 
@@ -298,20 +300,24 @@ def save_regression(model: RegressionModel, path) -> None:
 
 
 def load_regression(path) -> RegressionModel:
-    with open(path) as fh:
-        record = json.load(fh)
-    sk = None
-    if record.get("sketch"):
-        sk = sketch_mod.load(os.path.join(os.path.dirname(str(path)) or ".",
-                                          record["sketch"]))
-    return RegressionModel(theta=np.array(record["theta"]),
-                           intercept=record["intercept"],
-                           theta_scaled=np.array(record["theta_scaled"]),
-                           x_mins=np.array(record["x_mins"]),
-                           x_maxs=np.array(record["x_maxs"]),
-                           y_min=record["y_min"], y_max=record["y_max"],
-                           epsilon=record["epsilon"], trace=record["trace"],
-                           sketch=sk)
+    """Read what :func:`save_regression` wrote; a malformed record is a SketchFormatError."""
+    try:
+        with open(path) as fh:
+            record = json.load(fh)
+        sk = None
+        if record["sketch"]:  # a JSON value that is not an object raises TypeError
+            sk = sketch_mod.load(os.path.join(os.path.dirname(str(path)) or ".",
+                                              record["sketch"]))
+        return RegressionModel(theta=np.array(record["theta"]),
+                               intercept=record["intercept"],
+                               theta_scaled=np.array(record["theta_scaled"]),
+                               x_mins=np.array(record["x_mins"]),
+                               x_maxs=np.array(record["x_maxs"]),
+                               y_min=record["y_min"], y_max=record["y_max"],
+                               epsilon=record["epsilon"], trace=record["trace"],
+                               sketch=sk)
+    except (ValueError, KeyError, TypeError) as exc:
+        raise SketchFormatError(f"{path} does not describe a regression model: {exc!r}") from None
 
 
 def _jsonable(label):

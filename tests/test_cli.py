@@ -140,6 +140,13 @@ def test_privatize_budget_file_states_and_exit_codes(workdir, capsys):
     assert _run(capsys, args)[0] == 4
     budget.write_text("not json")  # unreadable counts as consumed
     assert _run(capsys, args)[0] == 4
+    (workdir / "b.json.claim").unlink()  # only the file's content can refuse now
+    (workdir / "p.race").unlink()
+    for text in ("[]", "7", "null", '"x"'):  # JSON, but not an object: counts as consumed
+        budget.write_text(text)
+        code, _, err = _run(capsys, args)
+        assert code == 4 and "consumed" in err
+        assert not (workdir / "p.race").exists()
 
 
 @pytest.mark.parametrize("unconsumed_file", [False, True], ids=["new-file", "unconsumed-file"])
@@ -571,6 +578,15 @@ _REGRESS_DIGESTS = {
 }
 
 
+def test_regress_without_input_columns_is_usage_error(workdir, capsys):
+    rk.write_csv(np.arange(10.0)[:, None], workdir / "target-only.csv")
+    code, _, err = _run(capsys, ["regress", "--input", workdir / "target-only.csv",
+                                 "--rows", 100, "--range", 32, "--epsilon", 1.0,
+                                 "--output", workdir / "model.json"])
+    assert code == 2 and "zero input columns" in err
+    assert not (workdir / "model.json").exists() and not (workdir / "model.race").exists()
+
+
 def test_regress_output_bytes_are_pinned(workdir, capsys):
     rng = np.random.default_rng(21)
     x = rng.uniform(-3.0, 5.0, (80, 3))
@@ -660,6 +676,60 @@ def test_scaled_build_writes_transform_and_query_applies_it(workdir, capsys):
                                  "--transform", transform])
     assert code == 0
     assert float(out.strip().splitlines()[1].split(",")[2]) == 400.0
+
+
+def _write_non_utf8_csv(path, rows=3000, bad_row=2501):
+    # enough rows that the bad byte sits several text decode blocks in
+    lines = [b"%d.5,1.0" % i for i in range(rows)]
+    lines[bad_row - 1] = b"0.5,1\xff0"
+    path.write_bytes(b"\n".join(lines) + b"\n")
+
+
+@pytest.mark.parametrize("command", ["build", "query"])
+def test_non_utf8_bytes_in_a_csv_are_a_data_error_at_their_cell(workdir, capsys, command):
+    bad = workdir / "bytes.csv"
+    _write_non_utf8_csv(bad)
+    if command == "build":
+        argv = ["build", "--input", bad, "--rows", 20, "--range", 16]
+    else:
+        _run(capsys, ["build", "--input", workdir / "data.csv", "--rows", 20,
+                      "--range", 16, "--output", workdir / "s.race"])
+        argv = ["query", "--sketch", workdir / "s.race", "--queries", bad]
+    code, out, err = _run(capsys, argv + ["--output", workdir / "out"])
+    assert code == 3 and out == ""
+    assert "row 2501, column 2" in err
+    assert not (workdir / "out").exists()
+
+
+@pytest.mark.parametrize("delimiter", ["", ";;"], ids=["empty", "two-characters"])
+def test_delimiter_that_is_not_one_character_is_usage_error(workdir, capsys, delimiter):
+    code, _, err = _run(capsys, ["build", "--input", workdir / "data.csv",
+                                 "--delimiter", delimiter, "--output", workdir / "x.race"])
+    assert code == 2 and "--delimiter" in err
+    assert not (workdir / "x.race").exists()
+
+
+def test_latin1_header_is_skipped_by_build(workdir, capsys):
+    (workdir / "latin1.csv").write_bytes("température,y\n1.0,2.0\n3.0,4.0\n".encode("latin-1"))
+    code, _, _ = _run(capsys, ["build", "--input", workdir / "latin1.csv", "--header",
+                               "--rows", 20, "--range", 16, "--output", workdir / "s.race"])
+    assert code == 0
+    assert rk.load(workdir / "s.race").inserted == 2
+
+
+def test_every_error_class_carries_its_documented_exit_code():
+    # README: 2 usage or invalid parameters, 3 data and parse errors, 4 contract violations
+    table = {
+        "RaceError": 2, "InvalidParameterError": 2, "InsufficientRowsError": 2,
+        "OptimizerDivergenceError": 2,
+        "CsvError": 3, "NonFiniteValueError": 3, "RaggedRowError": 3,
+        "DimensionMismatchError": 3, "ZeroVectorError": 3, "SketchFormatError": 3,
+        "MalformedHeaderError": 3, "VersionMismatchError": 3, "TruncationError": 3,
+        "FrozenSketchError": 4, "IncompatibleSketchError": 4, "DoubleReleaseError": 4,
+    }
+    found = {name: cls.exit_code for name, cls in vars(rk.errors).items()
+             if isinstance(cls, type) and issubclass(cls, rk.errors.RaceError)}
+    assert found == table
 
 
 def test_version_flag(capsys):

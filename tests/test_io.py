@@ -200,3 +200,30 @@ def test_load_csv_edge_cases_keep_their_result(tmp_path, text, kwargs, expected)
     assert type(err.value) is cls
     assert getattr(err.value, "row", None) == row
     assert getattr(err.value, "column", None) == column
+
+
+def test_non_utf8_byte_is_a_csv_error_at_its_cell(tmp_path):
+    # 3000 rows put the bad byte several decode blocks past the first row
+    lines = [b"%d.5,1.0" % i for i in range(3000)]
+    lines[2500] = b"0.5,1\xff0"
+    path = tmp_path / "bytes.csv"
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    with pytest.raises(CsvError) as err:
+        rk.load_csv(path)
+    assert type(err.value) is CsvError
+    assert (err.value.row, err.value.column) == (2501, 2)
+    seen = []
+    with pytest.raises(CsvError):
+        for i, _ in rio.stream_csv(path):
+            seen.append(i)
+    assert seen[-1] == 2500
+
+
+def test_latin1_header_is_skipped(tmp_path):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes("température,y\n1.0,2.0\n".encode("latin-1"))
+    assert rk.load_csv(path, header=True).points.tolist() == [[1.0, 2.0]]
+    assert [vec.tolist() for _, vec in rio.stream_csv(path, header=True)] == [[1.0, 2.0]]
+    with pytest.raises(CsvError) as err:
+        rk.load_csv(path)
+    assert (err.value.row, err.value.column) == (1, 1)

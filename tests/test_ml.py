@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 import racekit as rk
 from racekit import estimation, ml, oracle
-from racekit.errors import InvalidParameterError, OptimizerDivergenceError
+from racekit.errors import InvalidParameterError, OptimizerDivergenceError, SketchFormatError
 from racekit.optimize import OptimizerConfig, minimize_derivative_free
 
 
@@ -149,6 +150,16 @@ def test_fit_regression_requires_depth_two():
     x, y = _regression_fixture()
     with pytest.raises(InvalidParameterError):
         rk.fit_regression(x, y, depth=1, rows=100, width=16, epsilon=1.0)
+
+
+def test_fit_regression_refuses_zero_input_columns_before_any_release(monkeypatch):
+    def no_release(*args, **kwargs):
+        raise AssertionError("released a sketch")
+
+    monkeypatch.setattr(ml, "privatize", no_release)
+    with pytest.raises(InvalidParameterError, match="zero input columns"):
+        rk.fit_regression(np.zeros((8, 0)), np.arange(8.0), rows=100, width=32,
+                          epsilon=1.0)
 
 
 def test_fit_regression_recovers_slope_roughly_and_logs_monotone_trace():
@@ -389,3 +400,21 @@ def test_regression_round_trip(tmp_path):
     assert again.intercept == pytest.approx(model.intercept)
     assert again.sketch == model.sketch
     assert np.allclose(again.predict(x), model.predict(x))
+
+
+@pytest.mark.parametrize("edit", [
+    lambda text: text[:-10],
+    lambda text: json.dumps({k: v for k, v in json.loads(text).items() if k != "intercept"}),
+    lambda text: "[]",
+], ids=["truncated", "no-intercept", "not-an-object"])
+def test_load_regression_malformed_record_is_a_format_error(tmp_path, edit):
+    model = ml.RegressionModel(theta=np.array([2.0]), intercept=0.5,
+                               theta_scaled=np.array([1.0]), x_mins=np.array([-1.0]),
+                               x_maxs=np.array([1.0]), y_min=-1.5, y_max=2.5,
+                               epsilon=1.0, trace=[0.3])
+    path = tmp_path / "model.json"
+    rk.save_regression(model, path)
+    assert rk.load_regression(path).intercept == 0.5
+    path.write_text(edit(path.read_text()))
+    with pytest.raises(SketchFormatError, match="model.json does not describe a regression"):
+        rk.load_regression(path)
