@@ -30,7 +30,6 @@ from .io import Dataset, Transform, apply_transform, load_csv, scale, stream_csv
 from .lsh import (
     HashKind,
     LshFamily,
-    collision_probability,
     hash_batch,
     kernel_values,
     new_family,
@@ -39,10 +38,8 @@ from .lsh import (
 from .ml import (
     Classifier,
     RegressionModel,
-    anomaly_score,
     find_mode,
     fit_regression,
-    is_anomaly,
     load_classifier,
     load_regression,
     save_classifier,

@@ -15,6 +15,7 @@ import contextlib
 import dataclasses
 import json
 import os
+import secrets
 import sys
 
 import numpy as np
@@ -28,7 +29,7 @@ from .errors import (
     RaceError,
     SketchFormatError,
 )
-from .lsh import LshFamily, new_family
+from .lsh import LshFamily
 from .optimize import OptimizerConfig
 
 _TASK_SEED_HELP = ("family seed that also fixes the noise (TEST ONLY, not private); "
@@ -36,7 +37,7 @@ _TASK_SEED_HELP = ("family seed that also fixes the noise (TEST ONLY, not privat
 
 
 def _family_from_args(args, dim: int) -> LshFamily:
-    return new_family(args.lsh, dim=dim, depth=args.depth, width=args.range,
+    return LshFamily(args.lsh, dim=dim, depth=args.depth, width=args.range,
                       bandwidth=args.bandwidth if args.lsh == "euclidean" else None,
                       seed=0 if args.seed is None else args.seed)
 
@@ -89,10 +90,9 @@ def _open_out(path):
             yield fh
 
 
-def _load_queries(args, dim: int) -> np.ndarray:
+def _load_queries(args, dim: int, path: str | None) -> np.ndarray:
     ds = rio.load_csv(args.queries, header=args.header, delimiter=args.delimiter)
     pts = lsh._as_matrix(ds.points, dim)  # an empty file gives (0, dim)
-    path = getattr(args, "transform", None)
     if not path:
         return pts
     try:
@@ -185,8 +185,16 @@ def cmd_privatize(args) -> int:
     sk = rsketch.load(args.sketch)
     budget = (_BudgetFile(args.epsilon, path=args.budget) if args.budget
               else privacy.PrivacyBudget(args.epsilon))
-    released = privacy.privatize(sk, budget, rng_seed=args.seed)
-    rsketch.save(released, args.output)
+    # stage the release beside --output: a directory that cannot take it
+    # fails here, before the budget is spent
+    staged = f"{args.output}.{secrets.token_hex(8)}.tmp"
+    os.close(os.open(staged, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666))
+    try:
+        rsketch.save(privacy.privatize(sk, budget, rng_seed=args.seed), staged)
+        os.replace(staged, args.output)
+    except BaseException:
+        os.unlink(staged)
+        raise
     _emit_manifest(args, "privatize",
                    {"deterministic_seed": args.seed is not None})
     return 0
@@ -204,7 +212,7 @@ def cmd_merge(args) -> int:
 
 def cmd_query(args) -> int:
     sk = rsketch.load(args.sketch)
-    pts = _load_queries(args, sk.family.dim)
+    pts = _load_queries(args, sk.family.dim, args.transform)
     estimator = "median_of_means" if args.estimator == "mom" else "mean"
     est = estimation.estimate(sk, pts, estimator, args.delta)
     n_hat = f"{sk.n_hat:.17g}"
@@ -234,11 +242,9 @@ def cmd_classify_train(args) -> int:
 
 def cmd_classify_predict(args) -> int:
     clf = ml.load_classifier(args.model)
-    if args.transform is None:
-        default_transform = os.path.join(args.model, "scaling.transform.json")
-        if os.path.exists(default_transform):
-            args.transform = default_transform
-    pts = _load_queries(args, clf.dim)
+    tpath = os.path.join(args.model, "scaling.transform.json")
+    tpath = tpath if os.path.exists(tpath) else None
+    pts = _load_queries(args, clf.dim, tpath)
     decision, kdes = clf.scores(pts, args.rule, args.delta)
     winners = np.argmax(decision, axis=0)
     with _open_out(args.output) as out:
@@ -247,7 +253,8 @@ def cmd_classify_predict(args) -> int:
         for i in range(pts.shape[0]):
             vals = ",".join(f"{kdes[j, i]:.17g}" for j in range(len(clf.classes)))
             out.write(f"{i},{clf.classes[winners[i]]},{vals}\n")
-    _emit_manifest(args, "classify-predict", {"n_queries": int(pts.shape[0])})
+    _emit_manifest(args, "classify-predict",
+                   {"n_queries": int(pts.shape[0]), "transform_file": tpath})
     return 0
 
 
@@ -384,11 +391,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_classify_train)
 
     p = sub.add_parser("classify-predict", help="label queries with a trained model")
-    p.add_argument("--model", required=True)
+    p.add_argument("--model", required=True,
+                   help="model directory; its scaling.transform.json, if any, scales the queries")
     p.add_argument("--queries", required=True)
     p.add_argument("--delta", type=float, default=0.1)
     p.add_argument("--rule", choices=["ml", "map"], default="ml")
-    p.add_argument("--transform")
     p.add_argument("--output", default="-")
     p.add_argument("--manifest")
     _add_csv_flags(p)

@@ -15,6 +15,8 @@ are rejected), and ``cube`` min-max maps each feature into [0, 1] using the
 training minima and maxima (a constant feature maps to 0.5;
 ``fit_regression`` follows with ``2t - 1``). The fitted transform is stored
 with the dataset so later queries can be mapped with :func:`apply_transform`.
+The CLI writes it as ``<output>.transform.json``; ``classify-predict`` reads
+its model's own, and ``query`` the one given with ``--transform``.
 """
 
 from __future__ import annotations
@@ -37,9 +39,13 @@ from .errors import (
 _MODES = ("none", "sphere", "cube")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Transform:
-    """Fitted scaling parameters; ``mins``/``maxs`` are set for cube only."""
+    """Fitted scaling parameters; ``mins``/``maxs`` are set for cube only.
+
+    Compared by identity (``eq=False``): the bounds are ndarrays, and nothing
+    compares two transforms.
+    """
 
     mode: str = "none"
     mins: np.ndarray | None = None
@@ -48,18 +54,6 @@ class Transform:
     def __post_init__(self):
         if self.mode not in _MODES:
             raise InvalidParameterError(f"unknown scaling mode {self.mode!r}")
-
-    def __eq__(self, other):
-        if not isinstance(other, Transform):
-            return NotImplemented
-        if self.mode != other.mode:
-            return False
-        for mine, theirs in ((self.mins, other.mins), (self.maxs, other.maxs)):
-            if (mine is None) != (theirs is None):
-                return False
-            if mine is not None and not np.array_equal(mine, theirs):
-                return False
-        return True
 
 
 @dataclass

@@ -1,5 +1,8 @@
 """Seeded LSH families with analytic collision probabilities.
 
+``LshFamily`` (alias ``new_family``) describes a family, ``hash_batch``
+buckets points, and ``kernel_values`` is the analytic law of each below.
+
 Signed random projection (SRP) concatenates ``depth`` sign bits of Gaussian
 projections; its collision probability for one sign bit is
 ``1 - angle(x, y) / pi``, so the depth-p kernel is ``(1 - angle / pi) ** p``.
@@ -33,6 +36,8 @@ changes a code. Families are immutable and safe for concurrent readers.
 from __future__ import annotations
 
 import math
+import numbers
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
@@ -99,6 +104,10 @@ class _Plan(NamedTuple):
     multiplier: np.unsignedinteger | None  # its multiply-shift constant
 
 
+_FIELD_TYPES = (("kind", HashKind), ("dim", operator.index), ("depth", operator.index),
+                ("width", operator.index), ("seed", operator.index))
+
+
 def _make_plan(kind: HashKind, depth: int, width: int) -> _Plan:
     code_dtype = np.min_scalar_type((1 << depth) - 1)
     direct = kind.angular and (1 << depth) <= width
@@ -145,8 +154,12 @@ class LshFamily:
     _plan: _Plan = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not isinstance(self.kind, HashKind):
-            object.__setattr__(self, "kind", HashKind(self.kind))
+        # operator.index refuses 2.5 or "4" rather than truncating it
+        for name, convert in _FIELD_TYPES:
+            try:
+                object.__setattr__(self, name, convert(getattr(self, name)))
+            except (TypeError, ValueError) as exc:
+                raise InvalidParameterError(f"{name}: {exc}") from None
         if self.dim < 1:
             raise InvalidParameterError(f"dim must be >= 1, got {self.dim}")
         if not 1 <= self.depth <= _MAX_DEPTH:
@@ -158,7 +171,7 @@ class LshFamily:
         if not 0 <= self.seed < 2**64:
             raise InvalidParameterError("seed must fit in 64 bits")
         if self.kind is HashKind.EUCLIDEAN:
-            if self.bandwidth is None or not (0 < self.bandwidth < math.inf):
+            if not (isinstance(self.bandwidth, numbers.Real) and 0 < self.bandwidth < math.inf):
                 raise InvalidParameterError(
                     f"bandwidth must be a positive finite float, got {self.bandwidth}")
         elif self.bandwidth is not None:
@@ -177,10 +190,7 @@ class LshFamily:
         return self._plan.reachable
 
 
-def new_family(kind, dim, depth, width, bandwidth=None, seed=0) -> LshFamily:
-    """Build a family descriptor; ``kind`` may be a HashKind or its string value."""
-    return LshFamily(kind=HashKind(kind), dim=dim, depth=depth, width=width,
-                     bandwidth=bandwidth, seed=seed)
+new_family = LshFamily  # reads as a factory: new_family("srp", 2, 4, 500)
 
 
 class _RowParams(NamedTuple):
@@ -409,12 +419,6 @@ def kernel_values(family: LshFamily, points, q) -> np.ndarray:
         return (1.0 - theta) ** family.depth
     dist = np.linalg.norm(pts - qv[None, :], axis=1)
     return _pstable_single_collision(dist, family.bandwidth) ** family.depth
-
-
-def collision_probability(family: LshFamily, x, y) -> float:
-    """Probability that x and y share a raw hash code, in [0, 1]."""
-    xv = _as_vector(x, family.dim)
-    return float(kernel_values(family, xv[None, :], y)[0])
 
 
 def rebucket_allowance(family: LshFamily, n_points: float) -> float:

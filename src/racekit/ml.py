@@ -17,7 +17,8 @@ before sketching (the kernel only sees angles); fitted weights are reported
 in original units.
 
 Mode finding runs the same derivative-free search uphill on the sketch
-density. Anomaly scoring thresholds it.
+density. An anomaly is a query whose ``query_median_of_means(sk, q).kde`` is
+below a threshold. A classifier's epsilon lives in its sketches' headers.
 
 Releases follow :func:`racekit.privacy.privatize`'s seed rule: with the default
 ``seed=None`` the noise comes from the OS entropy pool. An explicit ``seed``
@@ -53,11 +54,10 @@ def _derive_seed(base: int | None, *tags: int) -> int | None:
 
 @dataclass
 class Classifier:
-    """Per-class sketches sharing one family, plus the budget they were released with."""
+    """Per-class sketches sharing one family; each carries its own release epsilon."""
 
     classes: list
     sketches: list[RaceSketch]
-    epsilon: float
 
     def __post_init__(self):
         if len(self.classes) < 2:
@@ -127,20 +127,7 @@ def train_classifier(per_class_data, family: LshFamily, rows: int,
         clean = sketch_mod.build(pts, family, rows)
         released.append(privatize(clean, PrivacyBudget(epsilon),
                                   _derive_seed(seed, i, 0xC1A5)))
-    return Classifier(classes=[label for label, _ in items],
-                      sketches=released, epsilon=epsilon)
-
-
-def anomaly_score(sk: RaceSketch, q, *, delta: float = 0.1) -> float:
-    """Normalized density of q under the sketch; low values mean outliers."""
-    return estimation.query_median_of_means(sk, q, delta).kde
-
-
-def is_anomaly(sk: RaceSketch, q, threshold: float, *, delta: float = 0.1) -> bool:
-    """True when the density at q falls below the threshold."""
-    if threshold < 0:
-        raise InvalidParameterError(f"threshold must be >= 0, got {threshold}")
-    return anomaly_score(sk, q, delta=delta) < threshold
+    return Classifier(classes=[label for label, _ in items], sketches=released)
 
 
 def surrogate_loss(sk: RaceSketch, theta, *, estimator: str = "mean",
@@ -259,21 +246,22 @@ def save_classifier(clf: Classifier, directory) -> None:
         name = f"class_{i}.race"
         sketch_mod.save(sk, os.path.join(directory, name))
         files.append(name)
-    manifest = {"classes": [_jsonable(c) for c in clf.classes],
-                "epsilon": clf.epsilon, "files": files}
+    manifest = {"classes": [_jsonable(c) for c in clf.classes], "files": files}
     with open(os.path.join(directory, "classifier.json"), "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
 
 
 def load_classifier(directory) -> Classifier:
-    """Read what :func:`save_classifier` wrote; a malformed manifest is a SketchFormatError."""
+    """Read what :func:`save_classifier` wrote; a malformed manifest is a SketchFormatError.
+
+    Other keys, such as the ``"epsilon"`` that older versions wrote, are ignored.
+    """
     path = os.path.join(directory, "classifier.json")
     try:
         with open(path) as fh:
             manifest = json.load(fh)
         sketches = [sketch_mod.load(os.path.join(directory, name)) for name in manifest["files"]]
-        return Classifier(classes=manifest["classes"], sketches=sketches,
-                          epsilon=manifest["epsilon"])
+        return Classifier(classes=manifest["classes"], sketches=sketches)
     except (ValueError, KeyError, TypeError) as exc:
         raise SketchFormatError(f"{path} does not describe a classifier: {exc!r}") from None
 

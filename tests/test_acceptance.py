@@ -50,7 +50,7 @@ def test_criterion_02_collision_probability_laws():
         fam = rk.new_family(kind, dim=2, depth=depth, width=max(2, 2**depth), seed=0)
         for i, a in enumerate(angles):
             x, y = np.array([1.0, 0.0]), np.array([math.cos(a), math.sin(a)])
-            analytic = rk.collision_probability(fam, x, y)
+            analytic = rk.kernel_values(fam, [x], y)[0]
             mc = oracle.monte_carlo_collision(fam, x, y, trials=100_000, seed=100 + i)
             worst = max(worst, abs(analytic - mc.value) / max(mc.std_err, 1e-12))
     angular_worst = worst
@@ -61,7 +61,7 @@ def test_criterion_02_collision_probability_laws():
                             bandwidth=0.5, seed=0)
         for i, c in enumerate(np.linspace(0.05, 1.5, 10)):
             x, y = np.zeros(3), np.array([c, 0.0, 0.0])
-            analytic = rk.collision_probability(fam, x, y)
+            analytic = rk.kernel_values(fam, [x], y)[0]
             mc = oracle.monte_carlo_collision(fam, x, y, trials=100_000,
                                               seed=200 + i + 10 * depth)
             worst = max(worst, abs(analytic - mc.value) / max(mc.std_err, 1e-12))
@@ -164,7 +164,7 @@ def test_criterion_07_classification_utility():
     for draw in range(10):
         sketches = [rk.privatize(clean[c], rk.PrivacyBudget(1.0),
                                  rng_seed=3000 + 10 * draw + c) for c in (0, 1)]
-        clf = rk.Classifier(classes=[0, 1], sketches=sketches, epsilon=1.0)
+        clf = rk.Classifier(classes=[0, 1], sketches=sketches)
         accuracies.append(float(np.mean(np.array(clf.predict(queries)) == truth)))
     mean_acc = float(np.mean(accuracies))
     ok = mean_acc >= 0.95 and mean_acc >= oracle_acc - 0.03

@@ -147,6 +147,26 @@ def test_privatize_budget_file_states_and_exit_codes(workdir, capsys):
         code, _, err = _run(capsys, args)
         assert code == 4 and "consumed" in err
         assert not (workdir / "p.race").exists()
+        assert not list(workdir.glob("p.race.*.tmp"))  # nor a staged release
+
+
+def test_privatize_to_a_missing_directory_spends_no_budget(workdir, capsys):
+    _run(capsys, ["build", "--input", workdir / "data.csv", "--rows", 40,
+                  "--range", 32, "--output", workdir / "s.race"])
+    budget = workdir / "b.json"
+    unspent = json.dumps({"epsilon": 1.0, "consumed": False})
+    budget.write_text(unspent)
+    args = ["privatize", "--sketch", workdir / "s.race", "--epsilon", 1.0,
+            "--seed", 5, "--budget", budget]
+    code, _, err = _run(capsys, args + ["--output", workdir / "missing" / "p.race"])
+    assert code == 3 and "missing" in err
+    assert budget.read_text() == unspent
+    assert not (workdir / "b.json.claim").exists()
+    code, _, _ = _run(capsys, args + ["--output", workdir / "p.race"])  # the retry
+    assert code == 0
+    assert rk.load(workdir / "p.race").privatized
+    assert json.loads(budget.read_text()) == {"epsilon": 1.0, "consumed": True}
+    assert sorted(p.name for p in workdir.glob("p.race*")) == ["p.race", "p.race.manifest.json"]
 
 
 @pytest.mark.parametrize("unconsumed_file", [False, True], ids=["new-file", "unconsumed-file"])
@@ -337,6 +357,25 @@ def test_classify_train_predict_flow(workdir, capsys):
     assert lines[2].split(",")[1] == "1.0"
 
 
+def test_classify_predict_takes_its_scaling_from_the_model_directory(workdir, capsys):
+    model_dir = _train_scaled_model(workdir, capsys)
+    args = ["classify-predict", "--model", model_dir, "--queries", workdir / "queries.csv"]
+    code, _, err = _run(capsys, args + ["--transform", model_dir / "scaling.transform.json"])
+    assert code == 2 and "--transform" in err
+    assert _run(capsys, args + ["--output", workdir / "labels.csv"])[0] == 0
+    manifest = json.loads((workdir / "labels.csv.manifest.json").read_text())
+    assert manifest["transform_file"] == str(model_dir / "scaling.transform.json")
+    assert "transform" not in manifest
+
+    _run(capsys, ["classify-train", "--input", workdir / "train.csv", "--label-col", 2,
+                  "--rows", 50, "--range", 32, "--epsilon", 1.0, "--output", workdir / "raw"])
+    code, _, _ = _run(capsys, ["classify-predict", "--model", workdir / "raw",
+                               "--queries", workdir / "queries.csv",
+                               "--output", workdir / "raw.csv"])
+    assert code == 0
+    assert json.loads((workdir / "raw.csv.manifest.json").read_text())["transform_file"] is None
+
+
 def test_classify_predict_kde_stays_in_the_unit_interval(workdir, capsys):
     # 100 rows per class released at epsilon 1: noise puts f_hat past N-hat
     rng = np.random.default_rng(3)
@@ -486,6 +525,48 @@ def test_query_answer_bytes_are_pinned(workdir, capsys, estimator, delta):
                                "--delta", delta, "--output", out])
     assert code == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == _QUERY_DIGESTS[estimator, delta]
+
+
+# sha256 of `racekit query` answers on sketches released by `privatize --seed`,
+# for the two families whose buckets take the 2-universal mix: euclidean
+# codes, and srp codes of depth 12 squeezed into 50 columns
+_FAMILY_QUERY_DIGESTS = {
+    "euclidean": "750b6befa04c4d0b444da8bb7cea85ccbdc25bf6273639aa8a25e3361c1f5b03",
+    "rebucketed-srp": "032f9bdd84d035beb7877de4e11a26cc118f3e9245f87231c356b5b7d803d0f4",
+}
+_FAMILY_FLAGS = {
+    "euclidean": ["--lsh", "euclidean", "--bandwidth", 0.5, "--depth", 2],
+    "rebucketed-srp": ["--depth", 12],
+}
+
+
+def _seeded_release(workdir, capsys, name):
+    path = workdir / f"{name}.race"
+    _run(capsys, ["build", "--input", workdir / "data.csv", "--rows", 200, "--range", 50,
+                  "--seed", 3, "--output", path] + _FAMILY_FLAGS[name])
+    code, _, _ = _run(capsys, ["privatize", "--sketch", path, "--epsilon", 1.0, "--seed", 5,
+                               "--output", workdir / f"{name}.released.race"])
+    assert code == 0
+    return workdir / f"{name}.released.race"
+
+
+@pytest.mark.parametrize("name", sorted(_FAMILY_QUERY_DIGESTS))
+def test_query_answer_bytes_are_pinned_for_mixed_families(workdir, capsys, name):
+    rk.write_csv(np.random.default_rng(9).normal(0.0, 1.0, (300, 2)), workdir / "many.csv")
+    released = _seeded_release(workdir, capsys, name)
+    out = workdir / "answers.csv"
+    code, _, _ = _run(capsys, ["query", "--sketch", released,
+                               "--queries", workdir / "many.csv", "--output", out])
+    assert code == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == _FAMILY_QUERY_DIGESTS[name]
+
+
+def test_mode_output_is_pinned_on_a_euclidean_release(workdir, capsys):
+    released = _seeded_release(workdir, capsys, "euclidean")
+    code, out, _ = _run(capsys, ["mode", "--sketch", released, "--init", "0.3,-0.2",
+                                 "--max-iters", 60])
+    assert code == 0
+    assert out == "0.67988281250000004,-0.57695312499999996\n"
 
 
 @pytest.mark.parametrize("content,flags", [("", []), ("x,y\n", ["--header"])],

@@ -38,6 +38,29 @@ def test_new_family_rejects_bad_parameters(kwargs):
         rk.new_family(**kwargs)
 
 
+@pytest.mark.parametrize("kwargs,message", [
+    (dict(kind="bogus", dim=2, depth=1, width=4), "kind"),
+    (dict(kind=None, dim=2, depth=1, width=4), "kind"),
+    (dict(kind="srp", dim=2.5, depth=1, width=4), "dim"),
+    (dict(kind="srp", dim=2, depth=4.0, width=16), "depth"),
+    (dict(kind="srp", dim=2, depth=1, width="4"), "width"),
+    (dict(kind="srp", dim=2, depth=1, width=4, seed=1.5), "seed"),
+    (dict(kind="euclidean", dim=2, depth=1, width=4, bandwidth="0.5"), "bandwidth"),
+], ids=["unknown-kind", "no-kind", "float-dim", "float-depth", "str-width", "float-seed",
+        "str-bandwidth"])
+def test_family_fields_of_the_wrong_type_are_invalid_parameters(kwargs, message):
+    with pytest.raises(InvalidParameterError, match=message) as err:
+        rk.LshFamily(**kwargs)
+    assert err.value.exit_code == 2
+
+
+def test_new_family_is_the_family_class():
+    assert rk.new_family is rk.LshFamily
+    fam = rk.new_family("folded-srp", 3, 4, 16, None, np.uint64(7))
+    assert fam == rk.LshFamily(rk.HashKind.FOLDED_SRP, dim=3, depth=4, width=16, seed=7)
+    assert type(fam.seed) is int  # numpy integers are stored as Python ints
+
+
 def test_srp_bandwidth_is_dropped():
     fam = rk.new_family("srp", dim=2, depth=2, width=8, bandwidth=3.0, seed=0)
     assert fam.bandwidth is None
@@ -111,31 +134,31 @@ def test_dimension_mismatch():
     with pytest.raises(DimensionMismatchError):
         rk.hash_batch(fam, 10, np.zeros((4, 2)))
     with pytest.raises(DimensionMismatchError):
-        rk.collision_probability(fam, np.zeros(3), np.zeros(2))
+        rk.kernel_values(fam, np.zeros((1, 3)), np.zeros(2))
 
 
 def test_collision_probability_srp_closed_forms():
     fam = rk.new_family("srp", dim=2, depth=1, width=2, seed=0)
-    assert rk.collision_probability(fam, [1.0, 0.0], [0.0, 1.0]) == pytest.approx(0.5)
+    assert rk.kernel_values(fam, [[1.0, 0.0]], [0.0, 1.0])[0] == pytest.approx(0.5)
     fam4 = rk.new_family("srp", dim=2, depth=4, width=16, seed=0)
-    assert rk.collision_probability(fam4, [0.4, -0.2], [0.4, -0.2]) == pytest.approx(1.0)
+    assert rk.kernel_values(fam4, [[0.4, -0.2]], [0.4, -0.2])[0] == pytest.approx(1.0)
     # opposite direction never collides
-    assert rk.collision_probability(fam4, [1.0, 0.0], [-1.0, 0.0]) == pytest.approx(0.0)
+    assert rk.kernel_values(fam4, [[1.0, 0.0]], [-1.0, 0.0])[0] == pytest.approx(0.0)
 
 
 def test_collision_probability_rejects_zero_vectors():
     fam = rk.new_family("srp", dim=2, depth=1, width=2, seed=0)
     with pytest.raises(ZeroVectorError):
-        rk.collision_probability(fam, [0.0, 0.0], [1.0, 0.0])
+        rk.kernel_values(fam, [[0.0, 0.0]], [1.0, 0.0])
     with pytest.raises(ZeroVectorError):
-        rk.collision_probability(fam, [1.0, 0.0], [0.0, 0.0])
+        rk.kernel_values(fam, [[1.0, 0.0]], [0.0, 0.0])
 
 
 def test_pstable_collision_matches_monte_carlo():
     fam = rk.new_family("euclidean", dim=3, depth=1, width=100, bandwidth=0.5, seed=1)
     x = np.zeros(3)
     y = np.array([0.5, 0.0, 0.0])
-    analytic = rk.collision_probability(fam, x, y)
+    analytic = rk.kernel_values(fam, [x], y)[0]
     assert analytic == pytest.approx(PSTABLE_HALF, abs=1e-12)
     mc = oracle.monte_carlo_collision(fam, x, y, trials=100_000, seed=21)
     assert abs(analytic - mc.value) <= 0.01
@@ -145,9 +168,9 @@ def test_srp_collision_scale_invariant():
     fam = rk.new_family("srp", dim=3, depth=3, width=8, seed=0)
     x = np.array([0.7, -0.1, 0.4])
     y = np.array([-0.3, 0.9, 0.2])
-    base = rk.collision_probability(fam, x, y)
-    assert rk.collision_probability(fam, 5.0 * x, y) == pytest.approx(base)
-    assert rk.collision_probability(fam, x, 0.01 * y) == pytest.approx(base)
+    base = rk.kernel_values(fam, [x], y)[0]
+    assert rk.kernel_values(fam, [5.0 * x], y)[0] == pytest.approx(base)
+    assert rk.kernel_values(fam, [x], 0.01 * y)[0] == pytest.approx(base)
 
 
 @pytest.mark.parametrize("kind,kwargs", [
@@ -160,19 +183,20 @@ def test_self_collision_is_one(kind, kwargs):
     rng = np.random.default_rng(7)
     for _ in range(5):
         x = rng.standard_normal(4)
-        assert rk.collision_probability(fam, x, x) == pytest.approx(1.0)
+        assert rk.kernel_values(fam, [x], x)[0] == pytest.approx(1.0)
 
 
 def test_kernel_monotone_in_angle_and_distance():
     srp = rk.new_family("srp", dim=2, depth=3, width=8, seed=0)
     angles = np.linspace(0.0, math.pi, 25)
-    vals = [rk.collision_probability(srp, [1.0, 0.0],
-                                     [math.cos(a), math.sin(a)]) for a in angles]
+    vals = rk.kernel_values(srp, np.column_stack([np.cos(angles), np.sin(angles)]),
+                            [1.0, 0.0])
     assert all(a >= b - 1e-12 for a, b in zip(vals, vals[1:]))
 
     euc = rk.new_family("euclidean", dim=3, depth=2, width=64, bandwidth=0.5, seed=0)
     dists = np.linspace(0.0, 3.0, 25)
-    vals = [rk.collision_probability(euc, np.zeros(3), [d, 0.0, 0.0]) for d in dists]
+    points = np.column_stack([dists, np.zeros(25), np.zeros(25)])
+    vals = rk.kernel_values(euc, points, np.zeros(3))
     assert all(a >= b - 1e-12 for a, b in zip(vals, vals[1:]))
 
 
@@ -187,7 +211,7 @@ def test_empirical_collision_matches_kernel_plus_allowance(kind, depth, width, k
     fam = rk.new_family(kind, dim=3, depth=depth, width=width, seed=13, **kwargs)
     x = np.array([0.1, 0.25, -0.2])
     y = x + np.array([0.18, -0.1, 0.12])
-    k = rk.collision_probability(fam, x, y)
+    k = rk.kernel_values(fam, [x], y)[0]
     rows = 10_000
     bx = rk.hash_batch(fam, rows, x[None, :])[:, 0]
     by = rk.hash_batch(fam, rows, y[None, :])[:, 0]

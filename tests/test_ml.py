@@ -22,8 +22,7 @@ def _two_point_mass_classifier(epsilon=1e9, seed=0):
 def test_train_and_classify_point_masses():
     clf, xa, xb = _two_point_mass_classifier()
     assert clf.predict([xa, xb]) == ["a", "b"]
-    assert clf.epsilon == 1e9
-    assert all(sk.privatized for sk in clf.sketches)
+    assert all(sk.privatized and sk.epsilon == 1e9 for sk in clf.sketches)
 
 
 def test_scores_match_per_class_queries():
@@ -62,8 +61,7 @@ def test_tie_breaks_to_lowest_class_index():
     pts = np.tile([0.5, 0.5], (20, 1))
     sk1 = rk.build(pts, fam, 30)
     sk2 = rk.build(pts.copy(), fam, 30)
-    clf = rk.Classifier(classes=["first", "second"], sketches=[sk1, sk2],
-                        epsilon=float("inf"))
+    clf = rk.Classifier(classes=["first", "second"], sketches=[sk1, sk2])
     assert clf.predict([[0.5, 0.5]]) == ["first"]
 
 
@@ -72,8 +70,7 @@ def test_map_prefers_majority_class_when_likelihoods_tie():
     x0 = np.array([0.7, -0.1])
     minority = rk.build(np.tile(x0, (50, 1)), fam, 30)
     majority = rk.build(np.tile(x0, (450, 1)), fam, 30)
-    clf = rk.Classifier(classes=["minority", "majority"],
-                        sketches=[minority, majority], epsilon=float("inf"))
+    clf = rk.Classifier(classes=["minority", "majority"], sketches=[minority, majority])
     # per-class densities are both exactly 1, so max-likelihood ties to the
     # first class while MAP weighs in the 9:1 class sizes
     assert clf.predict([x0], rule="ml") == ["minority"]
@@ -95,7 +92,7 @@ def test_ml_ranks_densities_past_the_kde_cap():
     x0 = np.array([0.7, -0.1])
     low = _low_n_hat_release(rk.build(np.tile(x0, (40, 1)), fam, 30), 2)   # 38 / 8
     high = _low_n_hat_release(rk.build(np.tile(x0, (50, 1)), fam, 30), 3)  # 47 / 2
-    clf = rk.Classifier(classes=["low", "high"], sketches=[low, high], epsilon=1.0)
+    clf = rk.Classifier(classes=["low", "high"], sketches=[low, high])
     assert clf.scores(x0[None, :], "ml")[1].ravel().tolist() == [1.0, 1.0]
     assert clf.predict([x0], rule="ml") == ["high"]
 
@@ -118,7 +115,7 @@ def test_classifier_requires_compatible_sketches():
     a = rk.build(pts, rk.new_family("srp", 2, 3, 16, seed=1), 10)
     b = rk.build(pts, rk.new_family("srp", 2, 3, 16, seed=2), 10)
     with pytest.raises(InvalidParameterError):
-        rk.Classifier(classes=["a", "b"], sketches=[a, b], epsilon=1.0)
+        rk.Classifier(classes=["a", "b"], sketches=[a, b])
 
 
 def test_anomaly_scores_against_exact_density():
@@ -131,14 +128,10 @@ def test_anomaly_scores_against_exact_density():
     exact_far = oracle.exact_kde(data, far, fam).value
     assert exact_far == pytest.approx(0.5**8)
     expected = exact_far + (1 - exact_far) / fam.width  # rebucket allowance
-    score = rk.anomaly_score(sk, far)
+    score = rk.query_median_of_means(sk, far).kde
     sigma = np.sqrt(expected * (1 - expected) / sk.rows)
     assert abs(score - expected) <= 5 * sigma + 1e-9
-    assert rk.is_anomaly(sk, far, threshold=0.1)
-    assert not rk.is_anomaly(sk, near, threshold=0.1)
-    assert not rk.is_anomaly(sk, far, threshold=0.0)  # scores clamp at zero
-    with pytest.raises(InvalidParameterError):
-        rk.is_anomaly(sk, far, threshold=-0.5)
+    assert rk.query_median_of_means(sk, near).kde == 1.0
 
 
 def _regression_fixture(n=64):
@@ -386,6 +379,15 @@ def test_classifier_round_trip(tmp_path):
     again = rk.load_classifier(tmp_path / "model")
     assert again.classes == clf.classes
     assert again.sketches[0] == clf.sketches[0]
+    assert again.predict([xa]) == ["a"]
+    # the sketches' headers are the one record of epsilon; a manifest that
+    # still carries one, as older versions wrote, loads all the same
+    path = tmp_path / "model" / "classifier.json"
+    manifest = json.loads(path.read_text())
+    assert sorted(manifest) == ["classes", "files"]
+    path.write_text(json.dumps({**manifest, "epsilon": 1e9}))
+    again = rk.load_classifier(tmp_path / "model")
+    assert [sk.epsilon for sk in again.sketches] == [1e9, 1e9]
     assert again.predict([xa]) == ["a"]
 
 
