@@ -62,13 +62,15 @@ def _search_config(args) -> OptimizerConfig:
                            restarts=args.restarts)
 
 
-def _emit_manifest(args, command: str, extra: dict | None = None) -> None:
+def _emit_manifest(args, command: str, extra: dict | None = None,
+                   path: str | None = None) -> None:
+    """Write the run's manifest to ``path``, by default ``--manifest`` or beside ``--output``."""
     record = {"command": command, "racekit_version": __version__}
     skip = {"func"}
     record.update({k: v for k, v in sorted(vars(args).items()) if k not in skip})
     if extra:
         record.update(extra)
-    path = getattr(args, "manifest", None)
+    path = path or getattr(args, "manifest", None)
     if path is None:
         out = getattr(args, "output", None)
         if out and out != "-":
@@ -79,6 +81,22 @@ def _emit_manifest(args, command: str, extra: dict | None = None) -> None:
             fh.write(text + "\n")
     else:
         print(text, file=sys.stderr)
+
+
+@contextlib.contextmanager
+def _staged(path):
+    """A new file beside ``path``, renamed onto it when the block succeeds, else removed.
+
+    Creating it proves the directory writable before the block runs.
+    """
+    staged = f"{path}.{secrets.token_hex(8)}.tmp"
+    os.close(os.open(staged, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666))
+    try:
+        yield staged
+        os.replace(staged, path)
+    except BaseException:
+        os.unlink(staged)
+        raise
 
 
 @contextlib.contextmanager
@@ -185,18 +203,14 @@ def cmd_privatize(args) -> int:
     sk = rsketch.load(args.sketch)
     budget = (_BudgetFile(args.epsilon, path=args.budget) if args.budget
               else privacy.PrivacyBudget(args.epsilon))
-    # stage the release beside --output: a directory that cannot take it
-    # fails here, before the budget is spent
-    staged = f"{args.output}.{secrets.token_hex(8)}.tmp"
-    os.close(os.open(staged, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666))
-    try:
-        rsketch.save(privacy.privatize(sk, budget, rng_seed=args.seed), staged)
-        os.replace(staged, args.output)
-    except BaseException:
-        os.unlink(staged)
-        raise
-    _emit_manifest(args, "privatize",
-                   {"deterministic_seed": args.seed is not None})
+    # stage the release and its manifest (beside it by default, as the release
+    # is always a file): a directory that cannot take either fails here,
+    # before the budget is spent
+    manifest_path = args.manifest or f"{args.output}.manifest.json"
+    with _staged(args.output) as release, _staged(manifest_path) as manifest:
+        rsketch.save(privacy.privatize(sk, budget, rng_seed=args.seed), release)
+        _emit_manifest(args, "privatize",
+                       {"deterministic_seed": args.seed is not None}, manifest)
     return 0
 
 

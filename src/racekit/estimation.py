@@ -22,6 +22,10 @@ clipped to [0, 1], the true one's range (post-processing, no privacy cost).
 
 Every consumer (the classifier, the regression surrogate, mode finding and
 the CLI) reads counters through :func:`estimate` and its :class:`Estimate`.
+A batch is read one block of queries at a time, ``_INDEX_BUDGET // rows``
+queries (524 at R=1000), so its memory is its (n,) answers plus a few 4 MiB
+blocks, for any n; reads are integers, whose float64 sums are exact in any
+order, so the block size never changes an answer.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import lsh
+from . import lsh, sketch as rsketch
 from .errors import InsufficientRowsError, InvalidParameterError
 from .lsh import LshFamily
 from .sketch import RaceSketch, _row_base, _row_blocks
@@ -40,15 +44,15 @@ _N_FLOOR = 1.0
 
 
 class Estimate(NamedTuple):
-    """Raw kernel-sum estimates, densities ``f_hat / max(n_hat, 1)`` clipped to [0, 1], reads.
+    """Raw kernel-sum estimates and densities ``f_hat / max(n_hat, 1)`` clipped to [0, 1].
 
-    Shapes (n,), (n,) and (rows, n) from :func:`estimate`; two floats and
-    (rows,) from :func:`query_median_of_means`.
+    Two (n,) arrays from :func:`estimate`, two floats from
+    :func:`query_median_of_means` and :func:`query_many`. The counter reads
+    behind them are not kept: ``_gather`` returns a batch's (rows, n) reads.
     """
 
     f_hat: np.ndarray | float
     kde: np.ndarray | float
-    reads: np.ndarray
 
 
 def mom_group_count(delta: float) -> int:
@@ -58,20 +62,22 @@ def mom_group_count(delta: float) -> int:
     return math.ceil(8.0 * math.log(1.0 / delta))
 
 
-def _gather(sketch: RaceSketch, points) -> np.ndarray:
-    """Counter reads for each query: shape (rows, n_queries).
+def _gather(sketch: RaceSketch, points, out: np.ndarray | None = None) -> np.ndarray:
+    """Counter reads for each query: shape (rows, n_queries), into ``out`` when given.
 
     Reads ``counts.ravel()`` at ``bucket + r * width``: one query with one
     ``take`` of its R flat indices, a batch with a flat ``take`` per block of
     ``sketch._row_blocks``, so no flat index is formed for the whole batch.
     Buckets lie in ``[0, width)`` by construction, so ``clip`` never clips,
-    and it spares ``take`` the buffered copy of its raise mode.
+    and it spares ``take`` the buffered copy of its raise mode. ``out`` must
+    be a C-contiguous int64 array of that shape.
     """
     buckets = lsh.hash_batch(sketch.family, sketch.rows, points)
     rows, n = buckets.shape
-    if n == 1:
+    if n == 1 and out is None:
         return sketch.counts.ravel().take(buckets[:, 0] + _row_base(rows, sketch.width))[:, None]
-    out = np.empty((rows, n), sketch.counts.dtype)
+    if out is None:
+        out = np.empty((rows, n), sketch.counts.dtype)
     for block, flat, index in _row_blocks(sketch.counts, buckets):
         np.take(flat, index, out=out[block], mode="clip")
     return out
@@ -115,16 +121,34 @@ def estimate(sketch: RaceSketch, points, estimator: str = "median_of_means",
     """Kernel-sum estimates for a batch of queries, arrays in and arrays out.
 
     ``estimator`` is "mean" or "median_of_means" (which uses ``delta``).
+    Queries are hashed, gathered and aggregated in blocks of
+    ``max(1, _INDEX_BUDGET // rows)``, so no (rows, n) array is formed. A
+    batch of one block, an empty one included, is read into a fresh array;
+    a longer one reads every block into one buffer: glibc's malloc may hand
+    freed block-sized arrays back to the OS, and fresh ones per block cost
+    38k page faults per 10k-query batch at R=1000 (in ``racekit query``
+    between single-point queries), against 2k with the buffer.
     """
-    values = _gather(sketch, points)
-    if estimator == "mean":
-        f_hat = values.mean(axis=0)
-    elif estimator == "median_of_means":
-        f_hat = _mom_aggregate(values, delta)
-    else:
+    if estimator not in ("mean", "median_of_means"):
         raise InvalidParameterError(f"unknown estimator {estimator!r}")
+    pts = lsh._as_matrix(points, sketch.family.dim)
+    n, rows = pts.shape[0], sketch.rows
+    step = max(1, rsketch._INDEX_BUDGET // rows)
+
+    def aggregate(values):
+        return values.mean(axis=0) if estimator == "mean" else _mom_aggregate(values, delta)
+
+    if n <= step:
+        f_hat = aggregate(_gather(sketch, pts))
+    else:
+        f_hat = np.empty(n)
+        reads = np.empty(rows * step, sketch.counts.dtype)
+        for q0 in range(0, n, step):
+            block = pts[q0:q0 + step]
+            out = reads[:rows * len(block)].reshape(rows, len(block))
+            f_hat[q0:q0 + step] = aggregate(_gather(sketch, block, out))
     # clipped without np.clip, whose Python wrapper costs ~2.5 us a call
-    return Estimate(f_hat, np.minimum(density(sketch, f_hat), 1.0), values)
+    return Estimate(f_hat, np.minimum(density(sketch, f_hat), 1.0))
 
 
 def query_median_of_means(sketch: RaceSketch, q, delta: float = 0.1) -> Estimate:
@@ -135,20 +159,19 @@ def query_median_of_means(sketch: RaceSketch, q, delta: float = 0.1) -> Estimate
     group count is the average of the two central means.
     """
     qv = lsh._as_vector(q, sketch.family.dim)
-    f_hat, kde, values = estimate(sketch, qv[None, :], "median_of_means", delta)
-    return Estimate(float(f_hat[0]), float(kde[0]), values[:, 0])
+    f_hat, kde = estimate(sketch, qv[None, :], "median_of_means", delta)
+    return Estimate(float(f_hat[0]), float(kde[0]))
 
 
 def query_many(sketch: RaceSketch, points, estimator: str = "median_of_means",
                delta: float = 0.1) -> list[Estimate]:
-    """One batch read split into per-query ``Estimate``s.
+    """One :func:`estimate` of a batch, split into per-query ``Estimate``s of two floats.
 
     Kept for ``perfbench``'s serve workload, which reads and times it by name;
     library code reads :func:`estimate`.
     """
-    f_hat, kde, values = estimate(sketch, points, estimator, delta)
-    return [Estimate(f, k, values[:, i])
-            for i, (f, k) in enumerate(zip(f_hat.tolist(), kde.tolist()))]
+    f_hat, kde = estimate(sketch, points, estimator, delta)
+    return [Estimate(f, k) for f, k in zip(f_hat.tolist(), kde.tolist())]
 
 
 def error_bound(f_tilde_value: float, rows: int, epsilon: float, delta: float) -> float:

@@ -24,7 +24,12 @@ count would be published without noise.
 Noise generation is counter-based (Philox keyed by the release seed). The
 (rows, reachable width) matrix added is a reproducible function of the seed
 and that shape, and its entries are independent; the value at one counter
-depends on the drawn shape as well as its position. Passing an explicit
+depends on the drawn shape as well as its position. The matrix is drawn in
+blocks of rows, about 4 MiB of draws each, from the one stream: the first
+``rows * cols`` exponentials give the first geometric term of every entry and
+the next ``rows * cols`` the second, in the order a one-shot draw of shape
+(2, rows, cols) would read them, so the block size changes no value and the
+draws never need more than the int64 output and one block. Passing an explicit
 ``rng_seed`` makes the release deterministic, which is for tests only and is
 NOT private; production releases must leave the seed unset so it is drawn from
 the OS entropy pool. ``seed`` in :mod:`racekit.ml` follows this rule.
@@ -43,6 +48,9 @@ from .sketch import RaceSketch
 # floor(scale * E) reaches 2**53, where doubles stop being exact integers, only
 # when E > 2**13, which has probability exp(-8192).
 MAX_NOISE_SCALE = 2.0**40
+
+# Exponential draws per block of noise rows, about 4 MiB of float64.
+_DRAW_BUDGET = 1 << 19
 
 
 @dataclass
@@ -75,10 +83,22 @@ def laplace_noise_matrix(rows: int, cols: int, scale: float, seed: int) -> np.nd
         raise InvalidParameterError("noise matrix must have positive shape")
     _check_noise(scale, seed)
     rng = np.random.Generator(np.random.Philox(key=seed))
-    draws = rng.standard_exponential((2, rows, cols))
-    draws *= scale
-    np.floor(draws, out=draws)
-    return np.subtract(draws[0], draws[1], out=draws[0]).astype(np.int64)
+    noise = np.empty((rows, cols), np.int64)
+    step = max(1, _DRAW_BUDGET // cols)
+    block = np.empty((min(step, rows), cols))
+
+    def terms():
+        """``(noise rows, floor(scale * E))`` per block, in stream order."""
+        for r0 in range(0, rows, step):
+            draws = rng.standard_exponential(out=block[:min(step, rows - r0)])
+            draws *= scale
+            yield noise[r0:r0 + step], np.floor(draws, out=draws)
+
+    for dest, term in terms():
+        np.copyto(dest, term, casting="unsafe")
+    for dest, term in terms():  # exact: both terms are integers below 2**53
+        np.subtract(dest, term, out=dest, casting="unsafe")
+    return noise
 
 
 def privatize(sketch: RaceSketch, budget: PrivacyBudget, rng_seed: int | None = None) -> RaceSketch:

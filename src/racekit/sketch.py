@@ -374,8 +374,8 @@ def merge(a: RaceSketch, b: RaceSketch) -> RaceSketch:
                       inserted=a.inserted + b.inserted)
 
 
-def serialize(sketch: RaceSketch) -> bytes:
-    """Encode to the canonical little-endian byte layout (see module docstring)."""
+def _header(sketch: RaceSketch) -> bytes:
+    """The 48 bytes before the counters (see module docstring)."""
     fam = sketch.family
     bandwidth = fam.bandwidth if fam.bandwidth is not None else float("nan")
     header = _HEADER.pack(_MAGIC, _VERSION, _KIND_CODES[fam.kind],
@@ -383,10 +383,18 @@ def serialize(sketch: RaceSketch) -> bytes:
                           fam.dim, fam.depth, sketch.rows, sketch.width,
                           fam.seed, bandwidth)
     if sketch.privatized:
-        tail = struct.pack("<d", sketch.epsilon)
-    else:
-        tail = struct.pack("<Q", sketch.inserted)
-    return header + tail + sketch.counts.astype("<i8").tobytes()
+        return header + struct.pack("<d", sketch.epsilon)
+    return header + struct.pack("<Q", sketch.inserted)
+
+
+def _counters(sketch: RaceSketch) -> np.ndarray:
+    """The counters as little-endian i8: the table itself, byteswapped only on big-endian hosts."""
+    return sketch.counts.astype("<i8", copy=False)
+
+
+def serialize(sketch: RaceSketch) -> bytes:
+    """Encode to the canonical little-endian byte layout (see module docstring)."""
+    return b"".join((_header(sketch), _counters(sketch)))
 
 
 def deserialize(buf: bytes) -> RaceSketch:
@@ -434,8 +442,10 @@ def deserialize(buf: bytes) -> RaceSketch:
 
 
 def save(sketch: RaceSketch, path) -> None:
+    """Write ``serialize(sketch)``'s bytes: the header, then the table's own buffer."""
     with open(path, "wb") as fh:
-        fh.write(serialize(sketch))
+        fh.write(_header(sketch))
+        fh.write(_counters(sketch))
 
 
 def load(path) -> RaceSketch:

@@ -169,6 +169,29 @@ def test_privatize_to_a_missing_directory_spends_no_budget(workdir, capsys):
     assert sorted(p.name for p in workdir.glob("p.race*")) == ["p.race", "p.race.manifest.json"]
 
 
+def test_privatize_to_a_missing_manifest_directory_spends_no_budget(workdir, capsys):
+    # the manifest used to be written after the release, so this exited 3 with
+    # the budget spent, and the retry exited 4
+    _run(capsys, ["build", "--input", workdir / "data.csv", "--rows", 40,
+                  "--range", 32, "--output", workdir / "s.race"])
+    budget = workdir / "b.json"
+    unspent = json.dumps({"epsilon": 1.0, "consumed": False})
+    budget.write_text(unspent)
+    args = ["privatize", "--sketch", workdir / "s.race", "--epsilon", 1.0,
+            "--seed", 5, "--budget", budget, "--output", workdir / "p.race"]
+    code, _, err = _run(capsys, args + ["--manifest", workdir / "missing" / "m.json"])
+    assert code == 3 and "missing" in err
+    assert budget.read_text() == unspent
+    assert not (workdir / "b.json.claim").exists()
+    assert not list(workdir.glob("p.race*"))  # no release, staged or renamed
+    code, _, _ = _run(capsys, args + ["--manifest", workdir / "m.json"])  # the retry
+    assert code == 0
+    assert rk.load(workdir / "p.race").privatized
+    assert json.loads(budget.read_text()) == {"epsilon": 1.0, "consumed": True}
+    assert json.loads((workdir / "m.json").read_text())["command"] == "privatize"
+    assert sorted(p.name for p in workdir.glob("*.tmp")) == []
+
+
 @pytest.mark.parametrize("unconsumed_file", [False, True], ids=["new-file", "unconsumed-file"])
 def test_concurrent_privatize_runs_release_once(workdir, capsys, unconsumed_file):
     _run(capsys, ["build", "--input", workdir / "data.csv", "--rows", 40,

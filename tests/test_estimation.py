@@ -27,7 +27,8 @@ def test_mean_estimate_point_mass():
     assert est.f_hat.tolist() == [50.0]
     assert sk.n_hat == 50.0
     assert est.kde.tolist() == [1.0]
-    assert est.reads.shape == (16, 1) and (est.reads == 50).all()
+    reads = estimation._gather(sk, x[None, :])
+    assert reads.shape == (16, 1) and (reads == 50).all()
 
 
 def test_mean_estimate_empty_sketch():
@@ -88,7 +89,7 @@ def test_mom_equal_rows_give_exact_value():
     sk, x = _point_mass_sketch(n=7, rows=24)
     est = rk.query_median_of_means(sk, x, delta=0.1)
     assert est.f_hat == 7.0 and est.kde == 1.0
-    assert est.reads.shape == (24,)
+    assert estimation._gather(sk, x[None, :]).shape == (24, 1)
 
 
 def test_mom_insufficient_rows():
@@ -156,6 +157,9 @@ def test_single_queries_equal_their_batch_entries(kwargs):
     sk = rk.privatize(rk.build(rng.standard_normal((400, 3)), fam, 48),
                       rk.PrivacyBudget(1.0), rng_seed=3)  # released: negative reads too
     queries = rng.standard_normal((25, 3))
+    reads = estimation._gather(sk, queries)
+    for i, q in enumerate(queries):
+        assert np.array_equal(estimation._gather(sk, q[None, :])[:, 0], reads[:, i])
     for delta in (0.1, 0.05):  # k = 19 (odd) and 24 (even) groups
         batch = estimation.estimate(sk, queries, "median_of_means", delta)
         singles = [rk.query_median_of_means(sk, q, delta) for q in queries]
@@ -163,14 +167,36 @@ def test_single_queries_equal_their_batch_entries(kwargs):
             assert len(many) == len(queries)
             for i, est in enumerate(many):
                 assert est.f_hat == batch.f_hat[i] and est.kde == batch.kde[i]
-                assert np.array_equal(est.reads, batch.reads[:, i])
     batch = estimation.estimate(sk, queries, "mean")
     singles = [estimation.estimate(sk, q, "mean") for q in queries]
     for i, (est, one) in enumerate(zip(estimation.query_many(sk, queries, "mean"), singles)):
         assert est.f_hat == one.f_hat[0] == batch.f_hat[i]
         assert est.kde == one.kde[0] == batch.kde[i]
-        assert np.array_equal(est.reads, batch.reads[:, i])
-        assert np.array_equal(one.reads[:, 0], batch.reads[:, i])
+
+
+@pytest.mark.parametrize("per_block", [1, 7])
+@pytest.mark.parametrize("n", [0, 1, 7, 50])
+@pytest.mark.parametrize("kwargs", _GATHER_FAMILIES, ids=lambda kw: f"{kw['kind']}-{kw['depth']}")
+def test_estimate_in_blocks_equals_one_block(monkeypatch, kwargs, n, per_block):
+    fam = rk.new_family(dim=3, seed=7, **kwargs)
+    rng = np.random.default_rng(n + 1)
+    sk = rk.privatize(rk.build(rng.standard_normal((300, 3)), fam, 40),
+                      rk.PrivacyBudget(1.0), rng_seed=4)  # released: negative reads too
+    queries = rng.standard_normal((n, 3))
+    reads = estimation._gather(sk, queries)  # the whole batch's (rows, n) reads
+    wanted = {"mean": reads.mean(axis=0),
+              "median_of_means": estimation._mom_aggregate(reads, 0.1)}
+    one_block = {name: estimation.estimate(sk, queries, name) for name in wanted}
+    monkeypatch.setattr(rk.sketch, "_INDEX_BUDGET", per_block * sk.rows)
+    gather, blocks = estimation._gather, []
+    monkeypatch.setattr(estimation, "_gather",
+                        lambda sk, pts, out=None: blocks.append(len(pts)) or gather(sk, pts, out))
+    for name, f_hat in wanted.items():
+        kde = np.minimum(estimation.density(sk, f_hat), 1.0)
+        for est in (one_block[name], estimation.estimate(sk, queries, name)):
+            assert est.f_hat.tobytes() == f_hat.tobytes() and est.kde.tobytes() == kde.tobytes()
+    sizes = [min(per_block, n - q0) for q0 in range(0, max(n, 1), per_block)]
+    assert blocks == 2 * sizes  # once per estimator; n = 0 runs one empty block
 
 
 def test_gather_memory_is_its_output_plus_one_block(monkeypatch):
@@ -191,11 +217,28 @@ def test_gather_memory_is_its_output_plus_one_block(monkeypatch):
     assert peak <= reads.nbytes + block + 2**20
 
 
+def test_estimate_memory_does_not_grow_with_the_batch():
+    # all at once, 20k queries at R=1000 held 160 MB of reads and 20 MB of buckets
+    fam = rk.new_family("srp", dim=10, depth=4, width=500, seed=3)
+    sk = rk.build(np.random.default_rng(0).standard_normal((100, 10)), fam, 1000)
+    queries = np.random.default_rng(1).standard_normal((20_000, 10))
+    tracemalloc.start()
+    try:
+        est = estimation.estimate(sk, queries)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    block = rk.sketch._INDEX_BUDGET * np.dtype(np.int64).itemsize
+    assert est.f_hat.shape == (20_000,)
+    assert peak <= est.f_hat.nbytes + est.kde.nbytes + 3 * block
+
+
 def test_estimate_of_no_queries_is_empty():
     sk, _ = _point_mass_sketch(rows=40)
     for estimator in ("mean", "median_of_means"):
         est = estimation.estimate(sk, np.zeros((0, 0)), estimator)
-        assert est.f_hat.shape == est.kde.shape == (0,) and est.reads.shape == (40, 0)
+        assert est.f_hat.shape == est.kde.shape == (0,)
+        assert estimation._gather(sk, np.zeros((0, 0))).shape == (40, 0)
         assert estimation.query_many(sk, np.zeros((0, 0)), estimator) == []
 
 

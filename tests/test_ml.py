@@ -248,7 +248,8 @@ def test_surrogate_query_scale_invariance():
                               seed=2, config=OptimizerConfig(max_iters=40, restarts=0))
     q = np.array([0.37, -1.0])
     est = estimation.estimate(model.sketch, [q, 3.7 * q], "mean")
-    assert (est.reads[:, 0] == est.reads[:, 1]).all()
+    reads = estimation._gather(model.sketch, [q, 3.7 * q])
+    assert (reads[:, 0] == reads[:, 1]).all()
     assert est.f_hat[0] == est.f_hat[1]
 
 
@@ -288,8 +289,8 @@ def test_folded_reads_equal_pair_sketch_reads_at_direct_depths(depth, width):
     z = _FOLD_RECORDS
     pair = rk.build(np.vstack([z, -z]), rk.new_family("srp", **params), 500)
     folded = rk.build(z, rk.new_family("folded-srp", **params), 500)
-    assert np.array_equal(estimation.estimate(folded, _FOLD_QUERIES, "mean").reads,
-                          estimation.estimate(pair, _FOLD_QUERIES, "mean").reads)
+    assert np.array_equal(estimation._gather(folded, _FOLD_QUERIES),
+                          estimation._gather(pair, _FOLD_QUERIES))
     half = 1 << (depth - 1)
     assert np.array_equal(folded.counts[:, :half], pair.counts[:, :half])
     assert not folded.counts[:, half:].any()
@@ -303,7 +304,7 @@ def test_folded_reads_track_the_pair_surrogate_at_rebucketed_depths(depth, width
     rows = 2000
     sk = rk.build(_FOLD_RECORDS, fam, rows)
     est = estimation.estimate(sk, _FOLD_QUERIES, "mean")
-    tolerance = 4 * est.reads.std(axis=0, ddof=1) / np.sqrt(rows)
+    tolerance = 4 * estimation._gather(sk, _FOLD_QUERIES).std(axis=0, ddof=1) / np.sqrt(rows)
     allowance = rk.rebucket_allowance(fam, len(_FOLD_RECORDS))
     for q, read, tol in zip(_FOLD_QUERIES, est.f_hat, tolerance):
         # the surrogate's query [theta, -1] is any direction with a last coordinate < 0

@@ -1,10 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import racekit as rk
-from racekit import estimation
+from racekit import estimation, privacy
 from racekit.errors import DoubleReleaseError, FrozenSketchError, InvalidParameterError
 from racekit.privacy import MAX_NOISE_SCALE, laplace_noise_matrix
 
@@ -57,6 +58,40 @@ def test_noise_at_the_scale_bound_is_exact_and_nonzero():
     assert (noise != 0).mean() > 0.99
     assert np.abs(noise).max() < 2**53
     assert abs(np.abs(noise).mean() / MAX_NOISE_SCALE - 1) <= 0.1
+
+
+def _one_shot_noise(rows, cols, scale, seed):
+    """The whole (2, rows, cols) stream drawn at once, as blocks must reproduce it."""
+    draws = np.random.Generator(np.random.Philox(key=seed)).standard_exponential(
+        (2, rows, cols))
+    draws = np.floor(draws * scale)
+    return (draws[0] - draws[1]).astype(np.int64)
+
+
+@pytest.mark.parametrize("budget,rows,cols", [
+    (None, 100_000, 8),  # two blocks at the default budget: 65 536 rows, then the rest
+    (7, 1, 1), (7, 13, 3), (7, 5, 40),  # 7 rows of 1, 2 rows of 3, 1 row of 40 (past it)
+    (40, 13, 3), (40, 5, 40),
+])
+def test_noise_blocks_reproduce_the_one_shot_stream(monkeypatch, budget, rows, cols):
+    if budget is not None:
+        monkeypatch.setattr(privacy, "_DRAW_BUDGET", budget)
+    for seed, scale in ((0, 0.5), (2**100 + 7, 1000.0), (5, MAX_NOISE_SCALE)):
+        want = _one_shot_noise(rows, cols, scale, seed)
+        got = laplace_noise_matrix(rows, cols, scale, seed)
+        assert got.dtype == np.int64 and np.array_equal(got, want)
+
+
+def test_noise_memory_is_its_output_plus_one_block():
+    # drawn at once, the (2, R, C) float64 stream and its int64 copy were 3x the output
+    tracemalloc.start()
+    try:
+        noise = laplace_noise_matrix(100_000, 8, 1000.0, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    block = privacy._DRAW_BUDGET * np.dtype(np.float64).itemsize
+    assert peak <= noise.nbytes + block + 2**18  # and the ufunc casting buffers
 
 
 def _clean_sketch(rows=10, width=40, n=100, seed=0):

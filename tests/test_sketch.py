@@ -564,6 +564,29 @@ def test_save_load_files(tmp_path):
     path = tmp_path / "s.race"
     rk.save(sk, path)
     assert rk.load(path) == sk
+    released = rk.privatize(sk, rk.PrivacyBudget(1.0), rng_seed=1)
+    for one in (sk, released):
+        rk.save(one, path)
+        assert path.read_bytes() == rk.serialize(one)
+    wanted = rk.serialize(sk)
+    sk.counts = sk.counts.astype(">i8")  # a big-endian table is written little-endian
+    rk.save(sk, path)
+    assert path.read_bytes() == rk.serialize(sk) == wanted
+
+
+def test_save_writes_the_table_without_copying_it(tmp_path):
+    # the table went through astype, tobytes and a concatenation: three 400 KB copies
+    sk = rk.build(np.zeros((0, 2)), _family(), rows=1000)
+    sk.counts[:] = np.arange(sk.counts.size).reshape(sk.counts.shape)
+    tracemalloc.start()
+    try:
+        rk.save(sk, tmp_path / "s.race")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sk.counts.nbytes == 1000 * 50 * 8
+    assert peak < 2**16
+    assert (tmp_path / "s.race").read_bytes() == rk.serialize(sk)
 
 
 def test_counts_are_int64_and_sized_by_rows_width():
