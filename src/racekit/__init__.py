@@ -26,7 +26,7 @@ from .estimation import (
     optimal_rows,
     query_median_of_means,
 )
-from .io import Dataset, Transform, apply_transform, load_csv, scale, stream_csv, write_csv
+from .io import Dataset, Transform, apply_transform, load_csv, scale, stream_csv
 from .lsh import (
     HashKind,
     LshFamily,

@@ -62,10 +62,12 @@ def _search_config(args) -> OptimizerConfig:
                            restarts=args.restarts)
 
 
-def _emit_manifest(args, command: str, extra: dict | None = None,
-                   path: str | None = None) -> None:
-    """Write the run's manifest to ``path``, by default ``--manifest`` or beside ``--output``."""
-    record = {"command": command, "racekit_version": __version__}
+def _emit_manifest(args, extra: dict | None = None, path: str | None = None) -> None:
+    """Write the run's manifest to ``path``, by default ``--manifest`` or beside ``--output``.
+
+    ``args`` names the subcommand (its ``command``) with every option it took.
+    """
+    record = {"racekit_version": __version__}
     skip = {"func"}
     record.update({k: v for k, v in sorted(vars(args).items()) if k not in skip})
     if extra:
@@ -146,7 +148,7 @@ def cmd_build(args) -> int:
     sk = rsketch.build(ds, family, args.rows, threads=args.threads)
     rsketch.save(sk, args.output)
     tpath = _write_transform(ds, args.output)
-    _emit_manifest(args, "build", {"n_points": len(ds), "transform_file": tpath})
+    _emit_manifest(args, {"n_points": len(ds), "transform_file": tpath})
     return 0
 
 
@@ -209,8 +211,7 @@ def cmd_privatize(args) -> int:
     manifest_path = args.manifest or f"{args.output}.manifest.json"
     with _staged(args.output) as release, _staged(manifest_path) as manifest:
         rsketch.save(privacy.privatize(sk, budget, rng_seed=args.seed), release)
-        _emit_manifest(args, "privatize",
-                       {"deterministic_seed": args.seed is not None}, manifest)
+        _emit_manifest(args, {"deterministic_seed": args.seed is not None}, manifest)
     return 0
 
 
@@ -220,7 +221,7 @@ def cmd_merge(args) -> int:
     for part in sketches[1:]:
         merged = rsketch.merge(merged, part)
     rsketch.save(merged, args.output)
-    _emit_manifest(args, "merge", {"n_inputs": len(sketches)})
+    _emit_manifest(args, {"n_inputs": len(sketches)})
     return 0
 
 
@@ -234,7 +235,7 @@ def cmd_query(args) -> int:
         out.write("query_id,f_hat,n_hat,kde\n")
         out.writelines(f"{i},{f:.17g},{n_hat},{k:.17g}\n"
                        for i, (f, k) in enumerate(zip(est.f_hat.tolist(), est.kde.tolist())))
-    _emit_manifest(args, "query", {"n_queries": len(est.f_hat)})
+    _emit_manifest(args, {"n_queries": len(est.f_hat)})
     return 0
 
 
@@ -249,8 +250,7 @@ def cmd_classify_train(args) -> int:
     ml.save_classifier(clf, args.output)
     tpath = _write_transform(ds, os.path.join(args.output, "scaling"))
     args.manifest = args.manifest or os.path.join(args.output, "manifest.json")
-    _emit_manifest(args, "classify-train",
-                   {"classes": classes, "n_points": len(ds), "transform_file": tpath})
+    _emit_manifest(args, {"classes": classes, "n_points": len(ds), "transform_file": tpath})
     return 0
 
 
@@ -267,8 +267,7 @@ def cmd_classify_predict(args) -> int:
         for i in range(pts.shape[0]):
             vals = ",".join(f"{kdes[j, i]:.17g}" for j in range(len(clf.classes)))
             out.write(f"{i},{clf.classes[winners[i]]},{vals}\n")
-    _emit_manifest(args, "classify-predict",
-                   {"n_queries": int(pts.shape[0]), "transform_file": tpath})
+    _emit_manifest(args, {"n_queries": int(pts.shape[0]), "transform_file": tpath})
     return 0
 
 
@@ -281,7 +280,7 @@ def cmd_regress(args) -> int:
     for j, coef in enumerate(model.theta):
         print(f"theta_{j},{coef:.17g}")
     print(f"intercept,{model.intercept:.17g}")
-    _emit_manifest(args, "regress", {"final_loss": model.trace[-1]})
+    _emit_manifest(args, {"final_loss": model.trace[-1]})
     return 0
 
 
@@ -303,7 +302,7 @@ def cmd_mode(args) -> int:
     point = ml.find_mode(sk, init, _search_config(args), delta=args.delta)
     with _open_out(args.output) as out:
         out.write(",".join(f"{v:.17g}" for v in point) + "\n")
-    _emit_manifest(args, "mode", {})
+    _emit_manifest(args)
     return 0
 
 

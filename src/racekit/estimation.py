@@ -22,10 +22,11 @@ clipped to [0, 1], the true one's range (post-processing, no privacy cost).
 
 Every consumer (the classifier, the regression surrogate, mode finding and
 the CLI) reads counters through :func:`estimate` and its :class:`Estimate`.
-A batch is read one block of queries at a time, ``_INDEX_BUDGET // rows``
-queries (524 at R=1000), so its memory is its (n,) answers plus a few 4 MiB
-blocks, for any n; reads are integers, whose float64 sums are exact in any
-order, so the block size never changes an answer.
+A batch is read one block of ``max(1, _INDEX_BUDGET // rows)`` queries at a
+time (524 at R=1000), each block with one ``take`` of its flat counter
+indices, so its memory is its (n,) answers plus a few 4 MiB blocks, for any
+n; reads are integers, whose float64 sums are exact in any order, so the
+block size never changes an answer.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ import numpy as np
 from . import lsh, sketch as rsketch
 from .errors import InsufficientRowsError, InvalidParameterError
 from .lsh import LshFamily
-from .sketch import RaceSketch, _row_base, _row_blocks
+from .sketch import RaceSketch, _row_base
 
 _N_FLOOR = 1.0
 
@@ -65,22 +66,16 @@ def mom_group_count(delta: float) -> int:
 def _gather(sketch: RaceSketch, points, out: np.ndarray | None = None) -> np.ndarray:
     """Counter reads for each query: shape (rows, n_queries), into ``out`` when given.
 
-    Reads ``counts.ravel()`` at ``bucket + r * width``: one query with one
-    ``take`` of its R flat indices, a batch with a flat ``take`` per block of
-    ``sketch._row_blocks``, so no flat index is formed for the whole batch.
+    One ``take`` from ``counts.ravel()`` at the flat indices ``bucket + r *
+    width`` of every row and query, for any n: its (rows, n) index is
+    :func:`estimate`'s block, at most ``_INDEX_BUDGET`` entries or one query.
     Buckets lie in ``[0, width)`` by construction, so ``clip`` never clips,
     and it spares ``take`` the buffered copy of its raise mode. ``out`` must
     be a C-contiguous int64 array of that shape.
     """
     buckets = lsh.hash_batch(sketch.family, sketch.rows, points)
-    rows, n = buckets.shape
-    if n == 1 and out is None:
-        return sketch.counts.ravel().take(buckets[:, 0] + _row_base(rows, sketch.width))[:, None]
-    if out is None:
-        out = np.empty((rows, n), sketch.counts.dtype)
-    for block, flat, index in _row_blocks(sketch.counts, buckets):
-        np.take(flat, index, out=out[block], mode="clip")
-    return out
+    index = buckets + _row_base(*sketch.counts.shape)
+    return sketch.counts.ravel().take(index, out=out, mode="clip")
 
 
 def _mom_aggregate(values: np.ndarray, delta: float) -> np.ndarray:

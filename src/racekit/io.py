@@ -1,4 +1,4 @@
-"""Dataset ingestion, scaling transforms, and CSV round-tripping.
+"""Dataset ingestion from CSV, and scaling transforms.
 
 ``load_csv`` parses the whole file with ``np.loadtxt``; a file numpy refuses,
 or one with a non-finite value, is parsed again cell by cell by
@@ -167,12 +167,6 @@ def load_csv(path, *, header: bool = False, delimiter: str = ",",
         labels = matrix[:, col].copy()
         matrix = np.delete(matrix, col, axis=1)
     return Dataset(points=matrix, labels=labels)
-
-
-def write_csv(data, path, *, delimiter: str = ",") -> None:
-    """Write points (array or Dataset) with full float64 round-trip precision."""
-    pts = np.asarray(getattr(data, "points", data), dtype=np.float64)
-    np.savetxt(path, pts, delimiter=delimiter, fmt="%.17g")
 
 
 def scale(dataset: Dataset, mode: str) -> Dataset:

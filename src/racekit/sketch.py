@@ -68,35 +68,18 @@ _NO_BANDWIDTH = struct.pack("<d", float("nan"))  # an angular family's bandwidth
 # (rows, chunk) bucket array of the one chunk in flight holds at most
 # _CHUNK_BUDGET / depth entries, for any stream length and thread count.
 _CHUNK_BUDGET = 32_000_000
-# Flat counter indices (intp) per block of rows counted or read, about 4 MiB:
-# one index over a whole chunk or query batch (80 MB for 10k points at R=1000)
-# would be allocated and page-faulted in afresh for every call.
+# Flat counter indices (intp) per block of rows counted or queries read, about
+# 4 MiB: one index over a whole chunk or query batch (80 MB for 10k points at
+# R=1000) would be allocated and page-faulted in afresh for every call.
 _INDEX_BUDGET = 1 << 19
 
 
 @functools.lru_cache(maxsize=16)
 def _row_base(rows: int, width: int) -> np.ndarray:
-    """Flat offset of each row's first counter, ``r * width``, read-only."""
-    base = np.arange(0, rows * width, width)
+    """Flat offset of each row's first counter, ``r * width``: a read-only (rows, 1) column."""
+    base = np.arange(0, rows * width, width)[:, None]
     base.flags.writeable = False
     return base
-
-
-def _row_blocks(counts: np.ndarray, buckets: np.ndarray, budget: int | None = None):
-    """Yield ``(row slice, flat counters, flat indices)`` per block of rows.
-
-    The counters view the C-contiguous (R, W) table; the indices, ``bucket +
-    r * W`` from the block's first row, fill one reused buffer of about
-    ``budget`` entries (default ``_INDEX_BUDGET``).
-    """
-    rows, n = buckets.shape
-    step = min(rows, max(1, (_INDEX_BUDGET if budget is None else budget) // max(n, 1)))
-    base = _row_base(step, counts.shape[1])
-    index = np.empty((step, n), np.intp)
-    for r0 in range(0, rows, step):
-        r1 = min(r0 + step, rows)
-        np.add(buckets[r0:r1], base[:r1 - r0, None], out=index[:r1 - r0])
-        yield slice(r0, r1), counts[r0:r1].ravel(), index[:r1 - r0]
 
 
 def _scatter(counts: np.ndarray, buckets: np.ndarray, budget: int | None = None) -> None:
@@ -104,9 +87,9 @@ def _scatter(counts: np.ndarray, buckets: np.ndarray, budget: int | None = None)
 
     When the buckets' alphabet A (the largest + 1) is narrow, ``4 * A**2 <= n``,
     rows go in pairs through ``_count_pairs``; an odd last row, and every row
-    of a wider alphabet, through ``bincount`` (``add.at`` on blocks shorter
-    than their counters). Blocks hold about ``budget`` flat indices (default
-    ``_INDEX_BUDGET``).
+    of a wider alphabet, through one ``bincount`` per block of rows over the
+    block's flat indices ``bucket + r * W``, held in one reused buffer. Blocks
+    hold about ``budget`` flat indices (default ``_INDEX_BUDGET``).
     """
     rows, n = buckets.shape
     budget = _INDEX_BUDGET if budget is None else budget
@@ -116,13 +99,17 @@ def _scatter(counts: np.ndarray, buckets: np.ndarray, budget: int | None = None)
         _count_pairs(counts[:paired], buckets[:paired], alphabet, budget)
     if paired == rows:
         return
-    for _, flat, index in _row_blocks(counts[paired:], buckets[paired:], budget):
-        # add.at over bincount, at R=1000, W=500: 0.3x the time at n = W/10,
-        # 0.8x at n = W, 1.0x at 2W and 1.05-1.28x on the dense build blocks
-        if index.size < flat.size:
-            np.add.at(flat, index.ravel(), 1)
-        else:
-            flat += np.bincount(index.ravel(), minlength=flat.size)
+    step = min(rows - paired, max(1, budget // max(n, 1)))
+    base = _row_base(step, counts.shape[1])
+    index = np.empty((step, n), np.intp)
+    for r0 in range(paired, rows, step):
+        r1 = min(r0 + step, rows)
+        np.add(buckets[r0:r1], base[:r1 - r0], out=index[:r1 - r0])
+        flat = counts[r0:r1].ravel()  # a view: the table's rows are contiguous
+        # the tally dies here, before the next block allocates: kept alive one
+        # block longer, it made 1000-point builds at R=1000 about 1.5x slower
+        # and 2 MB larger (glibc malloc, numpy 2.4)
+        flat += np.bincount(index[:r1 - r0].ravel(), minlength=flat.size)
 
 
 def _count_pairs(counts: np.ndarray, buckets: np.ndarray, alphabet: int,
@@ -149,7 +136,7 @@ def _count_pairs(counts: np.ndarray, buckets: np.ndarray, alphabet: int,
         two = buckets[2 * g0:2 * g1].reshape(g1 - g0, 2, n)
         key = np.multiply(two[:, 1], alphabet, out=keys[:g1 - g0], dtype=keys.dtype)
         np.add(key, two[:, 0], out=key)
-        np.add(key, base[:g1 - g0, None], out=index[:g1 - g0])
+        np.add(key, base[:g1 - g0], out=index[:g1 - g0])
         joint = np.bincount(index[:g1 - g0].ravel(), minlength=(g1 - g0) * cells)
         joint = joint.reshape(g1 - g0, alphabet, alphabet)
         counts[2 * g0:2 * g1:2, :alphabet] += joint.sum(axis=1)
@@ -209,7 +196,9 @@ class RaceSketch:
         if self.privatized:
             raise FrozenSketchError("cannot add to a privatized sketch")
         point = lsh._as_vector(x, self.family.dim)
-        _scatter(self.counts, lsh.hash_batch(self.family, self.rows, point[None, :]))
+        buckets = lsh.hash_batch(self.family, self.rows, point[None, :])
+        # one counter in each row, so no index repeats and a buffered += is exact
+        self.counts.ravel()[buckets + _row_base(*self.counts.shape)] += 1
         self.inserted += 1
         self.__dict__.pop("n_hat", None)
 

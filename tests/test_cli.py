@@ -12,16 +12,20 @@ import racekit as rk
 from racekit.cli import main
 
 
+def _write_csv(points, path):
+    np.savetxt(path, points, delimiter=",", fmt="%.17g")  # float64 round trips exactly
+
+
 @pytest.fixture
 def workdir(tmp_path):
     rng = np.random.default_rng(0)
-    rk.write_csv(rng.standard_normal((400, 2)), tmp_path / "data.csv")
-    rk.write_csv(rng.standard_normal((6, 2)), tmp_path / "queries.csv")
+    _write_csv(rng.standard_normal((400, 2)), tmp_path / "data.csv")
+    _write_csv(rng.standard_normal((6, 2)), tmp_path / "queries.csv")
     a = np.hstack([rng.normal((3, 0), 1.0, (150, 2)), np.zeros((150, 1))])
     b = np.hstack([rng.normal((-3, 0), 1.0, (150, 2)), np.ones((150, 1))])
-    rk.write_csv(np.vstack([a, b]), tmp_path / "train.csv")
+    _write_csv(np.vstack([a, b]), tmp_path / "train.csv")
     x = np.linspace(-1, 1, 64)
-    rk.write_csv(np.column_stack([x, 2 * x]), tmp_path / "reg.csv")
+    _write_csv(np.column_stack([x, 2 * x]), tmp_path / "reg.csv")
     return tmp_path
 
 
@@ -275,8 +279,8 @@ def test_privatize_then_mutating_commands_fail_with_contract_code(workdir, capsy
 
 def test_merge_equals_build_on_union(workdir, capsys):
     pts = rk.load_csv(workdir / "data.csv").points
-    rk.write_csv(pts[:250], workdir / "part_a.csv")
-    rk.write_csv(pts[250:], workdir / "part_b.csv")
+    _write_csv(pts[:250], workdir / "part_a.csv")
+    _write_csv(pts[250:], workdir / "part_b.csv")
     common = ["--rows", 64, "--range", 32, "--seed", 3]
     _run(capsys, ["build", "--input", workdir / "part_a.csv",
                   "--output", workdir / "a.race"] + common)
@@ -370,7 +374,7 @@ def test_classify_train_predict_flow(workdir, capsys):
     assert (model_dir / "classifier.json").exists()
     assert (model_dir / "manifest.json").exists()
 
-    rk.write_csv(np.array([[3.0, 0.0], [-3.0, 0.0]]), workdir / "probe.csv")
+    _write_csv(np.array([[3.0, 0.0], [-3.0, 0.0]]), workdir / "probe.csv")
     code, out, _ = _run(capsys, ["classify-predict", "--model", model_dir,
                                  "--queries", workdir / "probe.csv"])
     assert code == 0
@@ -404,8 +408,8 @@ def test_classify_predict_kde_stays_in_the_unit_interval(workdir, capsys):
     rng = np.random.default_rng(3)
     a = np.hstack([rng.normal((3, 0), 1.0, (100, 2)), np.zeros((100, 1))])
     b = np.hstack([rng.normal((-3, 0), 1.0, (100, 2)), np.ones((100, 1))])
-    rk.write_csv(np.vstack([a, b]), workdir / "small.csv")
-    rk.write_csv(np.vstack([a, b])[:, :2], workdir / "small-points.csv")
+    _write_csv(np.vstack([a, b]), workdir / "small.csv")
+    _write_csv(np.vstack([a, b])[:, :2], workdir / "small-points.csv")
     code, _, _ = _run(capsys, ["classify-train", "--input", workdir / "small.csv",
                                "--label-col", 2, "--rows", 200, "--range", 64,
                                "--epsilon", 1.0, "--seed", 4, "--output", workdir / "small"])
@@ -492,7 +496,7 @@ def test_classify_predict_reads_each_class_once(workdir, capsys, monkeypatch, ru
     monkeypatch.setattr(rk.ml, "privatize", lambda clean, budget, seed:
                         _full_width_release(clean, budget.epsilon, seed))
     model_dir = _train_scaled_model(workdir, capsys)
-    rk.write_csv(np.random.default_rng(9).normal(0.0, 3.0, (200, 2)), workdir / "probe.csv")
+    _write_csv(np.random.default_rng(9).normal(0.0, 3.0, (200, 2)), workdir / "probe.csv")
     calls = []
     hash_batch = rk.lsh.hash_batch
 
@@ -516,7 +520,7 @@ def test_classify_predict_ml_labels_capped_kdes_by_the_unclipped_density(
     monkeypatch.setattr(rk.ml, "privatize", lambda clean, budget, seed:
                         _full_width_release(clean, budget.epsilon, seed))
     model_dir = _train_scaled_model(workdir, capsys)
-    rk.write_csv(np.random.default_rng(9).normal(0.0, 3.0, (200, 2)), workdir / "probe.csv")
+    _write_csv(np.random.default_rng(9).normal(0.0, 3.0, (200, 2)), workdir / "probe.csv")
     out = workdir / "ml.csv"
     code, _, _ = _run(capsys, ["classify-predict", "--model", model_dir,
                                "--queries", workdir / "probe.csv", "--rule", "ml",
@@ -538,7 +542,7 @@ _QUERY_DIGESTS = {
 @pytest.mark.parametrize("estimator,delta", sorted(_QUERY_DIGESTS),
                          ids=["mean", "mom-even-k", "mom-odd-k"])
 def test_query_answer_bytes_are_pinned(workdir, capsys, estimator, delta):
-    rk.write_csv(np.random.default_rng(9).normal(0.0, 1.0, (300, 2)), workdir / "many.csv")
+    _write_csv(np.random.default_rng(9).normal(0.0, 1.0, (300, 2)), workdir / "many.csv")
     _run(capsys, ["build", "--input", workdir / "data.csv", "--rows", 200, "--range", 64,
                   "--seed", 3, "--output", workdir / "s.race"])
     rk.save(_full_width_release(rk.load(workdir / "s.race"), 1.0, 5), workdir / "r.race")
@@ -575,7 +579,7 @@ def _seeded_release(workdir, capsys, name):
 
 @pytest.mark.parametrize("name", sorted(_FAMILY_QUERY_DIGESTS))
 def test_query_answer_bytes_are_pinned_for_mixed_families(workdir, capsys, name):
-    rk.write_csv(np.random.default_rng(9).normal(0.0, 1.0, (300, 2)), workdir / "many.csv")
+    _write_csv(np.random.default_rng(9).normal(0.0, 1.0, (300, 2)), workdir / "many.csv")
     released = _seeded_release(workdir, capsys, name)
     out = workdir / "answers.csv"
     code, _, _ = _run(capsys, ["query", "--sketch", released,
@@ -616,7 +620,7 @@ def test_empty_query_file_writes_only_the_header(workdir, capsys, content, flags
 def test_query_of_the_wrong_dimension_is_data_error(workdir, capsys):
     _run(capsys, ["build", "--input", workdir / "data.csv", "--scale", "cube",
                   "--rows", 64, "--range", 32, "--output", workdir / "s.race"])
-    rk.write_csv(np.ones((3, 5)), workdir / "wide.csv")
+    _write_csv(np.ones((3, 5)), workdir / "wide.csv")
     code, _, err = _run(capsys, ["query", "--sketch", workdir / "s.race",
                                  "--queries", workdir / "wide.csv",
                                  "--transform", workdir / "s.race.transform.json"])
@@ -683,7 +687,7 @@ _REGRESS_DIGESTS = {
 
 
 def test_regress_without_input_columns_is_usage_error(workdir, capsys):
-    rk.write_csv(np.arange(10.0)[:, None], workdir / "target-only.csv")
+    _write_csv(np.arange(10.0)[:, None], workdir / "target-only.csv")
     code, _, err = _run(capsys, ["regress", "--input", workdir / "target-only.csv",
                                  "--rows", 100, "--range", 32, "--epsilon", 1.0,
                                  "--output", workdir / "model.json"])
@@ -696,7 +700,7 @@ def test_regress_output_bytes_are_pinned(workdir, capsys):
     x = rng.uniform(-3.0, 5.0, (80, 3))
     x[:, 1] = 7.0  # a constant column scales to 0
     y = x @ np.array([1.5, 0.0, -0.5]) + 2.0 + 0.1 * rng.standard_normal(80)
-    rk.write_csv(np.column_stack([x, y]), workdir / "wide.csv")
+    _write_csv(np.column_stack([x, y]), workdir / "wide.csv")
     code, _, _ = _run(capsys, ["regress", "--input", workdir / "wide.csv",
                                "--rows", 500, "--range", 32, "--epsilon", 1.0,
                                "--seed", 4, "--max-iters", 80, "--restarts", 1,
@@ -718,7 +722,7 @@ def test_regress_rejects_family_flags_it_would_ignore(workdir, capsys, flag):
 
 def test_mode_outputs_point(workdir, capsys):
     rng = np.random.default_rng(7)
-    rk.write_csv(rng.normal((1.0, -0.5), 0.2, (800, 2)), workdir / "cluster.csv")
+    _write_csv(rng.normal((1.0, -0.5), 0.2, (800, 2)), workdir / "cluster.csv")
     _run(capsys, ["build", "--input", workdir / "cluster.csv", "--lsh", "euclidean",
                   "--bandwidth", 0.5, "--depth", 2, "--rows", 600, "--range", 128,
                   "--output", workdir / "c.race"])
@@ -730,7 +734,7 @@ def test_mode_outputs_point(workdir, capsys):
 
 
 def _mode_sketch(workdir, capsys):
-    rk.write_csv(np.random.default_rng(7).normal((1.0, -0.5), 0.2, (200, 2)),
+    _write_csv(np.random.default_rng(7).normal((1.0, -0.5), 0.2, (200, 2)),
                  workdir / "cluster.csv")
     _run(capsys, ["build", "--input", workdir / "cluster.csv", "--lsh", "euclidean",
                   "--bandwidth", 0.5, "--depth", 2, "--rows", 60, "--range", 64,

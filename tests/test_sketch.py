@@ -109,6 +109,8 @@ def _bincount_reference(width, buckets):
     (6, 399, 10),     # 4 A**2 = n + 1: one row at a time
     (9, 36, 3),       # n < 64
     (4, 5000, 2),     # two codes, many points
+    (5, 12, 10),      # n < W: fewer indices than counters in a block
+    (3, 1, 20),       # one point
 ])
 @pytest.mark.parametrize("budget", [None, 1])
 def test_pair_count_equals_one_row_at_a_time(monkeypatch, rows, n, alphabet, budget):
