@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import itertools
 import json
 import os
 import secrets
@@ -130,12 +131,12 @@ def _load_queries(args, dim: int, path: str | None) -> np.ndarray:
     return rio.apply_transform(transform, pts)
 
 
-def _write_transform(dataset: rio.Dataset, path: str) -> str | None:
-    if dataset.transform.mode == "none":
+def _write_transform(transform: rio.Transform, path: str) -> str | None:
+    if transform.mode == "none":
         return None
-    rec = {"mode": dataset.transform.mode,
-           "mins": None if dataset.transform.mins is None else dataset.transform.mins.tolist(),
-           "maxs": None if dataset.transform.maxs is None else dataset.transform.maxs.tolist()}
+    rec = {"mode": transform.mode,
+           "mins": None if transform.mins is None else transform.mins.tolist(),
+           "maxs": None if transform.maxs is None else transform.maxs.tolist()}
     tpath = str(path) + ".transform.json"
     with open(tpath, "w") as fh:
         json.dump(rec, fh)
@@ -143,12 +144,19 @@ def _write_transform(dataset: rio.Dataset, path: str) -> str | None:
 
 
 def cmd_build(args) -> int:
-    ds = rio.scale(_load_input(args), args.scale)
-    family = _family_from_args(args, ds.dim)
-    sk = rsketch.build(ds, family, args.rows, threads=args.threads)
+    # one pass over the file in the build's chunks: only --scale cube holds
+    # every point, once, as it needs their bounds before the first is scaled
+    chunks = rio.csv_chunks(args.input, rsketch._chunk_length(args.rows, args.depth),
+                            header=args.header, delimiter=args.delimiter)
+    first = next(chunks, None)
+    if first is None:
+        raise CsvError(f"{args.input} contains no data rows")
+    family = _family_from_args(args, first[1].shape[1])
+    transform, points = rio.scale_chunks(itertools.chain([first], chunks), args.scale)
+    sk = rsketch.build(points, family, args.rows, threads=args.threads)
     rsketch.save(sk, args.output)
-    tpath = _write_transform(ds, args.output)
-    _emit_manifest(args, {"n_points": len(ds), "transform_file": tpath})
+    tpath = _write_transform(transform, args.output)
+    _emit_manifest(args, {"n_points": sk.inserted, "transform_file": tpath})
     return 0
 
 
@@ -202,7 +210,7 @@ class _BudgetFile(privacy.PrivacyBudget):
 
 
 def cmd_privatize(args) -> int:
-    sk = rsketch.load(args.sketch)
+    sk = rsketch.load(args.sketch)  # released in place: the loaded table is this run's own
     budget = (_BudgetFile(args.epsilon, path=args.budget) if args.budget
               else privacy.PrivacyBudget(args.epsilon))
     # stage the release and its manifest (beside it by default, as the release
@@ -210,7 +218,7 @@ def cmd_privatize(args) -> int:
     # before the budget is spent
     manifest_path = args.manifest or f"{args.output}.manifest.json"
     with _staged(args.output) as release, _staged(manifest_path) as manifest:
-        rsketch.save(privacy.privatize(sk, budget, rng_seed=args.seed), release)
+        rsketch.save(privacy._release(sk, budget, args.seed), release)
         _emit_manifest(args, {"deterministic_seed": args.seed is not None}, manifest)
     return 0
 
@@ -248,7 +256,7 @@ def cmd_classify_train(args) -> int:
     clf = ml.train_classifier(per_class, family, args.rows, args.epsilon,
                               seed=args.seed)
     ml.save_classifier(clf, args.output)
-    tpath = _write_transform(ds, os.path.join(args.output, "scaling"))
+    tpath = _write_transform(ds.transform, os.path.join(args.output, "scaling"))
     args.manifest = args.manifest or os.path.join(args.output, "manifest.json")
     _emit_manifest(args, {"classes": classes, "n_points": len(ds), "transform_file": tpath})
     return 0

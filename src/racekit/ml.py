@@ -20,8 +20,9 @@ Mode finding runs the same derivative-free search uphill on the sketch
 density. An anomaly is a query whose ``query_median_of_means(sk, q).kde`` is
 below a threshold. A classifier's epsilon lives in its sketches' headers.
 
-Releases follow :func:`racekit.privacy.privatize`'s seed rule: with the default
-``seed=None`` the noise comes from the OS entropy pool. An explicit ``seed``
+Releases follow :func:`racekit.privacy.privatize`'s checks and seed rule, but
+add the noise into the table they just built instead of a copy of it. With the
+default ``seed=None`` the noise comes from the OS entropy pool. An explicit ``seed``
 (split per release by ``_derive_seed``) makes a run deterministic and is for
 tests only: it regenerates the noise, and ``fit_regression`` and the CLI write
 it into every ``.race`` header as the family seed.
@@ -39,7 +40,7 @@ from . import estimation, io as rio, lsh, sketch as sketch_mod
 from .errors import DimensionMismatchError, InvalidParameterError, SketchFormatError
 from .lsh import HashKind, LshFamily
 from .optimize import OptimizerConfig, minimize_derivative_free
-from .privacy import PrivacyBudget, privatize
+from .privacy import PrivacyBudget, _release
 from .sketch import RaceSketch
 
 
@@ -124,9 +125,8 @@ def train_classifier(per_class_data, family: LshFamily, rows: int,
     for i, (label, pts) in enumerate(items):
         if pts.shape[0] == 0:
             raise InvalidParameterError(f"class {label!r} has no points")
-        clean = sketch_mod.build(pts, family, rows)
-        released.append(privatize(clean, PrivacyBudget(epsilon),
-                                  _derive_seed(seed, i, 0xC1A5)))
+        released.append(_release(sketch_mod.build(pts, family, rows),
+                                 PrivacyBudget(epsilon), _derive_seed(seed, i, 0xC1A5)))
     return Classifier(classes=[label for label, _ in items], sketches=released)
 
 
@@ -198,8 +198,8 @@ def fit_regression(x_points, y_targets, *, depth: int = 4, rows: int = 1000,
 
     family = LshFamily(kind=HashKind.FOLDED_SRP, dim=x.shape[1] + 1,
                        depth=depth, width=width, seed=0 if seed is None else seed)
-    clean = sketch_mod.build(z, family, rows)
-    released = privatize(clean, PrivacyBudget(epsilon), _derive_seed(seed, 0x4E6))
+    released = _release(sketch_mod.build(z, family, rows), PrivacyBudget(epsilon),
+                        _derive_seed(seed, 0x4E6))
 
     theta_scaled, _, trace = minimize_derivative_free(
         lambda t: surrogate_loss(released, t), np.zeros(x.shape[1]), config)

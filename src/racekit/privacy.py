@@ -28,8 +28,12 @@ depends on the drawn shape as well as its position. The matrix is drawn in
 blocks of rows, about 4 MiB of draws each, from the one stream: the first
 ``rows * cols`` exponentials give the first geometric term of every entry and
 the next ``rows * cols`` the second, in the order a one-shot draw of shape
-(2, rows, cols) would read them, so the block size changes no value and the
-draws never need more than the int64 output and one block. Passing an explicit
+(2, rows, cols) would read them, so the block size changes no value. Each
+term is added to (or subtracted from) its int64 destination in integer
+arithmetic, so a release adds the noise straight into the table it releases
+and needs that table plus one block of draws; ``privatize`` adds it to a copy,
+and the library's own releases (``fit_regression``, ``train_classifier``,
+``racekit privatize``) to the table they built or loaded. Passing an explicit
 ``rng_seed`` makes the release deterministic, which is for tests only and is
 NOT private; production releases must leave the seed unset so it is drawn from
 the OS entropy pool. ``seed`` in :mod:`racekit.ml` follows this rule.
@@ -77,28 +81,68 @@ def _check_noise(scale: float, seed: int) -> None:
         raise InvalidParameterError("seed must fit in 128 bits")
 
 
-def laplace_noise_matrix(rows: int, cols: int, scale: float, seed: int) -> np.ndarray:
-    """The exact (rows, cols) int64 noise matrix a release with this seed adds."""
+def laplace_noise_matrix(rows: int, cols: int, scale: float, seed: int, *,
+                         add_to: np.ndarray | None = None) -> np.ndarray:
+    """The exact (rows, cols) int64 noise matrix a release with this seed adds.
+
+    With ``add_to``, an int64 (rows, cols) array or view, the noise is added
+    into it in place, one block of draws at a time, and it is returned.
+    """
     if rows < 1 or cols < 1:
         raise InvalidParameterError("noise matrix must have positive shape")
     _check_noise(scale, seed)
+    if add_to is None:
+        add_to = np.zeros((rows, cols), np.int64)
+    elif add_to.shape != (rows, cols) or add_to.dtype != np.int64:
+        raise InvalidParameterError(
+            f"cannot add ({rows}, {cols}) int64 noise to a {add_to.dtype} array "
+            f"of shape {add_to.shape}")
     rng = np.random.Generator(np.random.Philox(key=seed))
-    noise = np.empty((rows, cols), np.int64)
     step = max(1, _DRAW_BUDGET // cols)
     block = np.empty((min(step, rows), cols))
 
     def terms():
-        """``(noise rows, floor(scale * E))`` per block, in stream order."""
+        """``(destination rows, floor(scale * E))`` per block, in stream order."""
         for r0 in range(0, rows, step):
             draws = rng.standard_exponential(out=block[:min(step, rows - r0)])
             draws *= scale
-            yield noise[r0:r0 + step], np.floor(draws, out=draws)
+            yield add_to[r0:r0 + step], np.floor(draws, out=draws)
 
+    # each term is an integer below 2**53, cast exactly to int64 in the
+    # ufunc's small casting buffers; the sums are integer arithmetic
     for dest, term in terms():
-        np.copyto(dest, term, casting="unsafe")
-    for dest, term in terms():  # exact: both terms are integers below 2**53
-        np.subtract(dest, term, out=dest, casting="unsafe")
-    return noise
+        np.add(dest, term, out=dest, dtype=np.int64, casting="unsafe")
+    for dest, term in terms():
+        np.subtract(dest, term, out=dest, dtype=np.int64, casting="unsafe")
+    return add_to
+
+
+def _release(clean: RaceSketch, budget: PrivacyBudget, rng_seed: int | None) -> RaceSketch:
+    """Release ``clean`` in place: its table becomes the released sketch's.
+
+    Refuses what ``privatize`` refuses and consumes the budget once every
+    check has passed, before noise is drawn; the noise is then added into
+    the reachable columns of ``clean.counts``, so the caller must own that
+    table and drop ``clean``, which no longer holds clean counts.
+    """
+    if clean.privatized:
+        raise FrozenSketchError("sketch is already privatized")
+    if not clean.row_sums_consistent():
+        # each row must partition the inserted points across its buckets
+        raise InvalidParameterError(
+            "row sums do not match the inserted count; refusing to release")
+    live = clean.family.reachable_width
+    if clean.counts[:, live:].any():
+        # these columns are released without noise
+        raise InvalidParameterError(
+            f"columns {live} and up, which no bucket reaches, hold non-zero counts; "
+            "refusing to release")
+    scale = clean.rows / budget.epsilon
+    seed = secrets.randbits(128) if rng_seed is None else rng_seed
+    _check_noise(scale, seed)
+    budget.consume()
+    laplace_noise_matrix(clean.rows, live, scale, seed, add_to=clean.counts[:, :live])
+    return RaceSketch(clean.counts, clean.family, privatized=True, epsilon=budget.epsilon)
 
 
 def privatize(sketch: RaceSketch, budget: PrivacyBudget, rng_seed: int | None = None) -> RaceSketch:
@@ -108,26 +152,11 @@ def privatize(sketch: RaceSketch, budget: PrivacyBudget, rng_seed: int | None = 
     exact zeros they hold, and a sketch with a non-zero count there raises
     ``InvalidParameterError``. Returns a new privatized sketch carrying
     epsilon instead of the exact element count; the input sketch is left
-    untouched and the budget is consumed once every check has passed, before
-    noise is drawn.
+    untouched (the release is a copy of its table) and the budget is
+    consumed once every check has passed, before noise is drawn.
     Deterministic only when ``rng_seed`` is given (test mode, not private).
     """
     if sketch.privatized:
         raise FrozenSketchError("sketch is already privatized")
-    if not sketch.row_sums_consistent():
-        # each row must partition the inserted points across its buckets
-        raise InvalidParameterError(
-            "row sums do not match the inserted count; refusing to release")
-    live = sketch.family.reachable_width
-    if sketch.counts[:, live:].any():
-        # these columns are released without noise
-        raise InvalidParameterError(
-            f"columns {live} and up, which no bucket reaches, hold non-zero counts; "
-            "refusing to release")
-    scale = sketch.rows / budget.epsilon
-    seed = secrets.randbits(128) if rng_seed is None else rng_seed
-    _check_noise(scale, seed)
-    budget.consume()
-    counts = sketch.counts.copy()
-    counts[:, :live] += laplace_noise_matrix(sketch.rows, live, scale, seed)
-    return RaceSketch(counts, sketch.family, privatized=True, epsilon=budget.epsilon)
+    copy = RaceSketch(sketch.counts.copy(), sketch.family, inserted=sketch.inserted)
+    return _release(copy, budget, rng_seed)

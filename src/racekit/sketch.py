@@ -225,15 +225,26 @@ class RaceSketch:
                 f"kind={self.family.kind.value}, {state})")
 
 
+def _chunk_length(rows: int, depth: int) -> int:
+    """Points per build chunk for a table of ``rows`` rows hashed at ``depth``."""
+    return int(np.clip(_CHUNK_BUDGET // max(rows * depth, 1), 1, 8192))
+
+
 def _iter_chunks(data, dim: int, chunk: int):
-    """Yield (n_chunk, dim) float64 blocks from an array or a point stream."""
+    """Yield (n_chunk, dim) float64 blocks from an array or a stream of points and matrices."""
+    def blocks(pts):
+        mat = lsh._as_matrix(pts, dim)
+        return (mat[start:start + chunk] for start in range(0, mat.shape[0], chunk))
+
     pts = getattr(data, "points", data)
     if isinstance(pts, np.ndarray):
-        mat = lsh._as_matrix(pts, dim)
-        yield from (mat[start:start + chunk] for start in range(0, mat.shape[0], chunk))
+        yield from blocks(pts)
         return
     buf = []
     for row in pts:
+        if isinstance(row, np.ndarray) and row.ndim == 2 and row.shape[1] == dim:
+            yield from blocks(row)  # a matrix of points, such as a parsed CSV chunk
+            continue
         buf.append(lsh._as_vector(row, dim))
         if len(buf) == chunk:
             yield np.vstack(buf)
@@ -293,9 +304,12 @@ def _one_blas_thread(blas):
 def build(data, family: LshFamily, rows: int, *, threads: int = 1) -> RaceSketch:
     """One-pass sketch construction.
 
-    ``data`` may be an (N, dim) array, a Dataset, or any iterable of points.
-    Points are hashed in bounded-size chunks, so a stream never needs to fit
-    in memory. Each chunk's rows are cut into ``min(threads, rows)``
+    ``data`` may be an (N, dim) array, a Dataset, or any iterable of points
+    and of (n, dim) point matrices, such as the chunks
+    :func:`racekit.io.csv_chunks` parses, which ``racekit build`` reads at
+    the build's own chunk length. Points are hashed in chunks of
+    ``_chunk_length(rows, depth)`` points, so a stream never needs to fit in
+    memory. Each chunk's rows are cut into ``min(threads, rows)``
     contiguous ranges; each thread hashes its range of rows
     (``lsh.hash_batch`` with a row range) and counts it into those rows of
     the table, the calling thread taking the first range, and the next chunk
@@ -317,7 +331,7 @@ def build(data, family: LshFamily, rows: int, *, threads: int = 1) -> RaceSketch
         raise InvalidParameterError(f"rows must be >= 1, got {rows}")
     if threads < 1:
         raise InvalidParameterError(f"threads must be >= 1, got {threads}")
-    chunk = int(np.clip(_CHUNK_BUDGET // (rows * family.depth), 1, 8192))
+    chunk = _chunk_length(rows, family.depth)
     counts = np.zeros((rows, family.width), dtype=np.int64)
     threads = min(threads, rows)
     blas = _numpy_openblas() if threads > 1 else None
@@ -342,7 +356,7 @@ def build(data, family: LshFamily, rows: int, *, threads: int = 1) -> RaceSketch
             lsh._row_params(family, rows)  # drawn once here, not by each thread at once
         for block in _iter_chunks(data, family.dim, chunk):
             inserted += block.shape[0]
-            if out is None:  # the first chunk is the longest
+            if out is None or out.shape[1] < block.shape[0]:
                 out = np.empty((rows, block.shape[0]), family._plan.out_dtype)
             buckets = out[:, :block.shape[0]]
             others = [pool.submit(count, span, block, buckets) for span in spans[1:]]
@@ -386,8 +400,13 @@ def serialize(sketch: RaceSketch) -> bytes:
     return b"".join((_header(sketch), _counters(sketch)))
 
 
-def deserialize(buf: bytes) -> RaceSketch:
-    """Decode a sketch, rejecting non-canonical headers and payloads of the wrong length."""
+def deserialize(buf) -> RaceSketch:
+    """Decode a sketch, rejecting non-canonical headers and payloads of the wrong length.
+
+    The counters of a writable, aligned buffer (a ``bytearray``, as ``load``
+    reads) become the sketch's table without a copy, so the sketch shares
+    that buffer; a read-only buffer such as ``bytes`` is copied.
+    """
     if len(buf) < _HEADER.size + 8:
         raise TruncationError(f"buffer of {len(buf)} bytes is shorter than the header")
     magic, version, kind_code, flags, dim, depth, rows, width, seed, bandwidth = \
@@ -420,7 +439,8 @@ def deserialize(buf: bytes) -> RaceSketch:
     if len(buf) > expected:
         raise MalformedHeaderError(f"{len(buf) - expected} trailing bytes after payload")
     counts = np.frombuffer(buf, dtype="<i8", count=rows * width, offset=body)
-    counts = counts.astype(np.int64).reshape(rows, width)
+    shared = counts.flags.writeable and counts.flags.aligned
+    counts = counts.astype(np.int64, copy=not shared).reshape(rows, width)
     try:
         family = LshFamily(kind=kind, dim=dim, depth=depth, width=width,
                            bandwidth=bandwidth, seed=seed)
@@ -438,5 +458,9 @@ def save(sketch: RaceSketch, path) -> None:
 
 
 def load(path) -> RaceSketch:
+    """Read a ``.race`` file into one buffer, which becomes the sketch's table."""
     with open(path, "rb") as fh:
-        return deserialize(fh.read())
+        buf = bytearray(os.fstat(fh.fileno()).st_size)
+        del buf[fh.readinto(buf):]
+        buf += fh.read()  # what a pipe, or a file that grew, holds past the stat
+    return deserialize(buf)

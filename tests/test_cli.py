@@ -277,6 +277,16 @@ def test_privatize_then_mutating_commands_fail_with_contract_code(workdir, capsy
     assert code == 4
 
 
+def test_privatize_writes_exactly_the_library_release(workdir, capsys):
+    _run(capsys, ["build", "--input", workdir / "data.csv", "--rows", 100, "--range", 64,
+                  "--output", workdir / "s.race"])
+    code, _, _ = _run(capsys, ["privatize", "--sketch", workdir / "s.race", "--epsilon", 0.5,
+                               "--seed", 11, "--output", workdir / "p.race"])
+    assert code == 0
+    want = rk.privatize(rk.load(workdir / "s.race"), rk.PrivacyBudget(0.5), rng_seed=11)
+    assert (workdir / "p.race").read_bytes() == rk.serialize(want)
+
+
 def test_merge_equals_build_on_union(workdir, capsys):
     pts = rk.load_csv(workdir / "data.csv").points
     _write_csv(pts[:250], workdir / "part_a.csv")
@@ -493,7 +503,7 @@ _PREDICT_DIGESTS = {
 
 @pytest.mark.parametrize("rule", sorted(_PREDICT_DIGESTS))
 def test_classify_predict_reads_each_class_once(workdir, capsys, monkeypatch, rule):
-    monkeypatch.setattr(rk.ml, "privatize", lambda clean, budget, seed:
+    monkeypatch.setattr(rk.ml, "_release", lambda clean, budget, seed:
                         _full_width_release(clean, budget.epsilon, seed))
     model_dir = _train_scaled_model(workdir, capsys)
     _write_csv(np.random.default_rng(9).normal(0.0, 3.0, (200, 2)), workdir / "probe.csv")
@@ -517,7 +527,7 @@ def test_classify_predict_reads_each_class_once(workdir, capsys, monkeypatch, ru
 
 def test_classify_predict_ml_labels_capped_kdes_by_the_unclipped_density(
         workdir, capsys, monkeypatch):
-    monkeypatch.setattr(rk.ml, "privatize", lambda clean, budget, seed:
+    monkeypatch.setattr(rk.ml, "_release", lambda clean, budget, seed:
                         _full_width_release(clean, budget.epsilon, seed))
     model_dir = _train_scaled_model(workdir, capsys)
     _write_csv(np.random.default_rng(9).normal(0.0, 3.0, (200, 2)), workdir / "probe.csv")
@@ -784,6 +794,70 @@ def test_scaled_build_writes_transform_and_query_applies_it(workdir, capsys):
                                  "--transform", transform])
     assert code == 0
     assert float(out.strip().splitlines()[1].split(",")[2]) == 400.0
+
+
+def _build_outputs(capsys, workdir, csv, flags, name):
+    """The .race bytes, transform bytes (or None) and manifest n_points of one build."""
+    out = workdir / f"{name}.race"
+    code, _, err = _run(capsys, ["build", "--input", csv, "--rows", 20, "--range", 64,
+                                 "--output", out] + flags)
+    assert code == 0, err
+    transform = workdir / f"{name}.race.transform.json"
+    manifest = json.loads((workdir / f"{name}.race.manifest.json").read_text())
+    return (out.read_bytes(), transform.read_bytes() if transform.exists() else None,
+            manifest["n_points"])
+
+
+def _stream_chunks_of(monkeypatch, points):
+    # racekit build parses and hashes chunks of _chunk_length(rows=20, depth=4) points
+    monkeypatch.setattr(rk.sketch, "_CHUNK_BUDGET", points * 20 * 4)
+    assert rk.sketch._chunk_length(20, 4) == points
+
+
+@pytest.mark.parametrize("header", [False, True], ids=["no-header", "header"])
+@pytest.mark.parametrize("scale", ["none", "sphere", "cube"])
+def test_streamed_build_equals_the_whole_matrix_build(workdir, capsys, monkeypatch, scale,
+                                                      header):
+    # a constant third column, and a blank line, a quoted cell and a padded
+    # cell that numpy refuses, so that the csv reader parses the last chunks
+    pts = np.random.default_rng(12).standard_normal((50, 3)) * [1.0, 10.0, 0.0] + [0, 0, 4]
+    lines = [",".join(f"{v:.17g}" for v in row) for row in pts]
+    lines[9] += "\n"
+    lines[30] = f'"{pts[30, 0]:.17g}",{pts[30, 1]:.17g}, 4 '
+    csv = workdir / "stream.csv"
+    csv.write_text(("x,y,z\n" if header else "") + "\n".join(lines) + "\n")
+    flags = ["--scale", scale] + (["--header"] if header else [])
+    one_chunk = _build_outputs(capsys, workdir, csv, flags, "one")
+    _stream_chunks_of(monkeypatch, 7)
+    assert _build_outputs(capsys, workdir, csv, flags, "streamed") == one_chunk
+    ds = rk.scale(rk.Dataset(pts), scale)
+    family = rk.new_family("srp", dim=3, depth=4, width=64, seed=0)
+    assert one_chunk[0] == rk.serialize(rk.build(ds, family, 20))
+    assert one_chunk[2] == 50
+    if scale == "cube":
+        assert json.loads(one_chunk[1]) == {"mode": "cube", "mins": ds.transform.mins.tolist(),
+                                            "maxs": ds.transform.maxs.tolist()}
+
+
+@pytest.mark.parametrize("row,text,error", [
+    (17, "0.5,inf", "row 17, column 2: non-finite value 'inf'"),
+    (15, "0.5,1,2", "row 15: expected 2 fields, got 3"),
+    (18, b"0.5\xff,1", "row 18, column 1: not a number"),
+    (16, '"x",1', "row 16, column 1: not a number: 'x'"),
+    (20, "0,0", "row 20 has zero norm"),
+], ids=["non-finite", "ragged-chunk", "non-utf8", "quoted", "zero-norm"])
+def test_a_fault_in_a_later_chunk_names_its_own_row(workdir, capsys, monkeypatch, row, text,
+                                                    error):
+    lines = [b"%d.5,1.0" % i for i in range(30)]
+    if row == 15:  # every line of the third chunk has the wrong width
+        lines[14:21] = [b"%d.5,1,2" % i for i in range(7)]
+    lines[row - 1] = text if isinstance(text, bytes) else text.encode()
+    (workdir / "fault.csv").write_bytes(b"\n".join(lines) + b"\n")
+    _stream_chunks_of(monkeypatch, 7)
+    code, _, err = _run(capsys, ["build", "--input", workdir / "fault.csv", "--scale", "sphere",
+                                 "--rows", 20, "--range", 64, "--output", workdir / "f.race"])
+    assert code == 3 and error in err
+    assert not (workdir / "f.race").exists()
 
 
 def _write_non_utf8_csv(path, rows=3000, bad_row=2501):

@@ -153,7 +153,9 @@ def _csv_texts(draw):
 def test_load_csv_matches_stream_csv_bit_for_bit(tmp_path, case):
     text, header, matrix = case
     path = _write(tmp_path, text)
-    fast = rio._loadtxt(path, header, ",")
+    with open(path, newline="") as fh:
+        lines = fh.readlines()[int(header):]
+    fast = rio._loadtxt(lines, None, ",")
     assert fast is not None  # the numpy path takes every such file
     streamed = np.vstack([vec for _, vec in rio.stream_csv(path, header=header)])
     loaded = rk.load_csv(path, header=header).points
@@ -227,3 +229,47 @@ def test_latin1_header_is_skipped(tmp_path):
     with pytest.raises(CsvError) as err:
         rk.load_csv(path)
     assert (err.value.row, err.value.column) == (1, 1)
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3, 8192])
+@pytest.mark.parametrize("header", [False, True])
+def test_csv_chunks_are_the_loaded_matrix_with_the_rows_before_each(tmp_path, rows, header):
+    # blank lines numpy skips, and a quoted record spanning two lines that
+    # hands the rest of the file to the csv reader
+    text = "a,b\n" if header else ""
+    text += "\n1,2\n\n3,4\n5,6\n\n\n7,8\n9,10\n\"11\n\",12\n13,14\n\n15,16\n"
+    path = _write(tmp_path, text)
+    chunks = list(rio.csv_chunks(path, rows, header=header))
+    streamed = list(rio.stream_csv(path, header=header))
+    assert all(len(m) <= rows for _, m in chunks)
+    stacked = np.vstack([m for _, m in chunks])
+    assert stacked.tobytes() == np.vstack([v for _, v in streamed]).tobytes()
+    sizes = [len(m) for _, m in chunks]
+    assert [first for first, _ in chunks] == np.cumsum([0] + sizes[:-1]).tolist()
+
+
+@pytest.mark.parametrize("mode", ["none", "sphere", "cube"])
+def test_scale_chunks_is_scale_bit_for_bit(mode):
+    raw = np.random.default_rng(5).uniform(-5, 5, (40, 3))
+    raw[:, 2] = 1.5  # a constant feature
+    transform, matrices = rio.scale_chunks(((i, raw[i:i + 7].copy())
+                                            for i in range(0, 40, 7)), mode)
+    want = rk.scale(rk.Dataset(raw), mode)
+    assert np.vstack(list(matrices)).tobytes() == want.points.tobytes()
+    assert transform.mode == want.transform.mode
+    if mode == "cube":
+        assert transform.mins.tobytes() == want.transform.mins.tobytes()
+        assert transform.maxs.tobytes() == want.transform.maxs.tobytes()
+
+
+def test_scale_chunks_names_a_zero_row_by_its_place_in_the_stream():
+    raw = np.ones((20, 2))
+    raw[16] = 0.0
+    _, matrices = rio.scale_chunks(((i, raw[i:i + 7].copy()) for i in range(0, 20, 7)),
+                                   "sphere")
+    with pytest.raises(ZeroVectorError, match="row 17 has zero norm"):
+        list(matrices)
+    with pytest.raises(ZeroVectorError, match="row 17 has zero norm"):
+        rk.scale(rk.Dataset(raw), "sphere")
+    with pytest.raises(InvalidParameterError):
+        rio.scale_chunks(iter([]), "ball")

@@ -149,7 +149,7 @@ def test_fit_regression_refuses_zero_input_columns_before_any_release(monkeypatc
     def no_release(*args, **kwargs):
         raise AssertionError("released a sketch")
 
-    monkeypatch.setattr(ml, "privatize", no_release)
+    monkeypatch.setattr(ml, "_release", no_release)
     with pytest.raises(InvalidParameterError, match="zero input columns"):
         rk.fit_regression(np.zeros((8, 0)), np.arange(8.0), rows=100, width=32,
                           epsilon=1.0)
@@ -206,6 +206,23 @@ def test_fit_regression_releases_repeat_only_with_a_seed():
     second, _ = _default_regression_release()
     assert not np.array_equal(first.counts, second.counts)
     assert _default_regression_release(seed=3)[0] == _default_regression_release(seed=3)[0]
+
+
+def test_fit_regression_releases_exactly_what_privatize_would():
+    released, clean = _default_regression_release(seed=3)
+    want = rk.privatize(clean, rk.PrivacyBudget(1.0), rng_seed=ml._derive_seed(3, 0x4E6))
+    assert rk.serialize(released) == rk.serialize(want)
+
+
+def test_train_classifier_releases_exactly_what_privatize_would():
+    fam = rk.new_family("srp", dim=2, depth=3, width=16, seed=1)
+    rng = np.random.default_rng(6)
+    data = {"a": rng.normal(1.0, 1.0, (40, 2)), "b": rng.normal(-1.0, 1.0, (30, 2))}
+    clf = rk.train_classifier(data, fam, rows=60, epsilon=0.5, seed=7)
+    for i, (label, pts) in enumerate(data.items()):
+        want = rk.privatize(rk.build(pts, fam, 60), rk.PrivacyBudget(0.5),
+                            rng_seed=ml._derive_seed(7, i, 0xC1A5))
+        assert rk.serialize(clf.sketches[i]) == rk.serialize(want)
 
 
 def test_surrogate_orthogonal_theta_hits_analytic_minimum():

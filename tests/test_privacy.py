@@ -94,6 +94,36 @@ def test_noise_memory_is_its_output_plus_one_block():
     assert peak <= noise.nbytes + block + 2**18  # and the ufunc casting buffers
 
 
+def test_noise_added_in_place_is_the_noise_matrix_added():
+    table = np.random.default_rng(4).integers(-50, 50, (30, 12))
+    want = table[:, :5] + laplace_noise_matrix(30, 5, 7.5, seed=9)
+    view = table[:, :5]  # strided, as a release's reachable columns are
+    assert laplace_noise_matrix(30, 5, 7.5, seed=9, add_to=view) is view
+    assert np.array_equal(table[:, :5], want)
+    for wrong in (np.zeros((30, 4), np.int64), np.zeros((30, 5))):
+        with pytest.raises(InvalidParameterError):
+            laplace_noise_matrix(30, 5, 7.5, seed=9, add_to=wrong)
+
+
+def test_release_in_place_memory_is_one_draw_block():
+    # a copy of the table plus a whole noise matrix peaked at 34.6 MiB here
+    family = rk.new_family("folded-srp", dim=2, depth=4, width=32, seed=1)
+    clean = rk.RaceSketch(np.zeros((100_000, 32), np.int64), family)
+    table = clean.counts
+    tracemalloc.start()
+    try:
+        released = privacy._release(clean, rk.PrivacyBudget(1.0), 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert released.counts is table and released.privatized
+    block = privacy._DRAW_BUDGET * np.dtype(np.float64).itemsize
+    assert peak <= block + 2**18  # and the ufunc casting buffers
+    want = rk.privatize(rk.RaceSketch(np.zeros_like(table), family), rk.PrivacyBudget(1.0),
+                        rng_seed=3)
+    assert released == want
+
+
 def _clean_sketch(rows=10, width=40, n=100, seed=0):
     fam = rk.new_family("srp", dim=2, depth=4, width=width, seed=seed)
     pts = np.random.default_rng(seed).standard_normal((n, 2))

@@ -591,6 +591,49 @@ def test_save_writes_the_table_without_copying_it(tmp_path):
     assert (tmp_path / "s.race").read_bytes() == rk.serialize(sk)
 
 
+def test_load_holds_one_copy_of_the_table(tmp_path):
+    # the file's bytes and then an astype copy of its counters: twice the table
+    sk = rk.build(np.zeros((0, 2)), _family(), rows=1000)
+    sk.counts[:] = np.arange(sk.counts.size).reshape(sk.counts.shape)
+    rk.save(sk, tmp_path / "s.race")
+    tracemalloc.start()
+    try:
+        loaded = rk.load(tmp_path / "s.race")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert loaded == sk
+    assert peak < sk.counts.nbytes + 2**16
+    loaded.add([0.3, 0.4])  # the table read is the sketch's own, and writable
+    assert loaded.counts.sum() == sk.counts.sum() + 1000
+
+
+def test_deserialize_copies_only_from_a_read_only_or_misaligned_buffer():
+    sk = rk.build(np.random.default_rng(7).standard_normal((20, 2)), _family(), 5)
+    data = rk.serialize(sk)
+    from_bytes = rk.deserialize(data)
+    assert from_bytes == sk and from_bytes.counts.flags.writeable
+    from_bytes.add([0.3, 0.4])
+    assert rk.serialize(rk.deserialize(data)) == data
+    buf = bytearray(data)
+    shared = rk.deserialize(buf)
+    assert shared == sk and np.shares_memory(shared.counts, np.frombuffer(buf, np.uint8))
+    misaligned = memoryview(bytearray(b"\0" + data))[1:]
+    copied = rk.deserialize(misaligned)
+    assert copied == sk and copied.counts.flags.aligned
+    assert not np.shares_memory(copied.counts, np.frombuffer(misaligned, np.uint8))
+
+
+def test_build_takes_point_matrices_within_a_stream(monkeypatch):
+    monkeypatch.setattr(rk.sketch, "_CHUNK_BUDGET", 5 * 4 * 4)  # chunks of 5 points
+    pts = np.random.default_rng(8).standard_normal((23, 2))
+    whole = rk.build(pts, _family(), rows=4)
+    # a short block, then longer ones: the bucket buffer grows to the longest
+    stream = [pts[:2], pts[2], pts[3:12], *pts[12:14], pts[14:23]]
+    assert rk.build(iter(stream), _family(), rows=4, threads=2) == whole
+    assert rk.sketch._chunk_length(4, 4) == 5
+
+
 def test_counts_are_int64_and_sized_by_rows_width():
     sk = rk.build(np.ones((10, 2)), _family(), rows=6)
     assert sk.counts.dtype == np.int64
