@@ -67,7 +67,8 @@ def _gather(sketch: RaceSketch, points, out: np.ndarray | None = None) -> np.nda
     """Counter reads for each query: shape (rows, n_queries), into ``out`` when given.
 
     One ``take`` from ``counts.ravel()`` at the flat indices ``bucket + r *
-    width`` of every row and query, for any n: its (rows, n) index is
+    k`` of every row and query, k being the table's stored columns (buckets
+    lie below ``reachable_width <= k``), for any n: its (rows, n) index is
     :func:`estimate`'s block, at most ``_INDEX_BUDGET`` entries or one query.
     Buckets lie in ``[0, width)`` by construction, so ``clip`` never clips,
     and it spares ``take`` the buffered copy of its raise mode. ``out`` must

@@ -196,8 +196,8 @@ new_family = LshFamily  # reads as a factory: new_family("srp", 2, 4, 500)
 class _RowParams(NamedTuple):
     proj: np.ndarray      # (rows * depth, dim) Gaussian projections, column-major, read-only
     offsets: np.ndarray | None  # (rows, depth) uniform offsets, p-stable only
-    mix_a: np.ndarray     # (rows, depth) uint64 in [1, P)
-    mix_b: np.ndarray     # (rows,) uint64 in [0, P)
+    mix_a: np.ndarray | None  # (rows, depth) uint64 in [1, P); None when codes are buckets
+    mix_b: np.ndarray | None  # (rows,) uint64 in [0, P); None when codes are buckets
 
 
 @lru_cache(maxsize=16)
@@ -205,22 +205,30 @@ def _row_params(family: LshFamily, rows: int) -> _RowParams:
     p, d = family.depth, family.dim
     # column-major: one point's matrix-vector product then runs along the
     # projections, which OpenBLAS does about twice as fast as rows * depth
-    # short dot products; a block of rows is still a strided BLAS operand
-    proj = np.asfortranarray(
-        np.random.default_rng([family.seed, _PROJ_TAG]).standard_normal((rows * p, d)))
+    # short dot products; a block of rows is still a strided BLAS operand.
+    # The stream fills the (rows * depth, dim) matrix row by row, so each
+    # block of its rows is drawn C-ordered and copied across, never the whole.
+    proj = np.empty((rows * p, d), order="F")
+    rng = np.random.default_rng([family.seed, _PROJ_TAG])
+    step = max(1, _BLOCK_BUDGET // d)
+    block = np.empty((min(step, rows * p), d))
+    for i0 in range(0, rows * p, step):
+        proj[i0:i0 + step] = rng.standard_normal(out=block[:min(step, rows * p - i0)])
     offsets = None
     if family.kind is HashKind.EUCLIDEAN:
         offsets = np.random.default_rng([family.seed, _OFFSET_TAG]).uniform(
             0.0, family.bandwidth, size=(rows, p))
         offsets.flags.writeable = False
-    # one contiguous block per row, so row r's parameters never depend on how
-    # many rows were requested (hash_batch over r + 1 rows gives row r the same
-    # buckets as any larger batch)
-    mix = np.random.default_rng([family.seed, _MIX_TAG]).integers(
-        1, int(_MIX_PRIME), size=(rows, p + 1)).astype(np.uint64)
-    mix_a, mix_b = mix[:, :p], mix[:, p]
+    mix_a = mix_b = None
+    if not family._plan.direct:
+        # one contiguous block per row, so row r's parameters never depend on
+        # how many rows were requested (hash_batch over r + 1 rows gives row r
+        # the same buckets as any larger batch)
+        mix = np.random.default_rng([family.seed, _MIX_TAG]).integers(
+            1, int(_MIX_PRIME), size=(rows, p + 1)).astype(np.uint64)
+        mix.flags.writeable = False
+        mix_a, mix_b = mix[:, :p], mix[:, p]
     proj.flags.writeable = False
-    mix.flags.writeable = False
     return _RowParams(proj, offsets, mix_a, mix_b)
 
 
@@ -243,22 +251,31 @@ def _as_vector(x, dim: int) -> np.ndarray:
     return v
 
 
-def _angular_buckets(family: LshFamily, codes: np.ndarray, mix_a, mix_b) -> np.ndarray:
+def _angular_buckets(family: LshFamily, codes: np.ndarray, params: _RowParams,
+                     rows: slice) -> np.ndarray:
     """Buckets of packed (rows, n) angular codes, folded in place if the kind folds.
 
-    Direct codes are their own buckets; others take the row's 2-universal mix
-    ``((a * code + b) mod P) mod width``, returned in uint64.
+    Direct codes are their own buckets; others take the 2-universal mix
+    ``((a * code + b) mod P) mod width`` of ``params``' ``rows``, returned in
+    uint64.
     """
     if family.kind is HashKind.FOLDED_SRP:
         np.minimum(codes, codes ^ codes.dtype.type((1 << family.depth) - 1), out=codes)
     if family._plan.direct:
         return codes
-    mixed = (mix_a[:, :1] * (codes % _MIX_PRIME) + mix_b[:, None]) % _MIX_PRIME
+    mixed = (params.mix_a[rows, :1] * (codes % _MIX_PRIME) + params.mix_b[rows, None]) \
+        % _MIX_PRIME
     return mixed % np.uint64(family.width)
 
 
+def _check_finite(pts: np.ndarray) -> None:
+    if not np.isfinite(pts).all():
+        raise InvalidParameterError("points must be finite, got NaN or inf")
+
+
 def hash_batch(family: LshFamily, rows: int | range, points, *,
-               table: int | None = None, out: np.ndarray | None = None) -> np.ndarray:
+               table: int | None = None, out: np.ndarray | None = None,
+               checked: bool = False) -> np.ndarray:
     """Bucket every point under every row hash, or under a range of rows.
 
     ``rows`` is a row count R, for rows ``0 .. R-1``, or a ``range(lo, hi)``
@@ -273,16 +290,19 @@ def hash_batch(family: LshFamily, rows: int | range, points, *,
     for SRP codes used directly); never uint64, since width < 2**32. It is
     written into ``out`` when given, an array (or strided view) of exactly
     that shape and dtype, so a caller can keep one bucket array for all its
-    calls. Points must be finite; NaN or inf raises ``InvalidParameterError``. Rows are
-    evaluated in blocks of about ``_BLOCK_BUDGET * len(rows) / table``
-    projections: a table's ranges, hashed at once by one thread each, hold
-    one budget between them, and the float64 projection is never
-    materialized for all rows at once. Angular codes are
-    packed in one pass per block: the signs of all ``depth`` projections go
-    into one bool buffer, and an ``einsum`` against the bit weights
-    ``2 ** i`` sums them into the code dtype (bit i of row r is the sign of
-    projection ``r * depth + i``). The dtypes and bit weights come from the
-    family's plan.
+    calls. Points must be finite; NaN or inf raises ``InvalidParameterError``.
+    ``checked=True`` skips that check, which reads every point, for a caller
+    that made it once and hashes the same points in many calls, as
+    ``sketch.build`` does one row block at a time. Rows are evaluated in
+    blocks of ``_BLOCK_BUDGET // (depth * n)`` rows (at least one), about
+    4 MiB of float64 projections for any row count or range, so the
+    projection is never materialized for all rows at once; a caller that
+    hashes one such block per call holds one block's buffers at a time.
+    Angular codes are packed in one pass per block: the signs of all
+    ``depth`` projections go into one bool buffer, and an ``einsum`` against
+    the bit weights ``2 ** i`` sums them into the code dtype (bit i of row r
+    is the sign of projection ``r * depth + i``). The dtypes and bit weights
+    come from the family's plan.
 
     A single angular point skips the blocks: one matrix-vector product with
     the (column-major) projections gives its ``rows * depth`` projections and
@@ -314,8 +334,8 @@ def hash_batch(family: LshFamily, rows: int | range, points, *,
             f"rows must be a count >= 1 or a nonempty range of the table's "
             f"{table} rows with step 1, got {rows!r}")
     pts = _as_matrix(points, family.dim)
-    if not np.isfinite(pts).all():
-        raise InvalidParameterError("points must be finite, got NaN or inf")
+    if not checked:
+        _check_finite(pts)
     n, p = pts.shape[0], family.depth
     lo, hi = span.start, span.stop
     plan = family._plan
@@ -326,23 +346,23 @@ def hash_batch(family: LshFamily, rows: int | range, points, *,
     params = _row_params(family, table)
     code_dtype, direct = plan.code_dtype, plan.direct
     if n == 1 and family.kind.angular:
-        proj, mix_a, mix_b = params.proj, params.mix_a, params.mix_b
-        if hi - lo < table:  # three slices would cost 5% of a whole-table call
-            proj, mix_a, mix_b = proj[lo * p:hi * p], mix_a[lo:hi], mix_b[lo:hi]
+        proj = params.proj
+        if hi - lo < table:  # a whole-table call, the common one, skips the slice
+            proj = proj[lo * p:hi * p]
         signs = np.greater_equal(proj @ pts[0], 0)
         if plan.word is not None:
             words = np.multiply(signs.view(plan.word), plan.multiplier)
             codes = np.right_shift(words, 8 * (p - 1)).astype(code_dtype)
         else:
             codes = np.matmul(signs.view(np.uint8).reshape(hi - lo, p), plan.weights)
-        buckets = _angular_buckets(family, codes[:, None], mix_a, mix_b)
+        buckets = _angular_buckets(family, codes[:, None], params, slice(lo, hi))
         if out is None:
             return buckets.astype(plan.out_dtype, copy=False)
         out[:] = buckets
         return out
     if out is None:
         out = np.empty((hi - lo, n), plan.out_dtype)
-    step = max(1, _BLOCK_BUDGET * (hi - lo) // (table * p * max(n, 1)))
+    step = max(1, _BLOCK_BUDGET // (p * max(n, 1)))
     # one projection buffer for all blocks: a fresh one per block faults in anew
     buf = np.empty((min(step, hi - lo) * p, n))
     if family.kind.angular:
@@ -360,7 +380,7 @@ def hash_batch(family: LshFamily, rows: int | range, points, *,
             codes = dest if direct else packed[:r1 - r0]
             np.einsum("rpn,p->rn", bits.view(np.uint8).reshape(r1 - r0, p, n), plan.weights,
                       out=codes, dtype=code_dtype, casting="unsafe")
-            buckets = _angular_buckets(family, codes, params.mix_a[r0:r1], params.mix_b[r0:r1])
+            buckets = _angular_buckets(family, codes, params, slice(r0, r1))
             if not direct:
                 dest[:] = buckets
             continue

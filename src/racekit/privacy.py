@@ -17,8 +17,11 @@ otherwise). A column past it is 0 in the sketch of every dataset, so adding
 or removing a record never moves it: the record's one counter per row lies
 in a reachable column, the L1 sensitivity of the reachable block is still R,
 and the rest is a constant that releasing as an exact 0 leaks nothing about,
-while noise on it would only add variance to N-hat. A sketch holding a
-non-zero count there was not built by its family and is refused, since that
+while noise on it would only add variance to N-hat. Built and loaded tables
+hold only the reachable columns (see :mod:`racekit.sketch`), so a release
+keeps that table and its file carries the other columns as zeros. A table
+that holds a non-zero count past them (a crafted file, which ``load`` keeps
+at full width) was not built by its family and is refused, since that
 count would be published without noise.
 
 Noise generation is counter-based (Philox keyed by the release seed). The

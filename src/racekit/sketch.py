@@ -30,6 +30,17 @@ offset size   field
 The exact element count is serialized only for clean sketches; a privatized
 sketch carries no record of it. Decoders must reject unknown versions and
 any header an encoder would not write, so a decoded file re-encodes exactly.
+
+In memory a table holds only a prefix of its W columns: ``counts`` is
+(R, k) with ``LshFamily.reachable_width <= k <= W``, and every column past k
+is 0. ``build`` and ``merge`` give tables of the reachable columns (16 of
+500 at the CLI defaults), and ``add`` and a release keep the columns of the
+table they are given. The file layout does not change: ``save``
+and ``serialize`` write every row padded with zeros to W, and ``load`` and
+``deserialize`` keep the reachable columns when the file's other columns are
+all 0. Files that hold a non-zero count there, such as releases that drew
+noise on every column, keep all W columns, so they answer and re-encode as
+they always have.
 """
 
 from __future__ import annotations
@@ -72,6 +83,9 @@ _CHUNK_BUDGET = 32_000_000
 # 4 MiB: one index over a whole chunk or query batch (80 MB for 10k points at
 # R=1000) would be allocated and page-faulted in afresh for every call.
 _INDEX_BUDGET = 1 << 19
+# Counters per block of whole rows that save pads and load reads, 64 KiB.
+_IO_BUDGET = 1 << 13
+_BODY = _HEADER.size + 8  # the bytes before the counters
 
 
 @functools.lru_cache(maxsize=16)
@@ -143,16 +157,27 @@ def _count_pairs(counts: np.ndarray, buckets: np.ndarray, alphabet: int,
         counts[2 * g0 + 1:2 * g1:2, :alphabet] += joint.sum(axis=2)
 
 
+def _live_prefix(counts: np.ndarray, live: int) -> np.ndarray:
+    """``counts`` itself, or a view of its first ``live`` columns when the rest are all 0."""
+    return counts if live == counts.shape[1] or counts[:, live:].any() else counts[:, :live]
+
+
 class RaceSketch:
-    """R x W counter matrix with its family descriptor and privatization state."""
+    """R x W counter matrix with its family descriptor and privatization state.
+
+    ``counts`` holds columns ``[0, k)`` of the table, ``family.reachable_width
+    <= k <= width``; every column past k is 0. Equality compares whole tables.
+    """
 
     def __init__(self, counts: np.ndarray, family: LshFamily, *,
                  privatized: bool = False, epsilon: float | None = None,
                  inserted: int | None = None):
         counts = np.asarray(counts)
-        if counts.ndim != 2 or counts.shape[0] < 1 or counts.shape[1] != family.width:
+        live, width = family.reachable_width, family.width
+        if counts.ndim != 2 or counts.shape[0] < 1 or not live <= counts.shape[1] <= width:
             raise InvalidParameterError(
-                f"counts must be (rows, {family.width}), got shape {counts.shape}")
+                f"counts must be (rows, k) with {live} <= k <= {width}, "
+                f"got shape {counts.shape}")
         self.counts = np.ascontiguousarray(counts, dtype=np.int64)
         self.family = family
         self.privatized = bool(privatized)
@@ -177,7 +202,7 @@ class RaceSketch:
 
     @property
     def width(self) -> int:
-        return self.counts.shape[1]
+        return self.family.width
 
     @functools.cached_property
     def n_hat(self) -> float:
@@ -211,12 +236,14 @@ class RaceSketch:
     def __eq__(self, other) -> bool:
         if not isinstance(other, RaceSketch):
             return NotImplemented
+        k = min(self.counts.shape[1], other.counts.shape[1])
         return (self.family == other.family
                 and self.privatized == other.privatized
                 and self.epsilon == other.epsilon
                 and self.inserted == other.inserted
-                and self.counts.shape == other.counts.shape
-                and bool((self.counts == other.counts).all()))
+                and self.rows == other.rows
+                and np.array_equal(self.counts[:, :k], other.counts[:, :k])
+                and not self.counts[:, k:].any() and not other.counts[:, k:].any())
 
     def __repr__(self) -> str:
         state = f"privatized eps={self.epsilon}" if self.privatized \
@@ -313,15 +340,19 @@ def build(data, family: LshFamily, rows: int, *, threads: int = 1) -> RaceSketch
     contiguous ranges; each thread hashes its range of rows
     (``lsh.hash_batch`` with a row range) and counts it into those rows of
     the table, the calling thread taking the first range, and the next chunk
-    starts when every range is counted. Every counter thus has one writer and
-    the result is byte-identical for every ``threads``.
+    starts when every range is counted. A thread walks its range one hash
+    block of ``lsh._BLOCK_BUDGET // (depth * n)`` rows at a time and counts
+    each block as soon as it is hashed, into a bucket buffer the caller
+    allocates once per build for each range. Every counter thus has one
+    writer and the result is byte-identical for every ``threads``.
 
-    Peak memory is the table, one chunk's bucket array and one hash budget,
-    which the threads share, for any ``threads``. Each pool thread adds a
-    fixed cost: its allocator arena keeps the high-water mark of its hash and
-    count buffers resident, and OpenBLAS gives a second concurrent caller its
-    own buffer (about 3 MB of RSS per thread, measured at R=1000 on
-    8000-point chunks with glibc and numpy 2.4's OpenBLAS). While the pool
+    Peak memory is the table of ``rows * reachable_width`` counters, the
+    row parameters (``lsh._row_params``) and, per thread, one hash block's
+    projections, sign bytes and buckets and their count: about 13.25 *
+    ``lsh._BLOCK_BUDGET`` bytes at depth 4, for any data length. Each pool
+    thread adds a fixed cost: its allocator arena keeps the high-water mark
+    of its hash and count buffers resident, and OpenBLAS gives a second
+    concurrent caller its own buffer. While the pool
     runs, numpy's OpenBLAS is held at one thread (for the whole process),
     since each thread's projection matmul would otherwise start its own BLAS
     threads and oversubscribe the cores; when that BLAS cannot be found, the
@@ -332,49 +363,63 @@ def build(data, family: LshFamily, rows: int, *, threads: int = 1) -> RaceSketch
     if threads < 1:
         raise InvalidParameterError(f"threads must be >= 1, got {threads}")
     chunk = _chunk_length(rows, family.depth)
-    counts = np.zeros((rows, family.width), dtype=np.int64)
+    counts = np.zeros((rows, family.reachable_width), dtype=np.int64)
     threads = min(threads, rows)
     blas = _numpy_openblas() if threads > 1 else None
     if blas is None:
         threads = 1
     cuts = [rows * i // threads for i in range(threads + 1)]
     spans = [range(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
+    # a hash block's buckets fit one budget over the depth, or one row of a
+    # chunk; caller-owned, the buffers keep the pool threads' allocations
+    # small, which their allocator arenas would otherwise hold on to
+    per_block = max(chunk, lsh._BLOCK_BUDGET // family.depth)
+    buffers = [np.empty(min(len(span) * chunk, per_block), family._plan.out_dtype)
+               for span in spans]
 
-    def count(span, block, buckets):
-        # the ranges split one hash budget and one count budget by their rows;
-        # the caller's bucket array keeps the pool threads' allocations small,
-        # which their allocator arenas would otherwise hold on to
-        mine = lsh.hash_batch(family, span, block, table=rows,
-                              out=buckets[span.start:span.stop])
-        _scatter(counts[span.start:span.stop], mine, _INDEX_BUDGET * len(span) // rows)
+    def count(span, points, buffer):
+        n = points.shape[0]
+        step = max(1, lsh._BLOCK_BUDGET // (family.depth * n))
+        for r0 in range(span.start, span.stop, step):
+            r1 = min(r0 + step, span.stop)
+            out = buffer[:(r1 - r0) * n].reshape(r1 - r0, n)
+            _scatter(counts[r0:r1], lsh.hash_batch(family, range(r0, r1), points,
+                                                   table=rows, out=out, checked=True))
 
-    inserted, pool, out = 0, None, None
+    inserted, pool = 0, None
     with contextlib.ExitStack() as stack:
         if threads > 1:
             stack.enter_context(_one_blas_thread(blas))
             pool = stack.enter_context(ThreadPoolExecutor(threads - 1))
             lsh._row_params(family, rows)  # drawn once here, not by each thread at once
-        for block in _iter_chunks(data, family.dim, chunk):
-            inserted += block.shape[0]
-            if out is None or out.shape[1] < block.shape[0]:
-                out = np.empty((rows, block.shape[0]), family._plan.out_dtype)
-            buckets = out[:, :block.shape[0]]
-            others = [pool.submit(count, span, block, buckets) for span in spans[1:]]
-            count(spans[0], block, buckets)
+        for points in _iter_chunks(data, family.dim, chunk):
+            lsh._check_finite(points)  # once, not once per hash block
+            inserted += points.shape[0]
+            others = [pool.submit(count, span, points, buffer)
+                      for span, buffer in zip(spans[1:], buffers[1:])]
+            count(spans[0], points, buffers[0])
             for other in others:
                 other.result()
     return RaceSketch(counts, family, inserted=inserted)
 
 
 def merge(a: RaceSketch, b: RaceSketch) -> RaceSketch:
-    """Elementwise sum of two clean, descriptor-identical sketches."""
+    """Elementwise sum of two clean, descriptor-identical sketches, of their reachable columns.
+
+    A table that holds a non-zero count past them (a crafted file) keeps its
+    width, so no count is dropped.
+    """
     if a.privatized or b.privatized:
         raise FrozenSketchError("privatized sketches cannot be merged")
     if a.descriptor() != b.descriptor():
         raise IncompatibleSketchError(
             f"sketch descriptors differ: {a.descriptor()} vs {b.descriptor()}")
-    return RaceSketch(a.counts + b.counts, a.family,
-                      inserted=a.inserted + b.inserted)
+    live = a.family.reachable_width
+    narrow, wide = sorted((_live_prefix(s.counts, live) for s in (a, b)),
+                          key=lambda counts: counts.shape[1])
+    counts = wide.copy()
+    counts[:, :narrow.shape[1]] += narrow
+    return RaceSketch(counts, a.family, inserted=a.inserted + b.inserted)
 
 
 def _header(sketch: RaceSketch) -> bytes:
@@ -390,24 +435,37 @@ def _header(sketch: RaceSketch) -> bytes:
     return header + struct.pack("<Q", sketch.inserted)
 
 
-def _counters(sketch: RaceSketch) -> np.ndarray:
-    """The counters as little-endian i8: the table itself, byteswapped only on big-endian hosts."""
-    return sketch.counts.astype("<i8", copy=False)
+def _payload(sketch: RaceSketch):
+    """The counters as little-endian i8 blocks of whole rows, each padded with zeros to W.
+
+    A full-width table is one block, the table itself (byteswapped only on
+    big-endian hosts). A prefix goes out through one reused block of about
+    ``_IO_BUDGET`` counters, each yielded block valid until the next.
+    """
+    counts, rows, width = sketch.counts, sketch.rows, sketch.width
+    if counts.shape[1] == width:
+        yield counts.astype("<i8", copy=False)
+        return
+    step = max(1, _IO_BUDGET // width)
+    block = np.zeros((min(step, rows), width), "<i8")  # columns past the prefix stay 0
+    for r0 in range(0, rows, step):
+        part = block[:min(step, rows - r0)]
+        part[:, :counts.shape[1]] = counts[r0:r0 + step]
+        yield part
 
 
 def serialize(sketch: RaceSketch) -> bytes:
     """Encode to the canonical little-endian byte layout (see module docstring)."""
-    return b"".join((_header(sketch), _counters(sketch)))
+    return b"".join([_header(sketch), *(part.tobytes() for part in _payload(sketch))])
 
 
-def deserialize(buf) -> RaceSketch:
-    """Decode a sketch, rejecting non-canonical headers and payloads of the wrong length.
+def _parse_header(buf) -> tuple[dict, int, dict]:
+    """Check the 48 bytes before the counters: ``(family fields, rows, sketch state)``.
 
-    The counters of a writable, aligned buffer (a ``bytearray``, as ``load``
-    reads) become the sketch's table without a copy, so the sketch shares
-    that buffer; a read-only buffer such as ``bytes`` is copied.
+    Raises what the header's first fault calls for; the counters' length and
+    the fields the constructors check are left to the caller.
     """
-    if len(buf) < _HEADER.size + 8:
+    if len(buf) < _BODY:
         raise TruncationError(f"buffer of {len(buf)} bytes is shorter than the header")
     magic, version, kind_code, flags, dim, depth, rows, width, seed, bandwidth = \
         _HEADER.unpack_from(buf, 0)
@@ -425,42 +483,101 @@ def deserialize(buf) -> RaceSketch:
         raise MalformedHeaderError(f"unknown flag bits {flags:#04x}")
     if kind.angular and buf[_HEADER.size - 8:_HEADER.size] != _NO_BANDWIDTH:
         raise MalformedHeaderError(f"an angular family has no bandwidth, got {bandwidth!r}")
-    privatized = bool(flags)
-    if privatized:
+    if flags:
         (epsilon,) = struct.unpack_from("<d", buf, _HEADER.size)
-        inserted = None
+        state = dict(privatized=True, epsilon=epsilon)
     else:
-        epsilon = None
         (inserted,) = struct.unpack_from("<Q", buf, _HEADER.size)
-    body = _HEADER.size + 8
-    expected = body + 8 * rows * width
-    if len(buf) < expected:
-        raise TruncationError(f"expected {expected} bytes, got {len(buf)}")
-    if len(buf) > expected:
-        raise MalformedHeaderError(f"{len(buf) - expected} trailing bytes after payload")
-    counts = np.frombuffer(buf, dtype="<i8", count=rows * width, offset=body)
-    shared = counts.flags.writeable and counts.flags.aligned
-    counts = counts.astype(np.int64, copy=not shared).reshape(rows, width)
+        state = dict(inserted=inserted)
+    fields = dict(kind=kind, dim=dim, depth=depth, width=width, bandwidth=bandwidth,
+                  seed=seed)
+    return fields, rows, state
+
+
+@contextlib.contextmanager
+def _header_fields():
+    """Report a header field that a constructor refuses as a malformed header."""
     try:
-        family = LshFamily(kind=kind, dim=dim, depth=depth, width=width,
-                           bandwidth=bandwidth, seed=seed)
-        return RaceSketch(counts, family, privatized=privatized,
-                          epsilon=epsilon, inserted=inserted)
+        yield
     except InvalidParameterError as exc:
         raise MalformedHeaderError(f"invalid header fields: {exc}") from exc
 
 
+def deserialize(buf) -> RaceSketch:
+    """Decode a sketch, rejecting non-canonical headers and payloads of the wrong length.
+
+    The reachable columns are copied out when the others are all 0. A
+    table that keeps its width (non-zero counts past them, or a family that
+    reaches every column) uses a writable, aligned buffer (a ``bytearray``)
+    without a copy, so the sketch shares that buffer; a read-only buffer
+    such as ``bytes`` is copied.
+    """
+    fields, rows, state = _parse_header(buf)
+    expected = _BODY + 8 * rows * fields["width"]
+    if len(buf) < expected:
+        raise TruncationError(f"expected {expected} bytes, got {len(buf)}")
+    if len(buf) > expected:
+        raise MalformedHeaderError(f"{len(buf) - expected} trailing bytes after payload")
+    with _header_fields():
+        family = LshFamily(**fields)
+        counts = np.frombuffer(buf, dtype="<i8", count=rows * family.width, offset=_BODY)
+        counts = counts.reshape(rows, family.width)
+        kept = _live_prefix(counts, family.reachable_width)
+        shared = kept is counts and counts.flags.writeable and counts.flags.aligned
+        return RaceSketch(kept.astype(np.int64, copy=not shared), family, **state)
+
+
 def save(sketch: RaceSketch, path) -> None:
-    """Write ``serialize(sketch)``'s bytes: the header, then the table's own buffer."""
+    """Write ``serialize(sketch)``'s bytes: the header, then the padded rows block by block."""
     with open(path, "wb") as fh:
         fh.write(_header(sketch))
-        fh.write(_counters(sketch))
+        for part in _payload(sketch):
+            fh.write(part)
 
 
 def load(path) -> RaceSketch:
-    """Read a ``.race`` file into one buffer, which becomes the sketch's table."""
+    """Read a ``.race`` file in blocks of rows into a table of its reachable columns.
+
+    The table widens to all W columns at the first block with a non-zero
+    count past them, and from there the file is read straight into it, as it
+    is from the start for a family that reaches every column. A file whose
+    size does not match its header, or a pipe, is read whole and decoded by
+    :func:`deserialize`, which names the fault.
+    """
     with open(path, "rb") as fh:
-        buf = bytearray(os.fstat(fh.fileno()).st_size)
-        del buf[fh.readinto(buf):]
-        buf += fh.read()  # what a pipe, or a file that grew, holds past the stat
-    return deserialize(buf)
+        head = fh.read(_BODY)
+        fields, rows, state = _parse_header(head)
+        width = fields["width"]
+        size = os.fstat(fh.fileno()).st_size
+        if size != _BODY + 8 * rows * width:
+            return deserialize(head + fh.read())
+        with _header_fields():
+            family = LshFamily(**fields)
+        live = family.reachable_width
+
+        def read_into(table):
+            got = fh.readinto(table)
+            if got < table.nbytes:  # the file shrank after the size was read
+                raise TruncationError(f"expected {size} bytes, got {fh.tell()}")
+
+        counts = np.empty((rows, live), "<i8")
+        step = max(1, _IO_BUDGET // width)
+        block = np.empty((min(step, rows), width), "<i8") if live < width else None
+        r0 = 0
+        while r0 < rows and counts.shape[1] < width:
+            part = block[:min(step, rows - r0)]
+            read_into(part)
+            counts[r0:r0 + len(part)] = part[:, :live]
+            if part[:, live:].any():
+                wide = np.zeros((rows, width), "<i8")
+                wide[:r0, :live] = counts[:r0]
+                wide[r0:r0 + len(part)] = part
+                counts = wide
+            r0 += len(part)
+        if r0 < rows:
+            read_into(counts[r0:])
+        extra = len(fh.read())  # what a file that grew holds past the size read
+        if extra:
+            raise MalformedHeaderError(f"{extra} trailing bytes after payload")
+    with _header_fields():
+        return RaceSketch(counts, family, **state)

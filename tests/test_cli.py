@@ -249,11 +249,17 @@ def test_privatize_refuses_counts_in_unreachable_columns(workdir, capsys):
     # depth-4 code reaches, so the row sums still match the inserted count
     _run(capsys, ["build", "--input", workdir / "data.csv", "--rows", 40,
                   "--range", 64, "--output", workdir / "s.race"])
-    sk = rk.load(workdir / "s.race")
+    built = rk.load(workdir / "s.race")
+    table = np.zeros((40, 64), np.int64)
+    table[:, :16] = built.counts
+    sk = rk.RaceSketch(table, built.family, inserted=built.inserted)
     sk.counts[0, int(np.argmax(sk.counts[0]))] -= 1
     sk.counts[0, 40] += 1
     assert sk.row_sums_consistent()
     rk.save(sk, workdir / "crafted.race")
+    assert rk.load(workdir / "crafted.race").counts.shape == (40, 64)
+    with pytest.raises(rk.InvalidParameterError, match="refusing to release"):
+        rk.privatize(rk.load(workdir / "crafted.race"), rk.PrivacyBudget(1.0), rng_seed=0)
     budget = workdir / "b.json"
     budget.write_text(json.dumps({"epsilon": 1.0, "consumed": False}))
     code, _, err = _run(capsys, ["privatize", "--sketch", workdir / "crafted.race",
@@ -488,8 +494,8 @@ def _full_width_release(clean, epsilon, seed):
     """
     noise = rk.privacy.laplace_noise_matrix(clean.rows, clean.width, clean.rows / epsilon,
                                             seed)
-    return rk.RaceSketch(clean.counts + noise, clean.family, privatized=True,
-                         epsilon=epsilon)
+    noise[:, :clean.counts.shape[1]] += clean.counts
+    return rk.RaceSketch(noise, clean.family, privatized=True, epsilon=epsilon)
 
 
 # sha256 of the answer files, taken before the read path was rewritten and

@@ -129,6 +129,29 @@ def test_rows_use_distinct_parameters():
     assert len({tuple(row) for row in map(tuple, flat)}) == 10
 
 
+@pytest.mark.parametrize("budget", [None, 7])
+def test_row_parameters_are_the_one_shot_draws(monkeypatch, budget):
+    # projections are drawn in blocks straight into their column-major array
+    if budget is not None:
+        monkeypatch.setattr(lsh, "_BLOCK_BUDGET", budget)  # 2 rows of dim 3 a block
+    for kind, width, kwargs in (("srp", 8, {}), ("srp", 50, {}),
+                                ("euclidean", 8, {"bandwidth": 0.5})):
+        fam = rk.new_family(kind, dim=3, depth=4, width=width, seed=31, **kwargs)
+        lsh._row_params.cache_clear()
+        params = lsh._row_params(fam, 25)
+        lsh._row_params.cache_clear()
+        want = np.random.default_rng([31, lsh._PROJ_TAG]).standard_normal((100, 3))
+        assert params.proj.flags.f_contiguous and not params.proj.flags.writeable
+        assert np.array_equal(params.proj, want)
+        if fam._plan.direct:
+            assert params.mix_a is None and params.mix_b is None
+            continue
+        mix = np.random.default_rng([31, lsh._MIX_TAG]).integers(
+            1, int(lsh._MIX_PRIME), size=(25, 5)).astype(np.uint64)
+        assert np.array_equal(params.mix_a, mix[:, :4])
+        assert np.array_equal(params.mix_b, mix[:, 4])
+
+
 def test_dimension_mismatch():
     fam = rk.new_family("srp", dim=3, depth=2, width=8, seed=1)
     with pytest.raises(DimensionMismatchError):
@@ -465,8 +488,9 @@ def test_non_finite_points_are_rejected(kind, kwargs, bad):
     pts[4, 1] = bad
     with pytest.raises(InvalidParameterError, match="finite"):
         rk.hash_batch(fam, 5, pts)
-    with pytest.raises(InvalidParameterError, match="finite"):
-        rk.build(pts, fam, 5)
+    for threads in (1, 2):  # the build checks each chunk once, then hashes it in blocks
+        with pytest.raises(InvalidParameterError, match="finite"):
+            rk.build(pts, fam, 5, threads=threads)
     sketch = rk.build(pts[:4], fam, 5)
     with pytest.raises(InvalidParameterError, match="finite"):
         estimation.estimate(sketch, pts)

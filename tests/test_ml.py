@@ -84,7 +84,9 @@ def _low_n_hat_release(clean, shift):
     Every read drops by ``shift`` and N-hat by ``shift * width``, so the
     densities rank points as the clean sketch does but pass 1 near its data.
     """
-    return rk.RaceSketch(clean.counts - shift, clean.family, privatized=True, epsilon=1.0)
+    table = np.full((clean.rows, clean.width), -shift, np.int64)
+    table[:, :clean.counts.shape[1]] += clean.counts
+    return rk.RaceSketch(table, clean.family, privatized=True, epsilon=1.0)
 
 
 def test_ml_ranks_densities_past_the_kde_cap():
@@ -309,8 +311,8 @@ def test_folded_reads_equal_pair_sketch_reads_at_direct_depths(depth, width):
     assert np.array_equal(estimation._gather(folded, _FOLD_QUERIES),
                           estimation._gather(pair, _FOLD_QUERIES))
     half = 1 << (depth - 1)
-    assert np.array_equal(folded.counts[:, :half], pair.counts[:, :half])
-    assert not folded.counts[:, half:].any()
+    assert folded.counts.shape == (500, half)  # the columns a folded code reaches
+    assert np.array_equal(folded.counts, pair.counts[:, :half])
 
 
 @pytest.mark.parametrize("depth,width", [(12, 50), (4, 8)])

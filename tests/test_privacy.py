@@ -130,6 +130,13 @@ def _clean_sketch(rows=10, width=40, n=100, seed=0):
     return rk.build(pts, fam, rows)
 
 
+def _full_width(sk):
+    """``sk`` with its table widened to all ``width`` columns, the new ones 0."""
+    table = np.zeros((sk.rows, sk.width), np.int64)
+    table[:, :sk.counts.shape[1]] = sk.counts
+    return rk.RaceSketch(table, sk.family, inserted=sk.inserted)
+
+
 def test_privatize_vanishing_noise_at_huge_epsilon():
     sk = _clean_sketch(rows=10)
     released = rk.privatize(sk, rk.PrivacyBudget(1e9), rng_seed=7)
@@ -170,8 +177,12 @@ def test_privatize_is_deterministic_per_seed_and_matches_noise_matrix():
     assert live == 16
     noise = laplace_noise_matrix(20, live, sk.rows / 0.5, seed=99)
     assert noise.dtype == np.int64
-    assert (a.counts[:, :live] == sk.counts[:, :live] + noise).all()
-    assert (a.counts[:, live:] == 0).all()
+    assert a.counts.shape == sk.counts.shape == (20, live)
+    assert (a.counts == sk.counts + noise).all()
+    # a full-width input is released as the same table, its other columns 0
+    assert rk.privatize(_full_width(sk), rk.PrivacyBudget(0.5), rng_seed=99) == a
+    written = np.frombuffer(rk.serialize(a), "<i8", offset=48).reshape(20, 30)
+    assert (written[:, :live] == a.counts).all() and (written[:, live:] == 0).all()
 
 
 def test_noise_scale_calibration():
@@ -190,8 +201,9 @@ def test_privatize_refuses_inconsistent_rows():
 def test_privatize_refuses_counts_in_unreachable_columns():
     # moving one record of row 0 to column 20, past the 16 a depth-4 code
     # reaches, keeps the row sums; released as is, that count would escape the
-    # noise
-    sk = _clean_sketch(width=40)
+    # noise. A built table holds only the 16, so the count goes into a
+    # full-width one
+    sk = _full_width(_clean_sketch(width=40))
     sk.counts[0, int(np.argmax(sk.counts[0]))] -= 1
     sk.counts[0, 20] += 1
     assert sk.row_sums_consistent()
@@ -214,8 +226,8 @@ def test_privatize_rejects_a_scale_past_the_bound(epsilon):
     # counter; the unreachable ones stay exact zeros
     released = rk.privatize(sk, rk.PrivacyBudget(sk.rows / MAX_NOISE_SCALE), rng_seed=1)
     live = sk.family.reachable_width
-    assert (released.counts[:, :live] != sk.counts[:, :live]).mean() > 0.99
-    assert (released.counts[:, live:] == 0).all()
+    assert released.counts.shape == sk.counts.shape == (10, live)
+    assert (released.counts != sk.counts).mean() > 0.99
 
 
 def test_released_n_hat_is_unbiased():

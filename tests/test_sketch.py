@@ -1,4 +1,5 @@
 import hashlib
+import re
 import struct
 import sys
 import threading
@@ -24,6 +25,13 @@ def _family(seed=3, **kw):
     base = dict(kind="srp", dim=2, depth=4, width=50, seed=seed)
     base.update(kw)
     return rk.new_family(**base)
+
+
+def _whole_table(sk):
+    """The sketch's (rows, width) table: its stored columns, then zeros."""
+    table = np.zeros((sk.rows, sk.width), np.int64)
+    table[:, :sk.counts.shape[1]] = sk.counts
+    return table
 
 
 def test_build_empty_dataset():
@@ -55,10 +63,12 @@ def test_build_matches_direct_recount():
     pts = rng.standard_normal((60, 2))
     fam = _family()
     sk = rk.build(pts, fam, rows=15)
+    assert sk.counts.shape == (15, fam.reachable_width) == (15, 16)
+    table = _whole_table(sk)
     buckets = rk.hash_batch(fam, 15, pts)
     for r in range(15):
         for j in range(fam.width):
-            assert sk.counts[r, j] == int((buckets[r] == j).sum())
+            assert table[r, j] == int((buckets[r] == j).sum())
 
 
 def test_build_dimension_mismatch():
@@ -354,29 +364,58 @@ def test_threaded_stream_build_counts_each_row_range_where_it_was_hashed(monkeyp
 
 
 def test_threaded_build_memory_is_the_table_plus_bucket_arrays():
-    # a 16 MB table against 4 MB bucket arrays of 2000-point chunks; the
-    # threads' row ranges share one chunk's buckets, one hash budget and one
-    # count block, so the peak is the same for any thread count
+    # a 4 MB table of the 256 reachable columns. Each thread hashes its rows
+    # one block at a time into its own bucket buffer and counts the block at
+    # once, so the peak is the table plus one hash block and its count per
+    # thread: no (rows, chunk) bucket array (4 MB here) is held
     fam = rk.new_family("srp", dim=2, depth=8, width=1000, seed=3)
     pts = np.random.default_rng(7).standard_normal((6000, 2))
-    # one chunk's buckets and one hash budget
+    rk.lsh._row_params(fam, 2000)  # cached parameters are not part of the peak
+    step = rk.lsh._BLOCK_BUDGET // (fam.depth * 2000)
+    # one hash block, its buckets included
     tracemalloc.start()
     try:
-        rk.hash_batch(fam, 2000, pts[:2000])
+        buckets = rk.hash_batch(fam, range(0, step), pts[:2000], table=2000)
         hashing = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     # one count block: its intp indices and a bincount no longer than them
-    count_block = 2 * rk.sketch._INDEX_BUDGET * np.dtype(np.intp).itemsize
-    for threads in (2, 3, 4):
+    count_block = 2 * buckets.size * np.dtype(np.intp).itemsize
+    for threads in (1, 2, 3, 4):
         tracemalloc.start()
         try:
             sk = rk.build(pts, fam, 2000, threads=threads)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert sk.inserted == 6000
-        assert peak <= sk.counts.nbytes + hashing + count_block, threads
+        assert sk.inserted == 6000 and sk.counts.shape == (2000, 256)
+        assert peak <= sk.counts.nbytes + threads * (hashing + count_block), threads
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_build_memory_at_the_fit_shape_is_the_table_parameters_and_a_block_per_thread(
+        threads):
+    # fit_regression's build: 128 points through 100k folded rows. The parent
+    # code peaked at 48.8 MB here, with a 25.6 MB table of all 32 columns, a
+    # (rows, chunk) bucket array and a C-ordered copy of the projections
+    fam = rk.new_family("folded-srp", dim=2, depth=4, width=32, seed=9)
+    pts = np.random.default_rng(9).standard_normal((128, 2))
+    rk.lsh._row_params.cache_clear()  # drawn inside the peak, as fit_regression draws them
+    tracemalloc.start()
+    try:
+        sk = rk.build(pts, fam, 100_000, threads=threads)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    proj = rk.lsh._row_params(fam, 100_000).proj
+    rk.lsh._row_params.cache_clear()  # 100k-row parameters
+    assert sk.counts.shape == (100_000, 8)
+    budget = rk.lsh._BLOCK_BUDGET
+    # projections (float64) and their sign bytes, then per depth-4 row block
+    # of buckets: the uint8 buckets, their intp indices and a tally no longer
+    per_thread = 9 * budget + budget // fam.depth * (1 + 8 + 8)
+    assert peak <= sk.counts.nbytes + proj.nbytes + threads * per_thread
+    assert sk == rk.build(pts, fam, 100_000)
 
 
 def test_add_single_point():
@@ -577,22 +616,30 @@ def test_save_load_files(tmp_path):
 
 
 def test_save_writes_the_table_without_copying_it(tmp_path):
-    # the table went through astype, tobytes and a concatenation: three 400 KB copies
-    sk = rk.build(np.zeros((0, 2)), _family(), rows=1000)
-    sk.counts[:] = np.arange(sk.counts.size).reshape(sk.counts.shape)
-    tracemalloc.start()
-    try:
-        rk.save(sk, tmp_path / "s.race")
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert sk.counts.nbytes == 1000 * 50 * 8
-    assert peak < 2**16
-    assert (tmp_path / "s.race").read_bytes() == rk.serialize(sk)
+    # the table went through astype, tobytes and a concatenation: three 400 KB
+    # copies; a table of the reachable columns goes out padded, one block of
+    # rows at a time, and a full-width one as itself
+    built = rk.build(np.zeros((0, 2)), _family(), rows=1000)
+    built.counts[:] = np.arange(built.counts.size).reshape(built.counts.shape)
+    full = rk.RaceSketch(_whole_table(built), built.family)
+    block = 8 * rk.sketch._IO_BUDGET
+    for sk, bound in ((built, block + 2**14), (full, 2**16)):
+        tracemalloc.start()
+        try:
+            rk.save(sk, tmp_path / "s.race")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound
+        assert (tmp_path / "s.race").read_bytes() == rk.serialize(sk)
+    assert built.counts.nbytes == 1000 * 16 * 8 and full.counts.nbytes == 1000 * 50 * 8
+    assert rk.serialize(built) == rk.serialize(full)
+    assert len(rk.serialize(built)) == 48 + 1000 * 50 * 8
 
 
 def test_load_holds_one_copy_of_the_table(tmp_path):
-    # the file's bytes and then an astype copy of its counters: twice the table
+    # the file's bytes and then an astype copy of its counters: twice the
+    # whole table; now the reachable columns and one block of file rows
     sk = rk.build(np.zeros((0, 2)), _family(), rows=1000)
     sk.counts[:] = np.arange(sk.counts.size).reshape(sk.counts.shape)
     rk.save(sk, tmp_path / "s.race")
@@ -602,14 +649,34 @@ def test_load_holds_one_copy_of_the_table(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert loaded == sk
-    assert peak < sk.counts.nbytes + 2**16
+    assert loaded == sk and loaded.counts.shape == (1000, 16)
+    assert peak < loaded.counts.nbytes + 8 * rk.sketch._IO_BUDGET + 2**14
     loaded.add([0.3, 0.4])  # the table read is the sketch's own, and writable
     assert loaded.counts.sum() == sk.counts.sum() + 1000
+    # a family that reaches every column is read straight into its table
+    every = rk.build(np.random.default_rng(1).standard_normal((300, 2)),
+                     _family(depth=12), rows=1000)
+    rk.save(every, tmp_path / "e.race")
+    tracemalloc.start()
+    try:
+        loaded = rk.load(tmp_path / "e.race")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert loaded == every and loaded.counts.shape == (1000, 50)
+    assert peak < loaded.counts.nbytes + 2**14
 
 
 def test_deserialize_copies_only_from_a_read_only_or_misaligned_buffer():
-    sk = rk.build(np.random.default_rng(7).standard_normal((20, 2)), _family(), 5)
+    # the reachable columns of a direct family are always copied out
+    direct = rk.build(np.random.default_rng(7).standard_normal((20, 2)), _family(), 5)
+    buf = bytearray(rk.serialize(direct))
+    compact = rk.deserialize(buf)
+    assert compact == direct and compact.counts.shape == (5, 16)
+    assert not np.shares_memory(compact.counts, np.frombuffer(buf, np.uint8))
+    # a table of every column (depth 12 codes are rebucketed into all 50)
+    sk = rk.build(np.random.default_rng(7).standard_normal((20, 2)), _family(depth=12), 5)
+    assert sk.counts.shape == (5, 50)
     data = rk.serialize(sk)
     from_bytes = rk.deserialize(data)
     assert from_bytes == sk and from_bytes.counts.flags.writeable
@@ -624,6 +691,100 @@ def test_deserialize_copies_only_from_a_read_only_or_misaligned_buffer():
     assert not np.shares_memory(copied.counts, np.frombuffer(misaligned, np.uint8))
 
 
+# A release that drew noise on all 64 columns, as releases did before noise
+# was limited to the reachable ones: the sha256 of its file, its n_hat, and
+# the sha256 of estimate's f_hat then kde bytes on 50 queries, taken from the
+# code that held every table at full width.
+_OLD_RELEASE = ("f9975b3d09d7b0fa18d89319d879009a00fa5a7c9a4db2466dddd427765bce18",
+                2023.1666666666667,
+                {"median_of_means":
+                 "d26b1de9516ac65f7e352bdd9c64bff9a2624090fabb2b1c4707524d4b36bbd6",
+                 "mean": "48036f92ec9c5ae18605f40678d928aa8df2b6bfb9fa440d1b6b9c848c2de642"})
+
+
+def test_a_release_with_noise_past_the_reachable_columns_loads_at_full_width(tmp_path):
+    fam = rk.new_family(**_GOLDEN["srp"][0])
+    clean = rk.build(_GOLDEN_POINTS[:2000], fam, 30)
+    table = _whole_table(clean) + rk.laplace_noise_matrix(30, 64, 30 / 2.0, 77)
+    rk.save(rk.RaceSketch(table, fam, privatized=True, epsilon=2.0), tmp_path / "old.race")
+    data = (tmp_path / "old.race").read_bytes()
+    digest, n_hat, answers = _OLD_RELEASE
+    assert hashlib.sha256(data).hexdigest() == digest
+    for old in (rk.load(tmp_path / "old.race"), rk.deserialize(data)):
+        assert old.counts.shape == (30, 64) and np.array_equal(old.counts, table)
+        assert old.n_hat == n_hat
+        for estimator, want in answers.items():
+            est = rk.estimate(old, _GOLDEN_POINTS[-50:], estimator)
+            got = hashlib.sha256(est.f_hat.tobytes() + est.kde.tobytes()).hexdigest()
+            assert got == want, estimator
+        assert rk.serialize(old) == data
+        rk.save(old, tmp_path / "again.race")
+        assert (tmp_path / "again.race").read_bytes() == data
+
+
+@pytest.mark.parametrize("row", [0, 7, 29])
+def test_load_widens_at_the_first_block_with_a_count_past_the_reachable_columns(
+        monkeypatch, tmp_path, row):
+    # blocks of 2 rows; a count in column 40 of row 0, 7 or 29
+    monkeypatch.setattr(rk.sketch, "_IO_BUDGET", 2 * 50)
+    clean = rk.build(np.random.default_rng(3).standard_normal((200, 2)), _family(), 30)
+    table = _whole_table(clean)
+    table[row, int(np.argmax(table[row]))] -= 1
+    table[row, 40] += 1
+    crafted = rk.RaceSketch(table, clean.family, inserted=clean.inserted)
+    rk.save(crafted, tmp_path / "c.race")
+    loaded = rk.load(tmp_path / "c.race")
+    assert loaded.counts.shape == (30, 50) and np.array_equal(loaded.counts, table)
+    assert loaded == crafted == rk.deserialize((tmp_path / "c.race").read_bytes())
+    assert loaded != clean
+    assert rk.serialize(loaded) == (tmp_path / "c.race").read_bytes()
+    rk.save(clean, tmp_path / "s.race")
+    assert rk.load(tmp_path / "s.race").counts.shape == (30, 16)
+
+
+def test_load_names_a_fault_as_deserialize_does(tmp_path):
+    data = rk.serialize(rk.build(np.ones((4, 2)), _family(), 3))
+    faults = [data[:20], data[:47], data[:-5], data + b"\0", b"JUNK" + data[4:]]
+    for i, buf in enumerate(faults):
+        path = tmp_path / f"{i}.race"
+        path.write_bytes(buf)
+        with pytest.raises(SketchFormatError) as want:
+            rk.deserialize(buf)
+        with pytest.raises(type(want.value), match=re.escape(str(want.value))):
+            rk.load(path)
+
+
+def test_equality_compares_whole_tables():
+    sk = rk.build(np.random.default_rng(2).standard_normal((50, 2)), _family(), 10)
+    full = rk.RaceSketch(_whole_table(sk), sk.family, inserted=sk.inserted)
+    assert sk == full and full == sk
+    table = _whole_table(sk)
+    table[3, 40] = 1  # a count past the reachable columns, which sk holds as 0
+    for other in (rk.RaceSketch(table, sk.family, inserted=sk.inserted),
+                  rk.RaceSketch(table[:, :41], sk.family, inserted=sk.inserted)):
+        assert sk != other and other != sk
+
+
+def test_merge_takes_a_full_width_table_with_a_reachable_one():
+    rng = np.random.default_rng(1)
+    a, b = rng.standard_normal((120, 2)), rng.standard_normal((80, 2))
+    fam = _family()
+    compact = rk.build(b, fam, 40)
+    full = rk.build(a, fam, 40)
+    full = rk.RaceSketch(_whole_table(full), fam, inserted=full.inserted)
+    union = rk.build(np.vstack([a, b]), fam, 40)
+    for merged in (rk.merge(full, compact), rk.merge(compact, full)):
+        assert merged == union and merged.counts.shape == (40, 16)
+    # a count past the reachable columns is kept, at full width
+    table = _whole_table(compact)
+    table[0, int(np.argmax(table[0]))] -= 1
+    table[0, 30] += 1
+    crafted = rk.RaceSketch(table, fam, inserted=compact.inserted)
+    merged = rk.merge(crafted, rk.build(a, fam, 40))
+    assert merged.counts.shape == (40, 50) and merged.counts[0, 30] == 1
+    assert np.array_equal(merged.counts, _whole_table(union) + table - _whole_table(compact))
+
+
 def test_build_takes_point_matrices_within_a_stream(monkeypatch):
     monkeypatch.setattr(rk.sketch, "_CHUNK_BUDGET", 5 * 4 * 4)  # chunks of 5 points
     pts = np.random.default_rng(8).standard_normal((23, 2))
@@ -635,9 +796,14 @@ def test_build_takes_point_matrices_within_a_stream(monkeypatch):
 
 
 def test_counts_are_int64_and_sized_by_rows_width():
-    sk = rk.build(np.ones((10, 2)), _family(), rows=6)
-    assert sk.counts.dtype == np.int64
-    assert sk.counts.nbytes == 6 * 50 * 8
+    # rows times the reachable width: 16 of 50 columns for depth 4 codes, all
+    # 50 when depth 12 codes are rebucketed
+    for depth, live in ((4, 16), (12, 50)):
+        sk = rk.build(np.ones((10, 2)), _family(depth=depth), rows=6)
+        assert sk.counts.dtype == np.int64
+        assert sk.family.reachable_width == live
+        assert sk.counts.nbytes == 6 * live * 8
+        assert sk.width == 50 and len(rk.serialize(sk)) == 48 + 6 * 50 * 8
 
 
 def test_sketch_constructor_validation():
