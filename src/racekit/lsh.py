@@ -23,8 +23,10 @@ always for the unbounded p-stable codes, a seeded 2-universal mix
 rate of at most ``1 / width``. A p-stable row mixes its ``depth`` floors as
 ``(b + sum_i a_i * (floor_i mod P)) mod P``; each floor enters as a shifted
 representative in ``[1, 2P)`` (exact through ``fmod`` for floors past
-``+-P``, including those past int64), and the sum is reduced once per two
-terms.
+``+-P``, including those past int64, which a Cauchy-Schwarz bound rules out
+for most calls), and the sum is reduced once per two terms. Every ``mod`` of
+every mix runs as ``x - (x // m) * m``, which numpy computes without a
+hardware division.
 
 All per-row parameters derive deterministically from the family seed, so the
 bucket of a point depends only on (seed, row, point). ``hash_batch`` therefore
@@ -60,10 +62,11 @@ _OFFSET_TAG = 0x5EED_0002
 _MIX_TAG = 0x5EED_0003
 
 # A euclidean floor in (-P, P) plus _SHIFT is an exact double in
-# (2**52, 2**52 + 2P), whose low 52 bits hold floor + P.
+# (2**52, 2**52 + 2P), whose bits read as uint64 are _EXPONENT + floor + P:
+# _EXPONENT is the bits of 2**52, and the low 52 bits hold the rest.
 _PRIME_F = float(_MIX_PRIME)
 _SHIFT = 2.0 ** 52 + _PRIME_F
-_LOW_52 = np.uint64((1 << 52) - 1)
+_EXPONENT = np.array(2.0 ** 52).view(np.uint64)[()]
 
 _MAX_DEPTH = 62  # SRP codes are packed into an unsigned 64-bit word
 _MAX_WIDTH = 1 << 32  # the .race header stores width as u32
@@ -72,6 +75,11 @@ _MAX_WIDTH = 1 << 32  # the .race header stores width as u32
 # one block's projection and its sign or grid temporaries stay near cache
 # size, where one matrix over all rows would be bound by memory bandwidth.
 _BLOCK_BUDGET = 1 << 19
+
+# Euclidean blocks take an eighth of it, 2**16 doubles or 512 KiB, so that
+# their ten or so in-place passes run in a 2 MiB per-core L2; angular blocks
+# make three passes and measured faster at the whole budget.
+_EUCLIDEAN_SHARE = 8
 
 # Multiply-shift packing of a single point's sign bytes, for depths 2, 4 and 8.
 # Row r's depth sign bytes, read as one little-endian word, hold bit i in byte
@@ -198,6 +206,10 @@ class _RowParams(NamedTuple):
     offsets: np.ndarray | None  # (rows, depth) uniform offsets, p-stable only
     mix_a: np.ndarray | None  # (rows, depth) uint64 in [1, P); None when codes are buckets
     mix_b: np.ndarray | None  # (rows,) uint64 in [0, P); None when codes are buckets
+    proj_norm: float | None = None  # largest projection norm, p-stable only
+    # (rows, ceil(depth / 2)) uint64, p-stable only: per pair of terms, minus
+    # _EXPONENT times the pair's multipliers mod 2**64, plus b in the first pair
+    pair_b: np.ndarray | None = None
 
 
 @lru_cache(maxsize=16)
@@ -212,24 +224,35 @@ def _row_params(family: LshFamily, rows: int) -> _RowParams:
     rng = np.random.default_rng([family.seed, _PROJ_TAG])
     step = max(1, _BLOCK_BUDGET // d)
     block = np.empty((min(step, rows * p), d))
+    euclidean = family.kind is HashKind.EUCLIDEAN
+    largest = 0.0  # squared norm of the longest projection, for euclidean range bounds
     for i0 in range(0, rows * p, step):
-        proj[i0:i0 + step] = rng.standard_normal(out=block[:min(step, rows * p - i0)])
-    offsets = None
-    if family.kind is HashKind.EUCLIDEAN:
+        drawn = rng.standard_normal(out=block[:min(step, rows * p - i0)])
+        proj[i0:i0 + step] = drawn
+        if euclidean:
+            largest = max(largest, float(np.einsum("ij,ij->i", drawn, drawn).max()))
+    offsets = proj_norm = pair_b = None
+    if euclidean:
         offsets = np.random.default_rng([family.seed, _OFFSET_TAG]).uniform(
             0.0, family.bandwidth, size=(rows, p))
         offsets.flags.writeable = False
+        proj_norm = math.sqrt(largest)
     mix_a = mix_b = None
     if not family._plan.direct:
         # one contiguous block per row, so row r's parameters never depend on
         # how many rows were requested (hash_batch over r + 1 rows gives row r
-        # the same buckets as any larger batch)
+        # the same buckets as any larger batch); the multipliers are copied
+        # out contiguous, which one point's (rows, depth) product reads faster
         mix = np.random.default_rng([family.seed, _MIX_TAG]).integers(
             1, int(_MIX_PRIME), size=(rows, p + 1)).astype(np.uint64)
-        mix.flags.writeable = False
-        mix_a, mix_b = mix[:, :p], mix[:, p]
+        mix_a, mix_b = np.ascontiguousarray(mix[:, :p]), np.ascontiguousarray(mix[:, p])
+        mix_a.flags.writeable = mix_b.flags.writeable = False
+        if euclidean:  # unsigned arrays wrap mod 2**64
+            pair_b = np.negative(_EXPONENT * np.add.reduceat(mix_a, range(0, p, 2), axis=1))
+            pair_b[:, 0] += mix_b
+            pair_b.flags.writeable = False
     proj.flags.writeable = False
-    return _RowParams(proj, offsets, mix_a, mix_b)
+    return _RowParams(proj, offsets, mix_a, mix_b, proj_norm, pair_b)
 
 
 def _as_matrix(points, dim: int) -> np.ndarray:
@@ -251,6 +274,23 @@ def _as_vector(x, dim: int) -> np.ndarray:
     return v
 
 
+def _mod(x: np.ndarray, m: np.unsignedinteger, out: np.ndarray | None = None,
+         quotient: np.ndarray | None = None) -> np.ndarray:
+    """``x mod m`` for unsigned ``x``, as ``x - (x // m) * m``, into ``out`` when given.
+
+    Exact for unsigned integers, and faster than ``np.remainder``: numpy
+    divides by a scalar through libdivide's multiply and shift (Granlund and
+    Montgomery, PLDI 1994), where ``remainder`` runs the hardware division.
+    On 262k entries (2 vCPUs, numpy 2.4) ``% P`` in uint64 took 0.6 ms
+    against 1.05, and ``% 200`` in uint32 0.22 against 0.63. ``quotient``,
+    when given, is scratch of ``x``'s shape and dtype for ``x // m``;
+    ``out`` may be ``x``.
+    """
+    q = np.floor_divide(x, m, out=quotient)
+    np.multiply(q, m, out=q)
+    return np.subtract(x, q, out=out, casting="unsafe")
+
+
 def _angular_buckets(family: LshFamily, codes: np.ndarray, params: _RowParams,
                      rows: slice) -> np.ndarray:
     """Buckets of packed (rows, n) angular codes, folded in place if the kind folds.
@@ -263,9 +303,66 @@ def _angular_buckets(family: LshFamily, codes: np.ndarray, params: _RowParams,
         np.minimum(codes, codes ^ codes.dtype.type((1 << family.depth) - 1), out=codes)
     if family._plan.direct:
         return codes
-    mixed = (params.mix_a[rows, :1] * (codes % _MIX_PRIME) + params.mix_b[rows, None]) \
-        % _MIX_PRIME
-    return mixed % np.uint64(family.width)
+    mixed = params.mix_a[rows, :1] * _mod(codes, _MIX_PRIME)
+    np.add(mixed, params.mix_b[rows, None], out=mixed)
+    return _mod(_mod(mixed, _MIX_PRIME, out=mixed), np.uint64(family.width), out=mixed)
+
+
+def _floors_in_range(params: _RowParams, bandwidth: float, norm: float) -> bool:
+    """True when a bound proves every euclidean floor finite and inside ``(-P, P)``.
+
+    ``norm`` is the largest norm of the points. By Cauchy-Schwarz
+    ``|g . x| <= |g| |x|``, and the offset adds less than one bandwidth, so
+    ``|floor| <= proj_norm * norm / bandwidth + 1``; half of P leaves room
+    for the rounding of the matmul and of the norms. An infinite or NaN
+    bound fails the test.
+    """
+    return params.proj_norm * norm / bandwidth + 1.0 < _PRIME_F / 2
+
+
+def _euclidean_buckets(family: LshFamily, floors: np.ndarray, offsets: np.ndarray,
+                       mix_a: np.ndarray, pair_b: np.ndarray, in_range: bool,
+                       out: np.ndarray, scratch: list[np.ndarray] | None = None) -> np.ndarray:
+    """Buckets of the projections ``floors``, (rows, depth) or (rows, depth, n), into ``out``.
+
+    ``offsets``, ``mix_a`` and ``pair_b`` are those rows' parameters, shaped
+    to broadcast against ``floors``, whose term ``floors[:, i]`` has
+    ``out``'s shape. ``in_range`` is :func:`_floors_in_range`. Works in
+    place in ``floors`` and in ``scratch`` of ``out``'s shape: an
+    accumulator, contiguous where the grid's terms are strided, and a
+    quotient in uint64, then the residues mod P and their quotient in
+    uint32, which may share the spent uint64 quotient's bytes. Without
+    ``scratch`` each step allocates its result, which one point's (rows,)
+    arrays do as cheaply.
+    """
+    np.add(floors, offsets, out=floors)
+    np.divide(floors, family.bandwidth, out=floors)
+    np.floor(floors, out=floors)
+    if not in_range:
+        least, most = floors.min(initial=0.0), floors.max(initial=0.0)
+        if not (math.isfinite(least) and math.isfinite(most)):
+            raise InvalidParameterError(
+                "a bucket index overflowed float64: the points are too far from "
+                f"the origin for bandwidth {family.bandwidth!r}")
+        if not -_PRIME_F < least <= most < _PRIME_F:
+            np.fmod(floors, _PRIME_F, out=floors)
+    np.add(floors, _SHIFT, out=floors)
+    # term i is a_i * (_EXPONENT + g_i) mod 2**64; adding a pair's pair_b
+    # leaves b + a_i g_i + a_j g_j, which is below 2**64 and so exact
+    grid = floors.view(np.uint64)
+    np.multiply(grid, mix_a, out=grid)
+    acc, quotient, residues, quotient32 = scratch or (None,) * 4
+    acc = np.add(grid[:, 0], pair_b[:, 0], out=acc)
+    p = family.depth
+    for i in range(1, p):
+        if i % 2 == 0:  # a pair starts, after a % P
+            np.add(acc, pair_b[:, i // 2], out=acc)
+        np.add(acc, grid[:, i], out=acc)
+        if i % 2 and i < p - 1:  # two products added since the last % P
+            _mod(acc, _MIX_PRIME, out=acc, quotient=quotient)
+    residues = _mod(acc, _MIX_PRIME, out=residues, quotient=quotient)
+    # a divisor of the residues' own dtype: a mixed pair costs a cast per call
+    return _mod(residues, residues.dtype.type(family.width), out=out, quotient=quotient32)
 
 
 def _check_finite(pts: np.ndarray) -> None:
@@ -295,9 +392,10 @@ def hash_batch(family: LshFamily, rows: int | range, points, *,
     that made it once and hashes the same points in many calls, as
     ``sketch.build`` does one row block at a time. Rows are evaluated in
     blocks of ``_BLOCK_BUDGET // (depth * n)`` rows (at least one), about
-    4 MiB of float64 projections for any row count or range, so the
-    projection is never materialized for all rows at once; a caller that
-    hashes one such block per call holds one block's buffers at a time.
+    4 MiB of float64 projections for any row count or range (an eighth of
+    that for euclidean rows, below), so the projection is never
+    materialized for all rows at once; a caller that hashes one such block
+    per call holds one block's buffers at a time.
     Angular codes are packed in one pass per block: the signs of all
     ``depth`` projections go into one bool buffer, and an ``einsum`` against
     the bit weights ``2 ** i`` sums them into the code dtype (bit i of row r
@@ -314,18 +412,34 @@ def hash_batch(family: LshFamily, rows: int | range, points, *,
     numpy that at depth 4 runs 2x (R=1000) to 14x (R=100 000) slower than
     the multiply-shift. The codes equal the batch path's.
 
-    Euclidean blocks work in place in the projection buffer. The floors
-    ``floor((proj + offset) / bandwidth)`` are shifted by P to a
-    representative of ``floor mod P`` in ``[1, 2P)``: directly when one
-    min/max shows the block's floors lie in ``(-P, P)``, otherwise after an
-    ``fmod`` by P, which is exact for every finite double, so floors past
-    int64 still hash apart. A floor that overflowed float64 raises
-    ``InvalidParameterError``. Adding ``2 ** 52`` as well makes each double's
-    low 52 bits that representative, read as uint64 with one mask. Products
-    ``a_i * g_i`` are below ``(P - 1)(2P - 1) < 2 ** 63``, so the mix
-    ``b + sum_i a_i * g_i`` takes one ``% P`` per two terms, and the final
-    ``% width`` runs in uint32. Codes equal those of reducing every floor and
-    every term mod P, since mod P is a ring homomorphism.
+    Euclidean blocks take ``_BLOCK_BUDGET // _EUCLIDEAN_SHARE`` projections,
+    512 KiB, so that their ten or so passes stay in a 2 MiB per-core L2, and
+    work in place in the projection buffer, with an accumulator, a quotient
+    and a residue (20 bytes) of scratch per bucket. The floors ``floor((proj +
+    offset) / bandwidth)`` are shifted by P to a representative of ``floor
+    mod P`` in ``[1, 2P)``: directly when they lie in ``(-P, P)``, otherwise
+    after an ``fmod`` by P, which is exact for every finite double, so
+    floors past int64 still hash apart. A bound decides first: when the
+    largest projection norm times the largest point norm over the
+    bandwidth, plus one, is below P / 2, every floor is finite and in
+    range, and no block is checked. Otherwise one min/max per block decides,
+    and a floor that overflowed float64 raises ``InvalidParameterError``.
+    Adding ``2 ** 52`` as well makes each double's bits, read as uint64,
+    ``_EXPONENT`` plus that representative ``g``. Products ``a_i * g_i`` are
+    below ``(P - 1)(2P - 1) < 2 ** 63``, so the mix ``b + sum_i a_i * g_i``
+    takes one ``% P`` per two terms; the ``_EXPONENT * a_i`` that each term
+    carries wraps mod 2**64, and a per-row constant for each pair of terms
+    (``pair_b``) takes it out again, which leaves the sum exact. The final
+    ``% width`` runs in uint32. Every ``%`` is ``x - (x // m) * m``
+    (:func:`_mod`), since numpy divides by a scalar without a hardware
+    division. Codes equal those of reducing every floor and every term mod
+    P, since mod P is a ring homomorphism.
+
+    A single euclidean point runs the same steps on (rows, depth) arrays
+    after one matrix-vector product, whose (rows,) results each step
+    allocates; its product runs over the blocks of ``_BLOCK_BUDGET //
+    depth`` rows it always did, because a product's rounding depends on its
+    length and a floor on every bit.
     """
     span = rows if isinstance(rows, range) else range(rows)
     table = span.stop if table is None else table
@@ -334,9 +448,15 @@ def hash_batch(family: LshFamily, rows: int | range, points, *,
             f"rows must be a count >= 1 or a nonempty range of the table's "
             f"{table} rows with step 1, got {rows!r}")
     pts = _as_matrix(points, family.dim)
-    if not checked:
-        _check_finite(pts)
     n, p = pts.shape[0], family.depth
+    euclidean = not family.kind.angular
+    if euclidean:
+        norm = math.hypot(*pts[0].tolist()) if n == 1 else \
+            math.sqrt(np.einsum("ij,ij->i", pts, pts).max(initial=0.0))
+    # the largest norm is finite only when every point is, so the full check
+    # runs when it is not: on a NaN or inf, or an overflow
+    if not (checked or euclidean and math.isfinite(norm)):
+        _check_finite(pts)
     lo, hi = span.start, span.stop
     plan = family._plan
     if out is not None and (out.shape != (hi - lo, n) or out.dtype != plan.out_dtype):
@@ -345,7 +465,26 @@ def hash_batch(family: LshFamily, rows: int | range, points, *,
             f"got {out.shape} {out.dtype}")
     params = _row_params(family, table)
     code_dtype, direct = plan.code_dtype, plan.direct
-    if n == 1 and family.kind.angular:
+    if euclidean:
+        in_range = _floors_in_range(params, family.bandwidth, norm)
+    if n == 1 and euclidean:
+        proj, offsets, mix_a, pair_b = params.proj, params.offsets, params.mix_a, params.pair_b
+        if hi - lo < table:  # a whole-table call, the common one, skips the slices
+            proj, offsets = proj[lo * p:hi * p], offsets[lo:hi]
+            mix_a, pair_b = mix_a[lo:hi], pair_b[lo:hi]
+        # a gemv rounds by its length, and a floor turns on every bit: the
+        # point is projected in the blocks of rows it always was
+        step = max(1, _BLOCK_BUDGET // p) * p
+        if len(proj) > step:
+            proj = np.concatenate([proj[i:i + step] @ pts[0] for i in range(0, len(proj), step)])
+        else:
+            proj = proj @ pts[0]
+        if out is None:
+            out = np.empty((hi - lo, 1), plan.out_dtype)
+        _euclidean_buckets(family, proj.reshape(hi - lo, p), offsets, mix_a, pair_b, in_range,
+                           out[:, 0])
+        return out
+    if n == 1:
         proj = params.proj
         if hi - lo < table:  # a whole-table call, the common one, skips the slice
             proj = proj[lo * p:hi * p]
@@ -362,7 +501,8 @@ def hash_batch(family: LshFamily, rows: int | range, points, *,
         return out
     if out is None:
         out = np.empty((hi - lo, n), plan.out_dtype)
-    step = max(1, _BLOCK_BUDGET // (p * max(n, 1)))
+    budget = _BLOCK_BUDGET // _EUCLIDEAN_SHARE if euclidean else _BLOCK_BUDGET
+    step = max(1, budget // (p * max(n, 1)))
     # one projection buffer for all blocks: a fresh one per block faults in anew
     buf = np.empty((min(step, hi - lo) * p, n))
     if family.kind.angular:
@@ -370,7 +510,9 @@ def hash_batch(family: LshFamily, rows: int | range, points, *,
         if not direct:
             packed = np.empty((min(step, hi - lo), n), code_dtype)
     else:
-        residues = np.empty((min(step, hi - lo), n), np.uint32)
+        quotient = np.empty((min(step, hi - lo), n), np.uint64)
+        scratch = (np.empty_like(quotient), quotient, np.empty(quotient.shape, np.uint32),
+                   quotient.reshape(-1).view(np.uint32)[:quotient.size].reshape(quotient.shape))
     for r0 in range(lo, hi, step):
         r1 = min(r0 + step, hi)
         dest = out[r0 - lo:r1 - lo]
@@ -384,28 +526,9 @@ def hash_batch(family: LshFamily, rows: int | range, points, *,
             if not direct:
                 dest[:] = buckets
             continue
-        floors = proj.reshape(r1 - r0, p, n)
-        np.add(floors, params.offsets[r0:r1, :, None], out=floors)
-        np.divide(floors, family.bandwidth, out=floors)
-        np.floor(floors, out=floors)
-        least, most = floors.min(initial=0.0), floors.max(initial=0.0)
-        if not (math.isfinite(least) and math.isfinite(most)):
-            raise InvalidParameterError(
-                "a bucket index overflowed float64: the points are too far from "
-                f"the origin for bandwidth {family.bandwidth!r}")
-        if not -_PRIME_F < least <= most < _PRIME_F:
-            np.fmod(floors, _PRIME_F, out=floors)
-        np.add(floors, _SHIFT, out=floors)
-        grid = np.bitwise_and(floors.view(np.uint64), _LOW_52, out=floors.view(np.uint64))
-        np.multiply(grid, params.mix_a[r0:r1, :, None], out=grid)
-        mixed = np.add(grid[:, 0, :], params.mix_b[r0:r1, None], out=grid[:, 0, :])
-        for i in range(1, p):
-            np.add(mixed, grid[:, i, :], out=mixed)
-            if i % 2 and i < p - 1:  # two products added since the last % P
-                np.remainder(mixed, _MIX_PRIME, out=mixed)
-        np.remainder(mixed, _MIX_PRIME, out=residues[:r1 - r0], casting="unsafe")
-        np.remainder(residues[:r1 - r0], np.uint32(family.width), out=dest,
-                     casting="unsafe")
+        _euclidean_buckets(family, proj.reshape(r1 - r0, p, n), params.offsets[r0:r1, :, None],
+                           params.mix_a[r0:r1, :, None], params.pair_b[r0:r1, :, None],
+                           in_range, dest, [a[:r1 - r0] for a in scratch])
     return out
 
 

@@ -268,7 +268,8 @@ def test_hash_batch_blocks_match_one_block(monkeypatch, name):
     pts = np.random.default_rng(4).standard_normal((40, 3)) * 2
     whole = rk.hash_batch(fam, 30, pts)  # 30 rows fit one block at the default budget
     # 7 rows per block: 30 rows run as blocks of 7, 7, 7, 7 and a ragged 2
-    monkeypatch.setattr(lsh, "_BLOCK_BUDGET", 7 * fam.depth * len(pts))
+    share = 1 if fam.kind.angular else lsh._EUCLIDEAN_SHARE
+    monkeypatch.setattr(lsh, "_BLOCK_BUDGET", 7 * fam.depth * len(pts) * share)
     blocked = rk.hash_batch(fam, 30, pts)
     assert blocked.dtype == whole.dtype
     assert np.array_equal(blocked, whole)
@@ -329,17 +330,26 @@ def test_hash_batch_uses_the_smallest_unsigned_dtype(kwargs, dtype):
 
 @pytest.mark.parametrize("kind,kwargs", [("srp", {}), ("euclidean", {"bandwidth": 1.0})])
 def test_hash_batch_memory_stays_block_sized(kind, kwargs):
-    fam = rk.new_family(kind, dim=10, depth=4, width=500, seed=3, **kwargs)
     pts = np.random.default_rng(0).uniform(0, 1, (8000, 10))
-    lsh._row_params(fam, 1000)  # cached parameters are not part of the peak
-    tracemalloc.start()
-    try:
-        rk.hash_batch(fam, 1000, pts)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    # a single (rows * depth, n) float64 projection alone would be 244 MiB
-    assert peak < 64 * 2**20
+    # euclidean also at bandwidth 1e-10, where floors pass P: the range check and fmod run
+    for fam_kwargs in [kwargs, {"bandwidth": 1e-10}] if kwargs else [kwargs]:
+        fam = rk.new_family(kind, dim=10, depth=4, width=500, seed=3, **fam_kwargs)
+        lsh._row_params(fam, 1000)  # cached parameters are not part of the peak
+        tracemalloc.start()
+        try:
+            buckets = rk.hash_batch(fam, 1000, pts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a single (rows * depth, n) float64 projection alone would be 244 MiB
+        assert peak < 64 * 2**20
+        if kind == "euclidean":
+            # beyond the buckets: one block of 2**16 projections (512 KiB) and,
+            # per bucket of the block, an accumulator, a quotient and a residue
+            # (20 bytes, 320 KiB at depth 4), with room for the point norms
+            block = lsh._BLOCK_BUDGET // lsh._EUCLIDEAN_SHARE * 8
+            assert peak - buckets.nbytes < block + block // fam.depth * 20 // 8 + 2**18, \
+                fam_kwargs
 
 
 @pytest.mark.parametrize("one_row_blocks", [False, True], ids=["budget", "budget=1"])
@@ -402,14 +412,15 @@ def _per_bit_reference(fam, rows, pts):
         % np.uint64(fam.width)
 
 
-@pytest.mark.parametrize("n", [0, 1, 3])
+@pytest.mark.parametrize("n", [0, 1, 3, 257])
 @pytest.mark.parametrize("kind", ["srp", "folded-srp"])
 def test_angular_hash_batch_equals_per_bit_reference(monkeypatch, kind, n):
     monkeypatch.setattr(lsh, "_BLOCK_BUDGET", 5)  # one row per block
     pts = np.random.default_rng(n).standard_normal((n, 3))
     for depth in range(1, 63):
-        # a width that takes the codes directly (up to depth 31), and one that mixes
-        for width in sorted({2 ** min(depth, 31), 50}):
+        # a width that takes the codes directly (up to depth 31), and ones that
+        # mix, the widest reducing into uint32
+        for width in sorted({2 ** min(depth, 31), 2, 50, 200, 2**32 - 1}):
             fam = rk.new_family(kind, dim=3, depth=depth, width=width, seed=depth)
             got = rk.hash_batch(fam, 9, pts)
             want = _per_bit_reference(fam, 9, pts)
@@ -480,14 +491,79 @@ def test_euclidean_bucket_index_overflowing_float64_is_rejected():
         rk.hash_batch(fam, 5, np.random.default_rng(0).standard_normal((8, 3)))
 
 
+def _range_case_family(case, pts, rows):
+    """A depth-3 euclidean family whose floors on ``pts`` fall in ``case``."""
+    probe = rk.new_family("euclidean", dim=3, depth=3, width=200, bandwidth=1.0, seed=17)
+    # the projections depend on the seed only, so the probe's bound is the family's
+    reach = lsh._row_params(probe, rows).proj_norm * np.linalg.norm(pts, axis=1).max()
+    bandwidth = {"bound-holds": 0.5,
+                 # the bound reads 0.75 P: past P / 2, so it fails, yet every floor is below it
+                 "bound-fails-in-range": reach / (0.75 * float(lsh._MIX_PRIME)),
+                 "past-prime": 1e-10, "past-int64": 1e-30, "overflow": 1e-320}[case]
+    return rk.new_family("euclidean", dim=3, depth=3, width=200, bandwidth=bandwidth, seed=17)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in divide")
+@pytest.mark.parametrize("n", [1, 257])
+@pytest.mark.parametrize("case", ["bound-holds", "bound-fails-in-range", "past-prime",
+                                  "past-int64", "overflow"])
+def test_euclidean_range_bound_skips_the_check_only_when_it_holds(monkeypatch, case, n):
+    monkeypatch.setattr(lsh, "_BLOCK_BUDGET", 1)  # the reference's matmuls, bit for bit
+    pts = np.random.default_rng(n).standard_normal((n, 3)) * 2
+    fam = _range_case_family(case, pts, 9)
+    bound, verdicts = lsh._floors_in_range, []
+
+    def recorded(*args):
+        verdicts.append(bound(*args))
+        return verdicts[-1]
+
+    monkeypatch.setattr(lsh, "_floors_in_range", recorded)
+    if case == "overflow":
+        with pytest.raises(InvalidParameterError, match="bandwidth"):
+            rk.hash_batch(fam, 9, pts)
+        assert verdicts == [False]
+        return
+    got = rk.hash_batch(fam, 9, pts)
+    assert verdicts == [case == "bound-holds"]
+    params, prime = lsh._row_params(fam, 9), float(lsh._MIX_PRIME)
+    proj = np.stack([params.proj[r * 3:(r + 1) * 3] @ pts.T for r in range(9)])
+    largest = np.abs(np.floor((proj + params.offsets[:, :, None]) / fam.bandwidth)).max()
+    assert {"bound-holds": largest < prime / 2, "bound-fails-in-range": largest < prime,
+            "past-prime": prime <= largest < 2.0**63, "past-int64": 2.0**63 <= largest}[case]
+    want = _euclidean_reference(fam, 9, pts)
+    assert got.shape == (9, n) and np.array_equal(got, want)
+    # the check it skips is what keeps floors past P exact: trusting a bound
+    # that does not hold changes the codes
+    monkeypatch.setattr(lsh, "_floors_in_range", lambda *args: True)
+    assert np.array_equal(rk.hash_batch(fam, 9, pts), want) == (largest < prime)
+
+
+@pytest.mark.parametrize("kind,width", [("srp", 16), ("srp", 50), ("folded-srp", 50)],
+                         ids=["srp-direct", "srp-rebucketed", "folded-rebucketed"])
+def test_angular_tables_never_consult_the_range_bound(monkeypatch, kind, width):
+    def consulted(*args):
+        raise AssertionError("an angular table consulted the euclidean range bound")
+
+    monkeypatch.setattr(lsh, "_floors_in_range", consulted)
+    fam = rk.new_family(kind, dim=3, depth=4, width=width, seed=5)
+    params = lsh._row_params(fam, 9)
+    assert params.proj_norm is None and params.pair_b is None
+    for n in (1, 257):
+        pts = np.random.default_rng(n).standard_normal((n, 3))
+        assert np.array_equal(rk.hash_batch(fam, 9, pts), _per_bit_reference(fam, 9, pts))
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("kind,kwargs", [("srp", {}), ("euclidean", {"bandwidth": 0.5})])
 def test_non_finite_points_are_rejected(kind, kwargs, bad):
     fam = rk.new_family(kind, dim=3, depth=2, width=64, seed=1, **kwargs)
     pts = np.random.default_rng(0).standard_normal((10, 3))
     pts[4, 1] = bad
-    with pytest.raises(InvalidParameterError, match="finite"):
-        rk.hash_batch(fam, 5, pts)
+    for bad_points in (pts, pts[4]):  # a batch, and one point
+        with pytest.raises(InvalidParameterError, match="finite"):
+            rk.hash_batch(fam, 5, bad_points)
+    # finite points whose squared norms overflow are hashed, not rejected
+    rk.hash_batch(fam, 5, np.full((2, 3), 1e200))
     for threads in (1, 2):  # the build checks each chunk once, then hashes it in blocks
         with pytest.raises(InvalidParameterError, match="finite"):
             rk.build(pts, fam, 5, threads=threads)
