@@ -66,15 +66,18 @@ def mom_group_count(delta: float) -> int:
 def _gather(sketch: RaceSketch, points, out: np.ndarray | None = None) -> np.ndarray:
     """Counter reads for each query: shape (rows, n_queries), into ``out`` when given.
 
-    One ``take`` from ``counts.ravel()`` at the flat indices ``bucket + r *
-    k`` of every row and query, k being the table's stored columns (buckets
-    lie below ``reachable_width <= k``), for any n: its (rows, n) index is
+    ``points`` is an (n, d) matrix whose values the caller has checked as
+    finite (:func:`estimate` checks a batch once, :func:`query_median_of_means`
+    its point once), so it is hashed with ``checked=True``. One ``take`` from
+    ``counts.ravel()`` at the flat indices ``bucket + r * k`` of every row
+    and query, k being the table's stored columns (buckets lie below
+    ``reachable_width <= k``), for any n: its (rows, n) index is
     :func:`estimate`'s block, at most ``_INDEX_BUDGET`` entries or one query.
     Buckets lie in ``[0, width)`` by construction, so ``clip`` never clips,
     and it spares ``take`` the buffered copy of its raise mode. ``out`` must
     be a C-contiguous int64 array of that shape.
     """
-    buckets = lsh.hash_batch(sketch.family, sketch.rows, points)
+    buckets = lsh.hash_batch(sketch.family, sketch.rows, points, checked=True)
     index = buckets + _row_base(*sketch.counts.shape)
     return sketch.counts.ravel().take(index, out=out, mode="clip")
 
@@ -112,13 +115,33 @@ def density(sketch: RaceSketch, f_hat: np.ndarray) -> np.ndarray:
     return np.maximum(f_hat, 0.0) / max(sketch.n_hat, _N_FLOOR)
 
 
+def _aggregate(values: np.ndarray, estimator: str, delta: float) -> np.ndarray:
+    return values.mean(axis=0) if estimator == "mean" else _mom_aggregate(values, delta)
+
+
+def _estimate_one(sketch: RaceSketch, point: np.ndarray, estimator: str,
+                  delta: float) -> Estimate:
+    """Two floats for one checked (1, d) ``point``: :func:`estimate`'s steps, in floats.
+
+    ``kde`` is ``min(max(f, 0) / max(n_hat, 1), 1)`` on Python floats, the
+    same IEEE operations as the batch's ``np.maximum``, divide and
+    ``np.minimum``, which on one-element arrays cost 2-4 us.
+    """
+    f_hat = _aggregate(_gather(sketch, point), estimator, delta).item()
+    return Estimate(f_hat, min(max(f_hat, 0.0) / max(sketch.n_hat, _N_FLOOR), 1.0))
+
+
 def estimate(sketch: RaceSketch, points, estimator: str = "median_of_means",
              delta: float = 0.1) -> Estimate:
     """Kernel-sum estimates for a batch of queries, arrays in and arrays out.
 
     ``estimator`` is "mean" or "median_of_means" (which uses ``delta``).
-    Queries are hashed, gathered and aggregated in blocks of
-    ``max(1, _INDEX_BUDGET // rows)``, so no (rows, n) array is formed. A
+    The points' shape and finiteness are checked once, here (one point's
+    finiteness off its norm, see ``lsh._check_finite``), and every block is
+    hashed with ``checked=True``. Queries are hashed, gathered and
+    aggregated in blocks of ``max(1, _INDEX_BUDGET // rows)``, so no (rows,
+    n) array is formed; one point takes :func:`query_median_of_means`'s
+    float steps. A
     batch of one block, an empty one included, is read into a fresh array;
     a longer one reads every block into one buffer: glibc's malloc may hand
     freed block-sized arrays back to the OS, and fresh ones per block cost
@@ -128,21 +151,21 @@ def estimate(sketch: RaceSketch, points, estimator: str = "median_of_means",
     if estimator not in ("mean", "median_of_means"):
         raise InvalidParameterError(f"unknown estimator {estimator!r}")
     pts = lsh._as_matrix(points, sketch.family.dim)
+    lsh._check_finite(pts)
     n, rows = pts.shape[0], sketch.rows
+    if n == 1:
+        f_hat, kde = _estimate_one(sketch, pts, estimator, delta)
+        return Estimate(np.array([f_hat]), np.array([kde]))
     step = max(1, rsketch._INDEX_BUDGET // rows)
-
-    def aggregate(values):
-        return values.mean(axis=0) if estimator == "mean" else _mom_aggregate(values, delta)
-
     if n <= step:
-        f_hat = aggregate(_gather(sketch, pts))
+        f_hat = _aggregate(_gather(sketch, pts), estimator, delta)
     else:
         f_hat = np.empty(n)
         reads = np.empty(rows * step, sketch.counts.dtype)
         for q0 in range(0, n, step):
             block = pts[q0:q0 + step]
             out = reads[:rows * len(block)].reshape(rows, len(block))
-            f_hat[q0:q0 + step] = aggregate(_gather(sketch, block, out))
+            f_hat[q0:q0 + step] = _aggregate(_gather(sketch, block, out), estimator, delta)
     # clipped without np.clip, whose Python wrapper costs ~2.5 us a call
     return Estimate(f_hat, np.minimum(density(sketch, f_hat), 1.0))
 
@@ -152,11 +175,13 @@ def query_median_of_means(sketch: RaceSketch, q, delta: float = 0.1) -> Estimate
 
     Rows are split into k = ceil(8 ln(1/delta)) contiguous groups of equal
     size; rows beyond k * floor(rows / k) are ignored. The median of an even
-    group count is the average of the two central means.
+    group count is the average of the two central means. The point's shape
+    and finiteness are checked once, here, and ``f_hat`` and ``kde`` are
+    computed as floats, equal to :func:`estimate`'s entries bit for bit.
     """
-    qv = lsh._as_vector(q, sketch.family.dim)
-    f_hat, kde = estimate(sketch, qv[None, :], "median_of_means", delta)
-    return Estimate(float(f_hat[0]), float(kde[0]))
+    point = lsh._as_vector(q, sketch.family.dim)[None, :]
+    lsh._check_finite(point)
+    return _estimate_one(sketch, point, "median_of_means", delta)
 
 
 def query_many(sketch: RaceSketch, points, estimator: str = "median_of_means",

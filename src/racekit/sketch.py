@@ -220,8 +220,9 @@ class RaceSketch:
         """Insert one point, in any shape holding ``dim`` values: one counter per row."""
         if self.privatized:
             raise FrozenSketchError("cannot add to a privatized sketch")
-        point = lsh._as_vector(x, self.family.dim)
-        buckets = lsh.hash_batch(self.family, self.rows, point[None, :])
+        point = lsh._as_vector(x, self.family.dim)[None, :]
+        lsh._check_finite(point)  # once, off the point's norm
+        buckets = lsh.hash_batch(self.family, self.rows, point, checked=True)
         # one counter in each row, so no index repeats and a buffered += is exact
         self.counts.ravel()[buckets + _row_base(*self.counts.shape)] += 1
         self.inserted += 1

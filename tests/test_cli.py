@@ -516,9 +516,9 @@ def test_classify_predict_reads_each_class_once(workdir, capsys, monkeypatch, ru
     calls = []
     hash_batch = rk.lsh.hash_batch
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         calls.append(args)
-        return hash_batch(*args)
+        return hash_batch(*args, **kwargs)
 
     monkeypatch.setattr(rk.lsh, "hash_batch", counted)
     out = workdir / f"{rule}.csv"

@@ -553,8 +553,11 @@ def test_angular_tables_never_consult_the_range_bound(monkeypatch, kind, width):
         assert np.array_equal(rk.hash_batch(fam, 9, pts), _per_bit_reference(fam, 9, pts))
 
 
+_FINITE_CHECK_KINDS = [("srp", {}), ("euclidean", {"bandwidth": 0.5}), ("folded-srp", {})]
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-@pytest.mark.parametrize("kind,kwargs", [("srp", {}), ("euclidean", {"bandwidth": 0.5})])
+@pytest.mark.parametrize("kind,kwargs", _FINITE_CHECK_KINDS)
 def test_non_finite_points_are_rejected(kind, kwargs, bad):
     fam = rk.new_family(kind, dim=3, depth=2, width=64, seed=1, **kwargs)
     pts = np.random.default_rng(0).standard_normal((10, 3))
@@ -570,3 +573,39 @@ def test_non_finite_points_are_rejected(kind, kwargs, bad):
     sketch = rk.build(pts[:4], fam, 5)
     with pytest.raises(InvalidParameterError, match="finite"):
         estimation.estimate(sketch, pts)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("kind,kwargs", _FINITE_CHECK_KINDS)
+def test_single_point_entries_check_finiteness_once(kind, kwargs, bad):
+    # each entry checks its point off the point's norm and hashes it unchecked
+    fam = rk.new_family(kind, dim=3, depth=2, width=64, seed=1, **kwargs)
+    pts = np.random.default_rng(0).standard_normal((10, 3))
+    sketch = rk.build(pts, fam, 40)
+    config = rk.OptimizerConfig(max_iters=5)
+    entries = {
+        "query_median_of_means": lambda x: rk.query_median_of_means(sketch, x),
+        "estimate": lambda x: estimation.estimate(sketch, x[None, :]),
+        "add": lambda x: sketch.add(x),
+        "find_mode": lambda x: rk.find_mode(sketch, x, config),
+    }
+    for at in range(3):
+        point = pts[0].copy()
+        point[at] = bad
+        for entry in entries.values():
+            with pytest.raises(InvalidParameterError, match="finite"):
+                entry(point)
+    assert sketch.inserted == 10
+    # a finite point whose squared norm overflows is answered, and added
+    huge = np.full(3, 1e200)
+    for entry in entries.values():
+        entry(huge)
+    assert sketch.inserted == 11
+    assert rk.query_median_of_means(sketch, huge).f_hat >= 1.0
+
+
+def test_a_norm_past_float64_falls_back_to_the_full_check():
+    lsh._check_finite(np.full((1, 3), 1e308))  # hypot overflows, every entry is finite
+    for bad in (np.nan, np.inf):
+        with pytest.raises(InvalidParameterError, match="finite"):
+            lsh._check_finite(np.array([[1e308, 1e308, bad]]))
