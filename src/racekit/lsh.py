@@ -46,7 +46,6 @@ from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import ndtr
 
 from .errors import DimensionMismatchError, InvalidParameterError, ZeroVectorError
 
@@ -559,7 +558,8 @@ def _pstable_single_collision(dist, bandwidth: float):
     out = np.ones_like(c)
     pos = c > 0
     r = bandwidth / c[pos]
-    out[pos] = (2.0 * ndtr(r) - 1.0
+    erf = np.vectorize(math.erf, otypes=[np.float64])
+    out[pos] = (erf(r / math.sqrt(2.0))  # 2 Phi(r) - 1, Phi the normal CDF
                 - 2.0 * c[pos] / (bandwidth * math.sqrt(2.0 * math.pi))
                 * (1.0 - np.exp(-0.5 * r * r)))
     return out

@@ -231,8 +231,8 @@ def find_mode(sk: RaceSketch, init, config: OptimizerConfig | None = None,
     start = lsh._as_vector(init, sk.family.dim)
 
     def negative_density(x):
-        f_hat = estimation.estimate(sk, x[None, :], "median_of_means", delta).f_hat
-        return -float(estimation.density(sk, f_hat)[0])
+        f = estimation.estimate(sk, x[None, :], "median_of_means", delta).f_hat.item()
+        return -(max(f, 0.0) / max(sk.n_hat, estimation._N_FLOOR))  # density(), in floats
 
     best, _, _ = minimize_derivative_free(negative_density, start, config)
     return best

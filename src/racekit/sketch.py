@@ -292,9 +292,9 @@ _blas_restore = 1
 def _numpy_openblas():
     """``(get, set)`` thread-count functions of numpy's bundled OpenBLAS, or None.
 
-    numpy wheels ship it under ``numpy.libs``; it is already loaded, so
-    opening it again returns the same library. scipy loads a second OpenBLAS,
-    which numpy's matmul never calls.
+    numpy wheels ship it under ``numpy.libs`` with a ``libscipy_openblas``
+    name (the scipy-openblas build, not scipy itself); it is already loaded,
+    so opening it again returns the same library.
     """
     libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
     for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas*"))):

@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 import struct
+import subprocess
 import sys
 import threading
 
@@ -33,6 +34,16 @@ def _run(capsys, argv):
     code = main([str(a) for a in argv])
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def test_importing_racekit_loads_no_scipy():
+    src = os.path.dirname(os.path.dirname(rk.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = ("import sys, racekit, racekit.cli; "
+            "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'); "
+            "assert not loaded, loaded[:5]")
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
 def test_build_info_and_manifest(workdir, capsys):

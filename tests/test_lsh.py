@@ -177,6 +177,20 @@ def test_collision_probability_rejects_zero_vectors():
         rk.kernel_values(fam, [[1.0, 0.0]], [0.0, 0.0])
 
 
+def test_pstable_collision_matches_the_normal_cdf_form():
+    ndtr = pytest.importorskip("scipy.special").ndtr
+    rng = np.random.default_rng(0)
+    dist = np.concatenate([[0.0, 1e-9, 1e3], rng.exponential(1.0, 20000),
+                           rng.exponential(1e-2, 2000), rng.exponential(1e2, 2000)])
+    for bandwidth in (0.01, 0.5, 1.0, 3.0, 100.0):
+        got = lsh._pstable_single_collision(dist, bandwidth)
+        r = bandwidth / dist[1:]
+        want = np.concatenate([[1.0], 2.0 * ndtr(r) - 1.0
+                               - 2.0 * dist[1:] / (bandwidth * math.sqrt(2.0 * math.pi))
+                               * (1.0 - np.exp(-0.5 * r * r))])
+        assert np.max(np.abs(got - want)) <= 1e-15
+
+
 def test_pstable_collision_matches_monte_carlo():
     fam = rk.new_family("euclidean", dim=3, depth=1, width=100, bandwidth=0.5, seed=1)
     x = np.zeros(3)

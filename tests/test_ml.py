@@ -377,6 +377,16 @@ def test_optimizer_divergence_on_nonfinite_objective():
                                  OptimizerConfig(max_iters=20))
 
 
+@pytest.mark.parametrize("start", [float("nan"), math.inf])
+def test_a_non_finite_start_does_not_block_later_improvements(start):
+    def loss(v):
+        return start if not v.any() else float((v - 1.0) @ (v - 1.0))
+
+    x, f, trace = minimize_derivative_free(loss, np.zeros(2), OptimizerConfig(max_iters=50))
+    assert np.allclose(x, [1.0, 1.0], atol=0.05) and f < 1e-3
+    assert trace[0] == math.inf and trace == sorted(trace, reverse=True)
+
+
 @pytest.mark.parametrize("kwargs", [dict(max_iters=0), dict(max_iters=-5),
                                     dict(restarts=-1), dict(initial_step=0.0),
                                     dict(initial_step=-0.5), dict(initial_step=math.inf)],
