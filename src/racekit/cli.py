@@ -146,8 +146,8 @@ def _write_transform(transform: rio.Transform, path: str) -> str | None:
 def cmd_build(args) -> int:
     # one pass over the file in the build's chunks: only --scale cube holds
     # every point, once, as it needs their bounds before the first is scaled
-    chunks = rio.csv_chunks(args.input, rsketch._chunk_length(args.rows, args.depth),
-                            header=args.header, delimiter=args.delimiter)
+    chunks = rio.csv_chunks(args.input, rsketch._CHUNK, header=args.header,
+                            delimiter=args.delimiter)
     first = next(chunks, None)
     if first is None:
         raise CsvError(f"{args.input} contains no data rows")
@@ -170,7 +170,8 @@ def cmd_info(args) -> int:
         lines.append(("epsilon", sk.epsilon))
     else:
         lines.append(("inserted", sk.inserted))
-    lines.append(("bytes", os.path.getsize(args.sketch)))  # load accepts only 48 + 8*R*W
+    # the one size load accepts, which a pipe does not report
+    lines.append(("bytes", rsketch._BODY + 8 * sk.rows * sk.width))
     for key, value in lines:
         print(f"{key}: {value}")
     return 0

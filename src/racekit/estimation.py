@@ -141,12 +141,12 @@ def estimate(sketch: RaceSketch, points, estimator: str = "median_of_means",
     hashed with ``checked=True``. Queries are hashed, gathered and
     aggregated in blocks of ``max(1, _INDEX_BUDGET // rows)``, so no (rows,
     n) array is formed; one point takes :func:`query_median_of_means`'s
-    float steps. A
-    batch of one block, an empty one included, is read into a fresh array;
-    a longer one reads every block into one buffer: glibc's malloc may hand
-    freed block-sized arrays back to the OS, and fresh ones per block cost
-    38k page faults per 10k-query batch at R=1000 (in ``racekit query``
-    between single-point queries), against 2k with the buffer.
+    float steps. Every block is read into one buffer the size of the first
+    block's reads, and an empty batch runs one empty block, so it is refused
+    where a batch of points would be: glibc's malloc may hand freed
+    block-sized arrays back to the OS, and fresh ones per block cost 38k
+    page faults per 10k-query batch at R=1000 (in ``racekit query`` between
+    single-point queries), against 2k with the buffer.
     """
     if estimator not in ("mean", "median_of_means"):
         raise InvalidParameterError(f"unknown estimator {estimator!r}")
@@ -157,15 +157,12 @@ def estimate(sketch: RaceSketch, points, estimator: str = "median_of_means",
         f_hat, kde = _estimate_one(sketch, pts, estimator, delta)
         return Estimate(np.array([f_hat]), np.array([kde]))
     step = max(1, rsketch._INDEX_BUDGET // rows)
-    if n <= step:
-        f_hat = _aggregate(_gather(sketch, pts), estimator, delta)
-    else:
-        f_hat = np.empty(n)
-        reads = np.empty(rows * step, sketch.counts.dtype)
-        for q0 in range(0, n, step):
-            block = pts[q0:q0 + step]
-            out = reads[:rows * len(block)].reshape(rows, len(block))
-            f_hat[q0:q0 + step] = _aggregate(_gather(sketch, block, out), estimator, delta)
+    f_hat = np.empty(n)
+    reads = np.empty(rows * min(n, step), sketch.counts.dtype)
+    for q0 in range(0, max(n, 1), step):  # an empty batch is one empty block
+        block = pts[q0:q0 + step]
+        out = reads[:rows * len(block)].reshape(rows, len(block))
+        f_hat[q0:q0 + step] = _aggregate(_gather(sketch, block, out), estimator, delta)
     # clipped without np.clip, whose Python wrapper costs ~2.5 us a call
     return Estimate(f_hat, np.minimum(density(sketch, f_hat), 1.0))
 

@@ -7,7 +7,7 @@ parses the file again cell by cell, from the rows not yet yielded on, and
 reports the fault. ``load_csv`` takes the whole file as one chunk;
 ``stream_csv`` yields the rows one at a time through the csv reader alone.
 An arbitrarily long file is sketched without materializing its matrix as
-``build((m for _, m in csv_chunks(path, 8192)), family, rows)``, which is
+``build((m for _, m in csv_chunks(path, 8000)), family, rows)``, which is
 what ``racekit build`` does (through ``scale_chunks``). Values must be finite
 decimal floats; parse problems, bytes that are not UTF-8 included, are
 reported with 1-based (row, column) locations.
@@ -18,9 +18,9 @@ are rejected), and ``cube`` min-max maps each feature into [0, 1] using the
 training minima and maxima (a constant feature maps to 0.5;
 ``fit_regression`` follows with ``2t - 1``). The fitted transform is stored
 with the dataset so later queries can be mapped with :func:`apply_transform`.
-``scale_chunks`` scales a stream of chunks bit for bit as ``scale`` scales
-their stacked matrix; ``cube``, whose bounds depend on every point, holds the
-raw chunks once until they are known.
+``scale_chunks`` scales a stream of chunks, and ``scale`` is it run over one
+chunk, so both give their stacked matrix bit for bit; ``cube``, whose bounds
+depend on every point, holds the raw chunks once until they are known.
 The CLI writes it as ``<output>.transform.json``; ``classify-predict`` reads
 its model's own, and ``query`` the one given with ``--transform``.
 """
@@ -217,12 +217,7 @@ def load_csv(path, *, header: bool = False, delimiter: str = ",",
     return Dataset(points=matrix, labels=labels)
 
 
-def _check_mode(mode: str) -> None:
-    if mode not in _MODES:
-        raise InvalidParameterError(f"unknown scaling mode {mode!r}")
-
-
-def _sphere_norms(points: np.ndarray, before: int = 0) -> np.ndarray:
+def _sphere_norms(points: np.ndarray, before: int) -> np.ndarray:
     """The (n, 1) row norms; a zero row is an error naming its 1-based row past ``before``."""
     norms = np.linalg.norm(points, axis=1)
     if np.any(norms == 0.0):
@@ -242,31 +237,29 @@ def _to_cube(transform: Transform, pts: np.ndarray, out: np.ndarray | None = Non
 
 
 def scale(dataset: Dataset, mode: str) -> Dataset:
-    """Return a scaled copy of the dataset with the fitted transform recorded."""
-    _check_mode(mode)
+    """Return a scaled copy of the dataset with the fitted transform recorded.
+
+    The copy is one chunk that :func:`scale_chunks` scales in place.
+    """
     if dataset.transform.mode != "none":
         raise InvalidParameterError(
             f"dataset is already scaled with {dataset.transform.mode!r}")
-    if mode == "none":
-        return Dataset(points=dataset.points.copy(), labels=dataset.labels)
-    if mode == "sphere":
-        return Dataset(points=dataset.points / _sphere_norms(dataset.points),
-                       transform=Transform(mode="sphere"), labels=dataset.labels)
-    transform = Transform("cube", dataset.points.min(axis=0), dataset.points.max(axis=0))
-    return Dataset(points=_to_cube(transform, dataset.points),
-                   transform=transform, labels=dataset.labels)
+    transform, (points,) = scale_chunks([(0, dataset.points.copy())], mode)
+    return Dataset(points=points, transform=transform, labels=dataset.labels)
 
 
 def scale_chunks(chunks, mode: str):
-    """``(transform, matrices)``: ``scale`` applied to a stream of ``csv_chunks``.
+    """``(transform, matrices)``: a stream of ``csv_chunks`` scaled, each matrix in place.
 
-    The matrices, stacked, are bit for bit what ``scale`` makes of the stacked
-    chunks, and each is scaled in place. ``none`` and ``sphere`` map each
-    point alone, so chunks pass through as they arrive. ``cube`` needs the
-    bounds of every point first: it reads every chunk, holding the raw
-    matrix once, before it returns.
+    The one implementation of every mode; ``scale`` runs it over one chunk,
+    so the matrices, stacked, are bit for bit what ``scale`` makes of the
+    stacked chunks. ``none`` and ``sphere`` map each point alone, so chunks
+    pass through as they arrive. ``cube`` needs the bounds of every point
+    first: it reads every chunk, holding the raw matrix once, before it
+    returns.
     """
-    _check_mode(mode)
+    if mode not in _MODES:
+        raise InvalidParameterError(f"unknown scaling mode {mode!r}")
     if mode == "none":
         return Transform(), (matrix for _, matrix in chunks)
     if mode == "sphere":

@@ -555,8 +555,8 @@ def hash_batch(family: LshFamily, rows: int | range, points, *,
 def _pstable_single_collision(dist, bandwidth: float):
     """Single-hash collision probability of the 2-stable family at distance ``dist``."""
     c = np.asarray(dist, dtype=np.float64)
-    out = np.ones_like(c)
-    pos = c > 0
+    out = np.where(c == np.inf, 0.0, 1.0)  # an overflowed distance never collides
+    pos = (c > 0) & (c < np.inf)
     r = bandwidth / c[pos]
     erf = np.vectorize(math.erf, otypes=[np.float64])
     out[pos] = (erf(r / math.sqrt(2.0))  # 2 Phi(r) - 1, Phi the normal CDF

@@ -37,10 +37,11 @@ is 0. ``build`` and ``merge`` give tables of the reachable columns (16 of
 500 at the CLI defaults), and ``add`` and a release keep the columns of the
 table they are given. The file layout does not change: ``save``
 and ``serialize`` write every row padded with zeros to W, and ``load`` and
-``deserialize`` keep the reachable columns when the file's other columns are
-all 0. Files that hold a non-zero count there, such as releases that drew
-noise on every column, keep all W columns, so they answer and re-encode as
-they always have.
+``deserialize`` read it through one block reader that keeps the reachable
+columns when the file's other columns are all 0. Files that hold a non-zero
+count there, such as releases that drew noise on every column, keep all W
+columns, so they answer and re-encode as they always have. Builds hash their
+points in chunks of a fixed 8000.
 """
 
 from __future__ import annotations
@@ -49,7 +50,9 @@ import contextlib
 import ctypes
 import functools
 import glob
+import io
 import os
+import stat
 import struct
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -75,10 +78,10 @@ _KIND_CODES = {HashKind.SRP: 0, HashKind.EUCLIDEAN: 1, HashKind.FOLDED_SRP: 3}
 _KIND_FROM_CODE = {v: k for k, v in _KIND_CODES.items()}
 _NO_BANDWIDTH = struct.pack("<d", float("nan"))  # an angular family's bandwidth bytes
 
-# Sizes build chunks at _CHUNK_BUDGET // (rows * depth) points, so the
-# (rows, chunk) bucket array of the one chunk in flight holds at most
-# _CHUNK_BUDGET / depth entries, for any stream length and thread count.
-_CHUNK_BUDGET = 32_000_000
+# Points per build chunk, and per CSV chunk that ``racekit build`` parses:
+# a chunk is hashed one block of rows at a time, so its length bounds only the
+# chunk's own (chunk, dim) floats, for any table size and thread count.
+_CHUNK = 8000
 # Flat counter indices (intp) per block of rows counted or queries read, about
 # 4 MiB: one index over a whole chunk or query batch (80 MB for 10k points at
 # R=1000) would be allocated and page-faulted in afresh for every call.
@@ -96,24 +99,23 @@ def _row_base(rows: int, width: int) -> np.ndarray:
     return base
 
 
-def _scatter(counts: np.ndarray, buckets: np.ndarray, budget: int | None = None) -> None:
+def _scatter(counts: np.ndarray, buckets: np.ndarray) -> None:
     """Count (R, n) buckets into the (R, W) table: one increment per row and point.
 
     When the buckets' alphabet A (the largest + 1) is narrow, ``4 * A**2 <= n``,
     rows go in pairs through ``_count_pairs``; an odd last row, and every row
     of a wider alphabet, through one ``bincount`` per block of rows over the
     block's flat indices ``bucket + r * W``, held in one reused buffer. Blocks
-    hold about ``budget`` flat indices (default ``_INDEX_BUDGET``).
+    hold about ``_INDEX_BUDGET`` flat indices.
     """
     rows, n = buckets.shape
-    budget = _INDEX_BUDGET if budget is None else budget
     alphabet = int(buckets.max(initial=0)) + 1
     paired = rows - rows % 2 if 4 * alphabet * alphabet <= n else 0
     if paired:
-        _count_pairs(counts[:paired], buckets[:paired], alphabet, budget)
+        _count_pairs(counts[:paired], buckets[:paired], alphabet)
     if paired == rows:
         return
-    step = min(rows - paired, max(1, budget // max(n, 1)))
+    step = min(rows - paired, max(1, _INDEX_BUDGET // max(n, 1)))
     base = _row_base(step, counts.shape[1])
     index = np.empty((step, n), np.intp)
     for r0 in range(paired, rows, step):
@@ -126,8 +128,7 @@ def _scatter(counts: np.ndarray, buckets: np.ndarray, budget: int | None = None)
         flat += np.bincount(index[:r1 - r0].ravel(), minlength=flat.size)
 
 
-def _count_pairs(counts: np.ndarray, buckets: np.ndarray, alphabet: int,
-                 budget: int) -> None:
+def _count_pairs(counts: np.ndarray, buckets: np.ndarray, alphabet: int) -> None:
     """Count an even number of rows two at a time over an alphabet of ``alphabet``.
 
     Rows 2g and 2g+1 give each point one key ``b[2g+1] * A + b[2g]`` of an
@@ -137,11 +138,11 @@ def _count_pairs(counts: np.ndarray, buckets: np.ndarray, alphabet: int,
     live counters would be hit back to back: an ingest chunk (cube-scaled
     points, A = 16, n = 8000, R = 1000) counts in 12-14 ms, against 25-27 ms
     one row at a time (median, 2 vCPUs, numpy 2.4). Blocks hold about
-    ``budget`` flat indices.
+    ``_INDEX_BUDGET`` flat indices.
     """
     pairs, n = buckets.shape[0] // 2, buckets.shape[1]
     cells = alphabet * alphabet
-    step = min(pairs, max(1, budget // n))
+    step = min(pairs, max(1, _INDEX_BUDGET // n))
     base = _row_base(step, cells)
     keys = np.empty((step, n), np.min_scalar_type(cells - 1))
     index = np.empty((step, n), np.intp)
@@ -253,16 +254,11 @@ class RaceSketch:
                 f"kind={self.family.kind.value}, {state})")
 
 
-def _chunk_length(rows: int, depth: int) -> int:
-    """Points per build chunk for a table of ``rows`` rows hashed at ``depth``."""
-    return int(np.clip(_CHUNK_BUDGET // max(rows * depth, 1), 1, 8192))
-
-
-def _iter_chunks(data, dim: int, chunk: int):
-    """Yield (n_chunk, dim) float64 blocks from an array or a stream of points and matrices."""
+def _iter_chunks(data, dim: int):
+    """Yield float64 chunks of at most ``_CHUNK`` points from an array or a stream."""
     def blocks(pts):
         mat = lsh._as_matrix(pts, dim)
-        return (mat[start:start + chunk] for start in range(0, mat.shape[0], chunk))
+        return (mat[start:start + _CHUNK] for start in range(0, mat.shape[0], _CHUNK))
 
     pts = getattr(data, "points", data)
     if isinstance(pts, np.ndarray):
@@ -274,7 +270,7 @@ def _iter_chunks(data, dim: int, chunk: int):
             yield from blocks(row)  # a matrix of points, such as a parsed CSV chunk
             continue
         buf.append(lsh._as_vector(row, dim))
-        if len(buf) == chunk:
+        if len(buf) == _CHUNK:
             yield np.vstack(buf)
             buf = []
     if buf:
@@ -335,10 +331,10 @@ def build(data, family: LshFamily, rows: int, *, threads: int = 1) -> RaceSketch
     ``data`` may be an (N, dim) array, a Dataset, or any iterable of points
     and of (n, dim) point matrices, such as the chunks
     :func:`racekit.io.csv_chunks` parses, which ``racekit build`` reads at
-    the build's own chunk length. Points are hashed in chunks of
-    ``_chunk_length(rows, depth)`` points, so a stream never needs to fit in
-    memory. Each chunk's rows are cut into ``min(threads, rows)``
-    contiguous ranges; each thread hashes its range of rows
+    the build's own chunk length. Points are hashed in chunks of ``_CHUNK``
+    (8000) points, so a stream never needs to fit in memory. Each chunk's
+    rows are cut into ``min(threads, rows)`` contiguous ranges; each thread
+    hashes its range of rows
     (``lsh.hash_batch`` with a row range) and counts it into those rows of
     the table, the calling thread taking the first range, and the next chunk
     starts when every range is counted. A thread walks its range one hash
@@ -347,14 +343,14 @@ def build(data, family: LshFamily, rows: int, *, threads: int = 1) -> RaceSketch
     allocates once per build for each range. Every counter thus has one
     writer and the result is byte-identical for every ``threads``.
 
-    Peak memory is the table of ``rows * reachable_width`` counters, the
-    row parameters (``lsh._row_params``) and, per thread, one hash block's
-    projections, sign bytes and buckets and their count: about 13.25 *
-    ``lsh._BLOCK_BUDGET`` bytes at depth 4, for any data length. Each pool
-    thread adds a fixed cost: its allocator arena keeps the high-water mark
-    of its hash and count buffers resident, and OpenBLAS gives a second
-    concurrent caller its own buffer. While the pool
-    runs, numpy's OpenBLAS is held at one thread (for the whole process),
+    Peak memory is the table of ``rows * reachable_width`` counters, one
+    chunk of points, the row parameters (``lsh._row_params``) and, per
+    thread, one hash block's projections, sign bytes and buckets and their
+    count: about 13.25 * ``lsh._BLOCK_BUDGET`` bytes at depth 4, for any data
+    length. Each pool thread adds a fixed cost: its allocator arena keeps the
+    high-water mark of its hash and count buffers resident, and OpenBLAS
+    gives a second concurrent caller its own buffer. While the pool runs,
+    numpy's OpenBLAS is held at one thread (for the whole process),
     since each thread's projection matmul would otherwise start its own BLAS
     threads and oversubscribe the cores; when that BLAS cannot be found, the
     build runs on one thread.
@@ -363,7 +359,6 @@ def build(data, family: LshFamily, rows: int, *, threads: int = 1) -> RaceSketch
         raise InvalidParameterError(f"rows must be >= 1, got {rows}")
     if threads < 1:
         raise InvalidParameterError(f"threads must be >= 1, got {threads}")
-    chunk = _chunk_length(rows, family.depth)
     counts = np.zeros((rows, family.reachable_width), dtype=np.int64)
     threads = min(threads, rows)
     blas = _numpy_openblas() if threads > 1 else None
@@ -374,8 +369,8 @@ def build(data, family: LshFamily, rows: int, *, threads: int = 1) -> RaceSketch
     # a hash block's buckets fit one budget over the depth, or one row of a
     # chunk; caller-owned, the buffers keep the pool threads' allocations
     # small, which their allocator arenas would otherwise hold on to
-    per_block = max(chunk, lsh._BLOCK_BUDGET // family.depth)
-    buffers = [np.empty(min(len(span) * chunk, per_block), family._plan.out_dtype)
+    per_block = max(_CHUNK, lsh._BLOCK_BUDGET // family.depth)
+    buffers = [np.empty(min(len(span) * _CHUNK, per_block), family._plan.out_dtype)
                for span in spans]
 
     def count(span, points, buffer):
@@ -393,7 +388,7 @@ def build(data, family: LshFamily, rows: int, *, threads: int = 1) -> RaceSketch
             stack.enter_context(_one_blas_thread(blas))
             pool = stack.enter_context(ThreadPoolExecutor(threads - 1))
             lsh._row_params(family, rows)  # drawn once here, not by each thread at once
-        for points in _iter_chunks(data, family.dim, chunk):
+        for points in _iter_chunks(data, family.dim):
             lsh._check_finite(points)  # once, not once per hash block
             inserted += points.shape[0]
             others = [pool.submit(count, span, points, buffer)
@@ -505,27 +500,8 @@ def _header_fields():
 
 
 def deserialize(buf) -> RaceSketch:
-    """Decode a sketch, rejecting non-canonical headers and payloads of the wrong length.
-
-    The reachable columns are copied out when the others are all 0. A
-    table that keeps its width (non-zero counts past them, or a family that
-    reaches every column) uses a writable, aligned buffer (a ``bytearray``)
-    without a copy, so the sketch shares that buffer; a read-only buffer
-    such as ``bytes`` is copied.
-    """
-    fields, rows, state = _parse_header(buf)
-    expected = _BODY + 8 * rows * fields["width"]
-    if len(buf) < expected:
-        raise TruncationError(f"expected {expected} bytes, got {len(buf)}")
-    if len(buf) > expected:
-        raise MalformedHeaderError(f"{len(buf) - expected} trailing bytes after payload")
-    with _header_fields():
-        family = LshFamily(**fields)
-        counts = np.frombuffer(buf, dtype="<i8", count=rows * family.width, offset=_BODY)
-        counts = counts.reshape(rows, family.width)
-        kept = _live_prefix(counts, family.reachable_width)
-        shared = kept is counts and counts.flags.writeable and counts.flags.aligned
-        return RaceSketch(kept.astype(np.int64, copy=not shared), family, **state)
+    """Decode a bytes-like object through :func:`load`'s reader: the sketch owns its table."""
+    return _read(io.BytesIO(buf), memoryview(buf).nbytes)
 
 
 def save(sketch: RaceSketch, path) -> None:
@@ -539,46 +515,62 @@ def save(sketch: RaceSketch, path) -> None:
 def load(path) -> RaceSketch:
     """Read a ``.race`` file in blocks of rows into a table of its reachable columns.
 
-    The table widens to all W columns at the first block with a non-zero
-    count past them, and from there the file is read straight into it, as it
-    is from the start for a family that reaches every column. A file whose
-    size does not match its header, or a pipe, is read whole and decoded by
-    :func:`deserialize`, which names the fault.
+    A regular file is read by :func:`_read`; anything else, such as a pipe,
+    has no size to check the header against, so it is read whole and
+    decoded by :func:`deserialize`.
     """
     with open(path, "rb") as fh:
-        head = fh.read(_BODY)
-        fields, rows, state = _parse_header(head)
-        width = fields["width"]
-        size = os.fstat(fh.fileno()).st_size
-        if size != _BODY + 8 * rows * width:
-            return deserialize(head + fh.read())
-        with _header_fields():
-            family = LshFamily(**fields)
-        live = family.reachable_width
+        info = os.fstat(fh.fileno())
+        if stat.S_ISREG(info.st_mode):
+            return _read(fh, info.st_size)
+        return deserialize(fh.read())
 
-        def read_into(table):
-            got = fh.readinto(table)
-            if got < table.nbytes:  # the file shrank after the size was read
-                raise TruncationError(f"expected {size} bytes, got {fh.tell()}")
 
-        counts = np.empty((rows, live), "<i8")
-        step = max(1, _IO_BUDGET // width)
-        block = np.empty((min(step, rows), width), "<i8") if live < width else None
-        r0 = 0
-        while r0 < rows and counts.shape[1] < width:
-            part = block[:min(step, rows - r0)]
-            read_into(part)
-            counts[r0:r0 + len(part)] = part[:, :live]
-            if part[:, live:].any():
-                wide = np.zeros((rows, width), "<i8")
-                wide[:r0, :live] = counts[:r0]
-                wide[r0:r0 + len(part)] = part
-                counts = wide
-            r0 += len(part)
-        if r0 < rows:
-            read_into(counts[r0:])
-        extra = len(fh.read())  # what a file that grew holds past the size read
-        if extra:
-            raise MalformedHeaderError(f"{extra} trailing bytes after payload")
+def _read(fh, size: int) -> RaceSketch:
+    """Decode the ``size`` bytes of ``fh``, the one decoder of ``load`` and ``deserialize``.
+
+    Rejects non-canonical headers, a ``size`` the header does not give, and
+    a source that ends early or runs on past ``size``. The counters are read
+    in blocks of rows into a table of the reachable columns, which widens to
+    all W columns at the first block with a non-zero count past them; from
+    there the rest is read straight into it, as it is from the start for a
+    family that reaches every column.
+    """
+    head = fh.read(_BODY)
+    fields, rows, state = _parse_header(head)
+    width = fields["width"]
+    expected = _BODY + 8 * rows * width
+    if size < expected:
+        raise TruncationError(f"expected {expected} bytes, got {size}")
+    if size > expected:
+        raise MalformedHeaderError(f"{size - expected} trailing bytes after payload")
+    with _header_fields():
+        family = LshFamily(**fields)
+    live = family.reachable_width
+
+    def read_into(table):
+        got = fh.readinto(table)
+        if got < table.nbytes:  # the source shrank after its size was read
+            raise TruncationError(f"expected {expected} bytes, got {fh.tell()}")
+
+    counts = np.empty((rows, live), "<i8")
+    step = max(1, _IO_BUDGET // width)
+    block = np.empty((min(step, rows), width), "<i8") if live < width else None
+    r0 = 0
+    while r0 < rows and counts.shape[1] < width:
+        part = block[:min(step, rows - r0)]
+        read_into(part)
+        counts[r0:r0 + len(part)] = part[:, :live]
+        if part[:, live:].any():
+            wide = np.zeros((rows, width), "<i8")
+            wide[:r0, :live] = counts[:r0]
+            wide[r0:r0 + len(part)] = part
+            counts = wide
+        r0 += len(part)
+    if r0 < rows:
+        read_into(counts[r0:])
+    extra = len(fh.read())  # what a source that grew holds past the size read
+    if extra:
+        raise MalformedHeaderError(f"{extra} trailing bytes after payload")
     with _header_fields():
         return RaceSketch(counts, family, **state)

@@ -36,14 +36,19 @@ def _run(capsys, argv):
     return code, out.out, out.err
 
 
-def test_importing_racekit_loads_no_scipy():
+def _child(code, *argv, stdin: bytes | None = None) -> bytes:
+    """Run ``code`` in a child Python that imports this racekit; its stdout."""
     src = os.path.dirname(os.path.dirname(rk.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    code = ("import sys, racekit, racekit.cli; "
-            "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'); "
-            "assert not loaded, loaded[:5]")
-    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+    return subprocess.run([sys.executable, "-c", code, *map(str, argv)], input=stdin,
+                          env=env, capture_output=True, check=True).stdout
+
+
+def test_importing_racekit_loads_no_scipy():
+    _child("import sys, racekit, racekit.cli; "
+           "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'); "
+           "assert not loaded, loaded[:5]")
 
 
 def test_build_info_and_manifest(workdir, capsys):
@@ -64,6 +69,17 @@ def test_build_info_and_manifest(workdir, capsys):
     assert fields["inserted"] == "400"
     assert fields["kind"] == "srp"
     assert fields["bytes"] == str(out_path.stat().st_size)
+
+
+def test_info_reports_the_size_of_a_piped_sketch(workdir, capsys):
+    # a pipe has no size; info reports the one size load accepts, 48 + 8 R W
+    path = workdir / "s.race"
+    _run(capsys, ["build", "--input", workdir / "data.csv", "--rows", 100, "--range", 64,
+                  "--output", path])
+    piped = _child("import sys; from racekit.cli import main; sys.exit(main(sys.argv[1:]))",
+                   "info", "--sketch", "/dev/stdin", stdin=path.read_bytes())
+    _, want, _ = _run(capsys, ["info", "--sketch", path])
+    assert piped.decode() == want and f"bytes: {48 + 8 * 100 * 64}\n" in want
 
 
 def test_build_defaults_follow_documented_band(workdir, capsys):
@@ -826,9 +842,8 @@ def _build_outputs(capsys, workdir, csv, flags, name):
 
 
 def _stream_chunks_of(monkeypatch, points):
-    # racekit build parses and hashes chunks of _chunk_length(rows=20, depth=4) points
-    monkeypatch.setattr(rk.sketch, "_CHUNK_BUDGET", points * 20 * 4)
-    assert rk.sketch._chunk_length(20, 4) == points
+    # racekit build parses and hashes chunks of _CHUNK points
+    monkeypatch.setattr(rk.sketch, "_CHUNK", points)
 
 
 @pytest.mark.parametrize("header", [False, True], ids=["no-header", "header"])

@@ -177,6 +177,19 @@ def test_collision_probability_rejects_zero_vectors():
         rk.kernel_values(fam, [[1.0, 0.0]], [0.0, 0.0])
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_a_euclidean_distance_that_overflows_never_collides():
+    # 1e200 squared overflows float64, so this point's distance to q is inf
+    fam = rk.new_family("euclidean", dim=2, depth=3, width=40, bandwidth=0.75, seed=1)
+    finite = np.random.default_rng(5).standard_normal((20, 2))
+    pts = np.insert(finite, 7, [1e200, 1e200], axis=0)
+    got = rk.kernel_values(fam, pts, [0.0, 0.0])
+    assert got[7] == 0.0
+    assert np.array_equal(np.delete(got, 7), rk.kernel_values(fam, finite, [0.0, 0.0]))
+    assert oracle.exact_kernel_sum(pts, [0.0, 0.0], fam).value == got.sum()
+    assert math.isfinite(rk.f_tilde(pts, [0.0, 0.0], fam))
+
+
 def test_pstable_collision_matches_the_normal_cdf_form():
     ndtr = pytest.importorskip("scipy.special").ndtr
     rng = np.random.default_rng(0)

@@ -1,6 +1,8 @@
 import hashlib
+import os
 import re
 import struct
+import subprocess
 import sys
 import threading
 import tracemalloc
@@ -95,7 +97,7 @@ def test_build_with_row_ranges_equals_serial(monkeypatch, rows, threads):
     # ranges are capped at one row each, so 5 threads over 2 rows run 2 ranges
     _, blas = _fake_blas(1)
     monkeypatch.setattr(rk.sketch, "_numpy_openblas", lambda: blas)
-    monkeypatch.setattr(rk.sketch, "_CHUNK_BUDGET", 60 * rows * 4)  # 60-point chunks
+    monkeypatch.setattr(rk.sketch, "_CHUNK", 60)
     pts = np.random.default_rng(10).standard_normal((301, 2))
     fam = _family()
     assert rk.build(iter(pts), fam, rows, threads=threads) == rk.build(pts, fam, rows)
@@ -124,6 +126,8 @@ def _bincount_reference(width, buckets):
 ])
 @pytest.mark.parametrize("budget", [None, 1])
 def test_pair_count_equals_one_row_at_a_time(monkeypatch, rows, n, alphabet, budget):
+    if budget is not None:
+        monkeypatch.setattr(rk.sketch, "_INDEX_BUDGET", budget)  # one row or pair a block
     rng = np.random.default_rng(rows * n)
     buckets = rng.integers(0, alphabet, size=(rows, n)).astype(np.uint8)
     buckets[0, 0] = alphabet - 1  # the alphabet is the largest bucket + 1
@@ -131,12 +135,12 @@ def test_pair_count_equals_one_row_at_a_time(monkeypatch, rows, n, alphabet, bud
     pairs = []
     count_pairs = rk.sketch._count_pairs
     monkeypatch.setattr(rk.sketch, "_count_pairs",
-                        lambda c, b, a, s: pairs.append(len(b)) or count_pairs(c, b, a, s))
+                        lambda c, b, a: pairs.append(len(b)) or count_pairs(c, b, a))
     # a row slice of a wider table, counted on top of what it holds
     table = rng.integers(0, 5, size=(rows + 3, width))
     want = table.copy()
     want[2:rows + 2] += _bincount_reference(width, buckets)
-    rk.sketch._scatter(table[2:rows + 2], buckets, budget)
+    rk.sketch._scatter(table[2:rows + 2], buckets)
     assert np.array_equal(table, want)
     assert pairs == ([rows - rows % 2] if 4 * alphabet**2 <= n else [])
 
@@ -175,7 +179,7 @@ def test_build_golden_digest_with_small_blocks(monkeypatch, name, threads):
     # 7 rows per hash block and per scatter block: 30 rows run as 7, 7, 7, 7, 2
     params, digest = _GOLDEN[name]
     chunk = 5000
-    monkeypatch.setattr(rk.sketch, "_CHUNK_BUDGET", chunk * 30 * params["depth"])
+    monkeypatch.setattr(rk.sketch, "_CHUNK", chunk)
     monkeypatch.setattr(rk.lsh, "_BLOCK_BUDGET", 7 * params["depth"] * chunk)
     monkeypatch.setattr(rk.sketch, "_INDEX_BUDGET", 7 * chunk)
     sk = rk.build(_GOLDEN_POINTS, rk.new_family(**params), 30, threads=threads)
@@ -246,7 +250,7 @@ def test_overlapping_threaded_builds_restore_blas_once(monkeypatch):
         return hash_batch(*args, **kwargs)
 
     monkeypatch.setattr(rk.lsh, "hash_batch", recorded)
-    monkeypatch.setattr(rk.sketch, "_CHUNK_BUDGET", 50 * 5 * 4)  # 50-point chunks
+    monkeypatch.setattr(rk.sketch, "_CHUNK", 50)
     pts = np.random.default_rng(4).standard_normal((400, 2))
     expected = rk.build(pts, _family(), rows=5)
     seen.clear()
@@ -323,7 +327,7 @@ def test_threaded_stream_build_counts_each_row_range_where_it_was_hashed(monkeyp
     # chunk is hashed and counted once, by one thread, before the next chunk
     _, blas = _fake_blas(1)
     monkeypatch.setattr(rk.sketch, "_numpy_openblas", lambda: blas)
-    monkeypatch.setattr(rk.sketch, "_CHUNK_BUDGET", 50 * 5 * 4)  # 50-point chunks
+    monkeypatch.setattr(rk.sketch, "_CHUNK", 50)
     pts = np.random.default_rng(6).standard_normal((420, 2))
     fam = _family()
     events = []  # (chunk, "hash" or "count", thread, row range, buckets, their values)
@@ -667,7 +671,7 @@ def test_load_holds_one_copy_of_the_table(tmp_path):
     assert peak < loaded.counts.nbytes + 2**14
 
 
-def test_deserialize_copies_only_from_a_read_only_or_misaligned_buffer():
+def test_deserialize_copies_from_every_kind_of_buffer():
     # the reachable columns of a direct family are always copied out
     direct = rk.build(np.random.default_rng(7).standard_normal((20, 2)), _family(), 5)
     buf = bytearray(rk.serialize(direct))
@@ -683,11 +687,12 @@ def test_deserialize_copies_only_from_a_read_only_or_misaligned_buffer():
     from_bytes.add([0.3, 0.4])
     assert rk.serialize(rk.deserialize(data)) == data
     buf = bytearray(data)
-    shared = rk.deserialize(buf)
-    assert shared == sk and np.shares_memory(shared.counts, np.frombuffer(buf, np.uint8))
+    own = rk.deserialize(buf)
+    assert own == sk and own.counts.flags.writeable
+    assert not np.shares_memory(own.counts, np.frombuffer(buf, np.uint8))
     misaligned = memoryview(bytearray(b"\0" + data))[1:]
     copied = rk.deserialize(misaligned)
-    assert copied == sk and copied.counts.flags.aligned
+    assert copied == sk and copied.counts.flags.aligned and copied.counts.flags.writeable
     assert not np.shares_memory(copied.counts, np.frombuffer(misaligned, np.uint8))
 
 
@@ -720,6 +725,34 @@ def test_a_release_with_noise_past_the_reachable_columns_loads_at_full_width(tmp
         assert rk.serialize(old) == data
         rk.save(old, tmp_path / "again.race")
         assert (tmp_path / "again.race").read_bytes() == data
+
+
+def test_load_reads_a_pipe_as_it_reads_the_file(tmp_path):
+    # a clean sketch and a release with noise on every column, as _OLD_RELEASE's
+    fam = rk.new_family(**_GOLDEN["srp"][0])
+    clean = rk.build(_GOLDEN_POINTS[:2000], fam, 30)
+    table = _whole_table(clean) + rk.laplace_noise_matrix(30, 64, 30 / 2.0, 77)
+    rk.save(clean, tmp_path / "clean.race")
+    rk.save(rk.RaceSketch(table, fam, privatized=True, epsilon=2.0), tmp_path / "old.race")
+    assert hashlib.sha256((tmp_path / "old.race").read_bytes()).hexdigest() == _OLD_RELEASE[0]
+    np.save(tmp_path / "q.npy", _GOLDEN_POINTS[-50:])
+    src = os.path.dirname(os.path.dirname(rk.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    child = ("import sys, numpy as np, racekit as rk; sk = rk.load('/dev/stdin'); "
+             "q = np.load(sys.argv[1]); "
+             "ests = [rk.estimate(sk, q, e) for e in ('median_of_means', 'mean')]; "
+             "sys.stdout.buffer.write(b''.join([rk.serialize(sk), sk.counts.tobytes(), "
+             "*(a.tobytes() for est in ests for a in est)]))")
+    for name, shape in (("clean.race", (30, 16)), ("old.race", (30, 64))):
+        data = (tmp_path / name).read_bytes()
+        piped = subprocess.run([sys.executable, "-c", child, str(tmp_path / "q.npy")],
+                               input=data, env=env, capture_output=True, check=True).stdout
+        sk = rk.load(tmp_path / name)
+        assert sk.counts.shape == shape
+        ests = [rk.estimate(sk, _GOLDEN_POINTS[-50:], e) for e in ("median_of_means", "mean")]
+        assert piped == b"".join([data, sk.counts.tobytes(),
+                                  *(a.tobytes() for est in ests for a in est)])
 
 
 @pytest.mark.parametrize("row", [0, 7, 29])
@@ -786,13 +819,12 @@ def test_merge_takes_a_full_width_table_with_a_reachable_one():
 
 
 def test_build_takes_point_matrices_within_a_stream(monkeypatch):
-    monkeypatch.setattr(rk.sketch, "_CHUNK_BUDGET", 5 * 4 * 4)  # chunks of 5 points
+    monkeypatch.setattr(rk.sketch, "_CHUNK", 5)
     pts = np.random.default_rng(8).standard_normal((23, 2))
     whole = rk.build(pts, _family(), rows=4)
     # a short block, then longer ones: the bucket buffer grows to the longest
     stream = [pts[:2], pts[2], pts[3:12], *pts[12:14], pts[14:23]]
     assert rk.build(iter(stream), _family(), rows=4, threads=2) == whole
-    assert rk.sketch._chunk_length(4, 4) == 5
 
 
 def test_counts_are_int64_and_sized_by_rows_width():
