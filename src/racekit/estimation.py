@@ -36,12 +36,16 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import lsh, sketch as rsketch
+from . import lsh
 from .errors import InsufficientRowsError, InvalidParameterError
 from .lsh import LshFamily
 from .sketch import RaceSketch, _row_base
 
 _N_FLOOR = 1.0
+# Flat counter indices (intp) per block of queries read, about 4 MiB: one
+# index over a whole query batch (80 MB for 10k points at R=1000) would be
+# allocated and page-faulted in afresh for every call.
+_INDEX_BUDGET = 1 << 19
 
 
 class Estimate(NamedTuple):
@@ -135,7 +139,8 @@ def estimate(sketch: RaceSketch, points, estimator: str = "median_of_means",
              delta: float = 0.1) -> Estimate:
     """Kernel-sum estimates for a batch of queries, arrays in and arrays out.
 
-    ``estimator`` is "mean" or "median_of_means" (which uses ``delta``).
+    ``estimator`` is "mean" or "median_of_means" (which uses ``delta``);
+    ``delta`` must lie in (0, 1) for either, checked before any hashing.
     The points' shape and finiteness are checked once, here (one point's
     finiteness off its norm, see ``lsh._check_finite``), and every block is
     hashed with ``checked=True``. Queries are hashed, gathered and
@@ -150,13 +155,14 @@ def estimate(sketch: RaceSketch, points, estimator: str = "median_of_means",
     """
     if estimator not in ("mean", "median_of_means"):
         raise InvalidParameterError(f"unknown estimator {estimator!r}")
+    mom_group_count(delta)  # checks delta for either estimator
     pts = lsh._as_matrix(points, sketch.family.dim)
     lsh._check_finite(pts)
     n, rows = pts.shape[0], sketch.rows
     if n == 1:
         f_hat, kde = _estimate_one(sketch, pts, estimator, delta)
         return Estimate(np.array([f_hat]), np.array([kde]))
-    step = max(1, rsketch._INDEX_BUDGET // rows)
+    step = max(1, _INDEX_BUDGET // rows)
     f_hat = np.empty(n)
     reads = np.empty(rows * min(n, step), sketch.counts.dtype)
     for q0 in range(0, max(n, 1), step):  # an empty batch is one empty block

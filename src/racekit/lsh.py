@@ -380,8 +380,7 @@ def _check_finite(pts: np.ndarray) -> None:
 
 
 def hash_batch(family: LshFamily, rows: int | range, points, *,
-               table: int | None = None, out: np.ndarray | None = None,
-               checked: bool = False) -> np.ndarray:
+               table: int | None = None, checked: bool = False) -> np.ndarray:
     """Bucket every point under every row hash, or under a range of rows.
 
     ``rows`` is a row count R, for rows ``0 .. R-1``, or a ``range(lo, hi)``
@@ -393,10 +392,8 @@ def hash_batch(family: LshFamily, rows: int | range, points, *,
 
     Returns an array of shape (len(rows), n) with entries in [0, width), in
     the smallest unsigned dtype that holds ``width - 1`` (``2 ** depth - 1``
-    for SRP codes used directly); never uint64, since width < 2**32. It is
-    written into ``out`` when given, an array (or strided view) of exactly
-    that shape and dtype, so a caller can keep one bucket array for all its
-    calls. Points must be finite; NaN or inf raises ``InvalidParameterError``.
+    for SRP codes used directly); never uint64, since width < 2**32. Points
+    must be finite; NaN or inf raises ``InvalidParameterError``.
     Points are validated once on their way in: ``checked=True`` skips the
     finiteness check for a caller that made it (``lsh._check_finite``)
     itself. ``sketch.build`` checks each chunk once and hashes it one row
@@ -477,10 +474,6 @@ def hash_batch(family: LshFamily, rows: int | range, points, *,
         _check_finite(pts)
     lo, hi = span.start, span.stop
     plan = family._plan
-    if out is not None and (out.shape != (hi - lo, n) or out.dtype != plan.out_dtype):
-        raise InvalidParameterError(
-            f"out must be a {(hi - lo, n)} {plan.out_dtype} array, "
-            f"got {out.shape} {out.dtype}")
     params = _row_params(family, table)
     code_dtype, direct = plan.code_dtype, plan.direct
     if euclidean:
@@ -497,8 +490,7 @@ def hash_batch(family: LshFamily, rows: int | range, points, *,
             proj = np.concatenate([proj[i:i + step] @ pts[0] for i in range(0, len(proj), step)])
         else:
             proj = proj @ pts[0]
-        if out is None:
-            out = np.empty((hi - lo, 1), plan.out_dtype)
+        out = np.empty((hi - lo, 1), plan.out_dtype)
         _euclidean_buckets(family, proj.reshape(hi - lo, p), offsets, mix_a, pair_b, in_range,
                            out[:, 0])
         return out
@@ -515,12 +507,8 @@ def hash_batch(family: LshFamily, rows: int | range, points, *,
         codes = codes[:, None]
         if family.kind is HashKind.FOLDED_SRP or not direct:  # a fold or a mix
             codes = _angular_buckets(family, codes, params, slice(lo, hi))
-        if out is None:
-            return codes.astype(plan.out_dtype, copy=False)
-        out[:] = codes
-        return out
-    if out is None:
-        out = np.empty((hi - lo, n), plan.out_dtype)
+        return codes.astype(plan.out_dtype, copy=False)
+    out = np.empty((hi - lo, n), plan.out_dtype)
     budget = _BLOCK_BUDGET // _EUCLIDEAN_SHARE if euclidean else _BLOCK_BUDGET
     step = max(1, budget // (p * max(n, 1)))
     # one projection buffer for all blocks: a fresh one per block faults in anew

@@ -41,7 +41,8 @@ and ``serialize`` write every row padded with zeros to W, and ``load`` and
 columns when the file's other columns are all 0. Files that hold a non-zero
 count there, such as releases that drew noise on every column, keep all W
 columns, so they answer and re-encode as they always have. Builds hash their
-points in chunks of a fixed 8000.
+points in chunks of a fixed 8000, one block of rows at a time, and count each
+block with one ``bincount`` as soon as it is hashed.
 """
 
 from __future__ import annotations
@@ -82,10 +83,6 @@ _NO_BANDWIDTH = struct.pack("<d", float("nan"))  # an angular family's bandwidth
 # a chunk is hashed one block of rows at a time, so its length bounds only the
 # chunk's own (chunk, dim) floats, for any table size and thread count.
 _CHUNK = 8000
-# Flat counter indices (intp) per block of rows counted or queries read, about
-# 4 MiB: one index over a whole chunk or query batch (80 MB for 10k points at
-# R=1000) would be allocated and page-faulted in afresh for every call.
-_INDEX_BUDGET = 1 << 19
 # Counters per block of whole rows that save pads and load reads, 64 KiB.
 _IO_BUDGET = 1 << 13
 _BODY = _HEADER.size + 8  # the bytes before the counters
@@ -104,58 +101,41 @@ def _scatter(counts: np.ndarray, buckets: np.ndarray) -> None:
 
     When the buckets' alphabet A (the largest + 1) is narrow, ``4 * A**2 <= n``,
     rows go in pairs through ``_count_pairs``; an odd last row, and every row
-    of a wider alphabet, through one ``bincount`` per block of rows over the
-    block's flat indices ``bucket + r * W``, held in one reused buffer. Blocks
-    hold about ``_INDEX_BUDGET`` flat indices.
+    of a wider alphabet, through one ``bincount`` over the flat indices
+    ``bucket + r * W``. The caller bounds the block: :func:`build` hands over
+    one hash block, at most ``lsh._BLOCK_BUDGET // (depth * n)`` rows.
     """
     rows, n = buckets.shape
     alphabet = int(buckets.max(initial=0)) + 1
     paired = rows - rows % 2 if 4 * alphabet * alphabet <= n else 0
     if paired:
         _count_pairs(counts[:paired], buckets[:paired], alphabet)
-    if paired == rows:
-        return
-    step = min(rows - paired, max(1, _INDEX_BUDGET // max(n, 1)))
-    base = _row_base(step, counts.shape[1])
-    index = np.empty((step, n), np.intp)
-    for r0 in range(paired, rows, step):
-        r1 = min(r0 + step, rows)
-        np.add(buckets[r0:r1], base[:r1 - r0], out=index[:r1 - r0])
-        flat = counts[r0:r1].ravel()  # a view: the table's rows are contiguous
-        # the tally dies here, before the next block allocates: kept alive one
-        # block longer, it made 1000-point builds at R=1000 about 1.5x slower
-        # and 2 MB larger (glibc malloc, numpy 2.4)
-        flat += np.bincount(index[:r1 - r0].ravel(), minlength=flat.size)
+    if paired < rows:
+        flat = counts[paired:].ravel()  # a view: the table's rows are contiguous
+        index = buckets[paired:] + _row_base(rows - paired, counts.shape[1])
+        flat += np.bincount(index.ravel(), minlength=flat.size)
 
 
 def _count_pairs(counts: np.ndarray, buckets: np.ndarray, alphabet: int) -> None:
     """Count an even number of rows two at a time over an alphabet of ``alphabet``.
 
     Rows 2g and 2g+1 give each point one key ``b[2g+1] * A + b[2g]`` of an
-    A x A joint table; one ``bincount`` per block of pairs fills the joint
-    tables and their two marginals are the two rows' counts. Half as many
-    increments land on A**2 counters in place of A, where a narrow row's few
-    live counters would be hit back to back: an ingest chunk (cube-scaled
-    points, A = 16, n = 8000, R = 1000) counts in 12-14 ms, against 25-27 ms
-    one row at a time (median, 2 vCPUs, numpy 2.4). Blocks hold about
-    ``_INDEX_BUDGET`` flat indices.
+    A x A joint table; one ``bincount`` fills the joint tables and their two
+    marginals are the two rows' counts. Half as many increments land on A**2
+    counters in place of A, where a narrow row's few live counters would be
+    hit back to back: an ingest chunk (cube-scaled points, A = 16, n = 8000,
+    R = 1000) counts in 12-14 ms, against 25-27 ms one row at a time (median,
+    2 vCPUs, numpy 2.4). The caller bounds the block, as for :func:`_scatter`.
     """
     pairs, n = buckets.shape[0] // 2, buckets.shape[1]
     cells = alphabet * alphabet
-    step = min(pairs, max(1, _INDEX_BUDGET // n))
-    base = _row_base(step, cells)
-    keys = np.empty((step, n), np.min_scalar_type(cells - 1))
-    index = np.empty((step, n), np.intp)
-    for g0 in range(0, pairs, step):
-        g1 = min(g0 + step, pairs)
-        two = buckets[2 * g0:2 * g1].reshape(g1 - g0, 2, n)
-        key = np.multiply(two[:, 1], alphabet, out=keys[:g1 - g0], dtype=keys.dtype)
-        np.add(key, two[:, 0], out=key)
-        np.add(key, base[:g1 - g0], out=index[:g1 - g0])
-        joint = np.bincount(index[:g1 - g0].ravel(), minlength=(g1 - g0) * cells)
-        joint = joint.reshape(g1 - g0, alphabet, alphabet)
-        counts[2 * g0:2 * g1:2, :alphabet] += joint.sum(axis=1)
-        counts[2 * g0 + 1:2 * g1:2, :alphabet] += joint.sum(axis=2)
+    two = buckets.reshape(pairs, 2, n)
+    key = np.multiply(two[:, 1], alphabet, dtype=np.min_scalar_type(cells - 1))
+    key += two[:, 0]
+    joint = np.bincount((key + _row_base(pairs, cells)).ravel(), minlength=pairs * cells)
+    joint = joint.reshape(pairs, alphabet, alphabet)
+    counts[0::2, :alphabet] += joint.sum(axis=1)
+    counts[1::2, :alphabet] += joint.sum(axis=2)
 
 
 def _live_prefix(counts: np.ndarray, live: int) -> np.ndarray:
@@ -338,10 +318,10 @@ def build(data, family: LshFamily, rows: int, *, threads: int = 1) -> RaceSketch
     (``lsh.hash_batch`` with a row range) and counts it into those rows of
     the table, the calling thread taking the first range, and the next chunk
     starts when every range is counted. A thread walks its range one hash
-    block of ``lsh._BLOCK_BUDGET // (depth * n)`` rows at a time and counts
-    each block as soon as it is hashed, into a bucket buffer the caller
-    allocates once per build for each range. Every counter thus has one
-    writer and the result is byte-identical for every ``threads``.
+    block of ``lsh._BLOCK_BUDGET // (depth * n)`` rows at a time, the only
+    blocking of the write path, and counts each block as soon as it is hashed
+    (:func:`_scatter`, one ``bincount``). Every counter thus has one writer
+    and the result is byte-identical for every ``threads``.
 
     Peak memory is the table of ``rows * reachable_width`` counters, one
     chunk of points, the row parameters (``lsh._row_params``) and, per
@@ -366,21 +346,13 @@ def build(data, family: LshFamily, rows: int, *, threads: int = 1) -> RaceSketch
         threads = 1
     cuts = [rows * i // threads for i in range(threads + 1)]
     spans = [range(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
-    # a hash block's buckets fit one budget over the depth, or one row of a
-    # chunk; caller-owned, the buffers keep the pool threads' allocations
-    # small, which their allocator arenas would otherwise hold on to
-    per_block = max(_CHUNK, lsh._BLOCK_BUDGET // family.depth)
-    buffers = [np.empty(min(len(span) * _CHUNK, per_block), family._plan.out_dtype)
-               for span in spans]
 
-    def count(span, points, buffer):
-        n = points.shape[0]
-        step = max(1, lsh._BLOCK_BUDGET // (family.depth * n))
+    def count(span, points):
+        step = max(1, lsh._BLOCK_BUDGET // (family.depth * points.shape[0]))
         for r0 in range(span.start, span.stop, step):
             r1 = min(r0 + step, span.stop)
-            out = buffer[:(r1 - r0) * n].reshape(r1 - r0, n)
             _scatter(counts[r0:r1], lsh.hash_batch(family, range(r0, r1), points,
-                                                   table=rows, out=out, checked=True))
+                                                   table=rows, checked=True))
 
     inserted, pool = 0, None
     with contextlib.ExitStack() as stack:
@@ -391,9 +363,8 @@ def build(data, family: LshFamily, rows: int, *, threads: int = 1) -> RaceSketch
         for points in _iter_chunks(data, family.dim):
             lsh._check_finite(points)  # once, not once per hash block
             inserted += points.shape[0]
-            others = [pool.submit(count, span, points, buffer)
-                      for span, buffer in zip(spans[1:], buffers[1:])]
-            count(spans[0], points, buffers[0])
+            others = [pool.submit(count, span, points) for span in spans[1:]]
+            count(spans[0], points)
             for other in others:
                 other.result()
     return RaceSketch(counts, family, inserted=inserted)

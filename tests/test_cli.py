@@ -407,6 +407,20 @@ def test_query_insufficient_rows_is_usage_error(workdir, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("estimator", ["mean", "mom"])
+def test_query_rejects_a_delta_outside_the_unit_interval_for_either_estimator(
+        workdir, capsys, estimator):
+    # the mean estimator never reads delta, but the manifest would publish it
+    _run(capsys, ["build", "--input", workdir / "data.csv", "--rows", 40,
+                  "--range", 16, "--output", workdir / "s.race"])
+    out = workdir / "answers.csv"
+    code, _, err = _run(capsys, ["query", "--sketch", workdir / "s.race",
+                                 "--queries", workdir / "queries.csv", "--estimator", estimator,
+                                 "--delta", 7, "--output", out])
+    assert code == 2 and "delta must be in (0, 1)" in err
+    assert not out.exists() and not (workdir / "answers.csv.manifest.json").exists()
+
+
 def test_classify_train_predict_flow(workdir, capsys):
     model_dir = workdir / "model"
     code, _, _ = _run(capsys, ["classify-train", "--input", workdir / "train.csv",

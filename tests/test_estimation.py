@@ -98,6 +98,17 @@ def test_mom_insufficient_rows():
         rk.query_median_of_means(sk, x, delta=0.1)  # needs k = 19 rows
 
 
+@pytest.mark.parametrize("estimator", ["mean", "median_of_means"])
+@pytest.mark.parametrize("delta", [-3.0, 0.0, 1.0, 7.0, float("nan")])
+def test_estimate_rejects_a_delta_outside_the_unit_interval_before_hashing(
+        monkeypatch, estimator, delta):
+    sk, x = _point_mass_sketch(n=3, rows=40)
+    monkeypatch.setattr(rk.lsh, "hash_batch", None)  # any hashing would raise TypeError
+    for points in (x[None, :], np.vstack([x, x])):  # the single-point and batch paths
+        with pytest.raises(InvalidParameterError, match=r"delta must be in \(0, 1\)"):
+            estimation.estimate(sk, points, estimator, delta)
+
+
 def test_mean_and_mom_agree_on_equal_reads():
     sk, x = _point_mass_sketch(n=13, rows=40)
     assert rk.estimate(sk, x[None, :], "mean").f_hat[0] \
@@ -146,7 +157,7 @@ def test_gather_equals_fancy_indexing_in_small_blocks(monkeypatch, kwargs, n):
     buckets = rk.hash_batch(fam, sk.rows, queries)
     want = sk.counts[np.arange(sk.rows)[:, None], buckets]
     # the budget sizes estimate's blocks; a gather is one take, whatever it is
-    monkeypatch.setattr(rk.sketch, "_INDEX_BUDGET", 5)
+    monkeypatch.setattr(estimation, "_INDEX_BUDGET", 5)
     got = estimation._gather(sk, queries)
     assert got.dtype == want.dtype and np.array_equal(got, want)
 
@@ -189,7 +200,7 @@ def test_estimate_in_blocks_equals_one_block(monkeypatch, kwargs, n, per_block):
     wanted = {"mean": reads.mean(axis=0),
               "median_of_means": estimation._mom_aggregate(reads, 0.1)}
     one_block = {name: estimation.estimate(sk, queries, name) for name in wanted}
-    monkeypatch.setattr(rk.sketch, "_INDEX_BUDGET", int(per_block * sk.rows))
+    monkeypatch.setattr(estimation, "_INDEX_BUDGET", int(per_block * sk.rows))
     gather, blocks = estimation._gather, []
     monkeypatch.setattr(estimation, "_gather",
                         lambda sk, pts, out=None: blocks.append(len(pts)) or gather(sk, pts, out))
@@ -213,7 +224,7 @@ def test_estimate_memory_does_not_grow_with_the_batch():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    block = rk.sketch._INDEX_BUDGET * np.dtype(np.int64).itemsize
+    block = estimation._INDEX_BUDGET * np.dtype(np.int64).itemsize
     assert est.f_hat.shape == (20_000,)
     assert peak <= est.f_hat.nbytes + est.kde.nbytes + 3 * block
 

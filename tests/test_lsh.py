@@ -397,22 +397,15 @@ def test_row_range_equals_that_slice_of_the_full_hash(monkeypatch, kind, depth, 
             assert np.array_equal(rk.hash_batch(fam, range(lo, hi), pts), want)
             # the same rows of a larger table
             assert np.array_equal(rk.hash_batch(fam, range(lo, hi), pts, table=31), want)
-            # written into a strided view of a wider array
-            wide = np.zeros((hi - lo, n + 3), want.dtype)
-            got = rk.hash_batch(fam, range(lo, hi), pts, out=wide[:, :n])
-            assert np.shares_memory(got, wide) and np.array_equal(wide[:, :n], want)
 
 
-def test_row_ranges_and_outputs_must_fit_the_table():
+def test_row_ranges_must_fit_the_table():
     fam = rk.new_family("srp", dim=2, depth=2, width=8, seed=1)
     pts = np.ones((3, 2))
     for rows, table in ((0, None), (-2, None), (range(3, 3), None), (range(0, 9, 2), None),
                         (range(-1, 4), None), (range(2, 6), 5)):
         with pytest.raises(InvalidParameterError, match="rows"):
             rk.hash_batch(fam, rows, pts, table=table)
-    for out in (np.empty((4, 3), np.uint8), np.empty((5, 3), np.uint16)):
-        with pytest.raises(InvalidParameterError, match="out"):
-            rk.hash_batch(fam, 5, pts, out=out)
 
 
 def test_zero_row_input_takes_the_family_dimension():

@@ -124,10 +124,7 @@ def _bincount_reference(width, buckets):
     (5, 12, 10),      # n < W: fewer indices than counters in a block
     (3, 1, 20),       # one point
 ])
-@pytest.mark.parametrize("budget", [None, 1])
-def test_pair_count_equals_one_row_at_a_time(monkeypatch, rows, n, alphabet, budget):
-    if budget is not None:
-        monkeypatch.setattr(rk.sketch, "_INDEX_BUDGET", budget)  # one row or pair a block
+def test_pair_count_equals_one_row_at_a_time(monkeypatch, rows, n, alphabet):
     rng = np.random.default_rng(rows * n)
     buckets = rng.integers(0, alphabet, size=(rows, n)).astype(np.uint8)
     buckets[0, 0] = alphabet - 1  # the alphabet is the largest bucket + 1
@@ -176,12 +173,11 @@ def test_build_golden_digest(name, stream, threads):
 @pytest.mark.parametrize("threads", [1, 3])
 @pytest.mark.parametrize("name", sorted(_GOLDEN))
 def test_build_golden_digest_with_small_blocks(monkeypatch, name, threads):
-    # 7 rows per hash block and per scatter block: 30 rows run as 7, 7, 7, 7, 2
+    # 7 rows per hash block, each counted as it is hashed: 30 rows run as 7, 7, 7, 7, 2
     params, digest = _GOLDEN[name]
     chunk = 5000
     monkeypatch.setattr(rk.sketch, "_CHUNK", chunk)
     monkeypatch.setattr(rk.lsh, "_BLOCK_BUDGET", 7 * params["depth"] * chunk)
-    monkeypatch.setattr(rk.sketch, "_INDEX_BUDGET", 7 * chunk)
     sk = rk.build(_GOLDEN_POINTS, rk.new_family(**params), 30, threads=threads)
     assert hashlib.sha256(rk.serialize(sk)).hexdigest() == digest
 
@@ -369,8 +365,8 @@ def test_threaded_stream_build_counts_each_row_range_where_it_was_hashed(monkeyp
 
 def test_threaded_build_memory_is_the_table_plus_bucket_arrays():
     # a 4 MB table of the 256 reachable columns. Each thread hashes its rows
-    # one block at a time into its own bucket buffer and counts the block at
-    # once, so the peak is the table plus one hash block and its count per
+    # one block at a time and counts each block's buckets as soon as they are
+    # hashed, so the peak is the table plus one hash block and its count per
     # thread: no (rows, chunk) bucket array (4 MB here) is held
     fam = rk.new_family("srp", dim=2, depth=8, width=1000, seed=3)
     pts = np.random.default_rng(7).standard_normal((6000, 2))
@@ -822,7 +818,7 @@ def test_build_takes_point_matrices_within_a_stream(monkeypatch):
     monkeypatch.setattr(rk.sketch, "_CHUNK", 5)
     pts = np.random.default_rng(8).standard_normal((23, 2))
     whole = rk.build(pts, _family(), rows=4)
-    # a short block, then longer ones: the bucket buffer grows to the longest
+    # a short block, then longer ones: each is hashed and counted at its own length
     stream = [pts[:2], pts[2], pts[3:12], *pts[12:14], pts[14:23]]
     assert rk.build(iter(stream), _family(), rows=4, threads=2) == whole
 
