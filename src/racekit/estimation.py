@@ -178,10 +178,12 @@ def query_median_of_means(sketch: RaceSketch, q, delta: float = 0.1) -> Estimate
 
     Rows are split into k = ceil(8 ln(1/delta)) contiguous groups of equal
     size; rows beyond k * floor(rows / k) are ignored. The median of an even
-    group count is the average of the two central means. The point's shape
-    and finiteness are checked once, here, and ``f_hat`` and ``kde`` are
-    computed as floats, equal to :func:`estimate`'s entries bit for bit.
+    group count is the average of the two central means. ``delta`` is
+    checked first, then the point's shape and finiteness once, before any
+    hashing, and ``f_hat`` and ``kde`` are computed as floats, equal to
+    :func:`estimate`'s entries bit for bit.
     """
+    mom_group_count(delta)
     point = lsh._as_vector(q, sketch.family.dim)[None, :]
     lsh._check_finite(point)
     return _estimate_one(sketch, point, "median_of_means", delta)

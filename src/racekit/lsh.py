@@ -30,9 +30,10 @@ hardware division.
 
 All per-row parameters derive deterministically from the family seed, so the
 bucket of a point depends only on (seed, row, point). ``hash_batch`` therefore
-evaluates rows in blocks of cache size, or any range of rows alone, and writes
-buckets into the narrowest unsigned dtype that holds them; the grouping never
-changes a code. Families are immutable and safe for concurrent readers.
+projects rows in tiles of L2 size and packs them in blocks of a few tiles, or
+hashes any range of rows alone, and writes buckets into the narrowest unsigned
+dtype that holds them; the grouping never changes a code. Families are
+immutable and safe for concurrent readers.
 """
 
 from __future__ import annotations
@@ -70,15 +71,16 @@ _EXPONENT = np.array(2.0 ** 52).view(np.uint64)[()]
 _MAX_DEPTH = 62  # SRP codes are packed into an unsigned 64-bit word
 _MAX_WIDTH = 1 << 32  # the .race header stores width as u32
 
-# Projections (doubles) evaluated per block of rows in hash_batch, about 4 MiB:
-# one block's projection and its sign or grid temporaries stay near cache
-# size, where one matrix over all rows would be bound by memory bandwidth.
+# Projections per block of rows in hash_batch: an angular block packs, folds
+# and mixes the codes of this many sign bytes (512 KiB) at once, where one
+# pass over all rows would be bound by memory bandwidth.
 _BLOCK_BUDGET = 1 << 19
 
-# Euclidean blocks take an eighth of it, 2**16 doubles or 512 KiB, so that
-# their ten or so in-place passes run in a 2 MiB per-core L2; angular blocks
-# make three passes and measured faster at the whole budget.
-_EUCLIDEAN_SHARE = 8
+# Projections (doubles) per tile, 512 KiB: every batch projection is computed
+# a tile at a time into one reused buffer, so that it is read back (by an
+# angular block's sign pass, or a euclidean tile's ten or so in-place passes)
+# from a 2 MiB per-core L2, not from L3. A euclidean block is one tile.
+_TILE_BUDGET = 1 << 16
 
 # Multiply-shift packing of a single point's sign bytes, for depths 2, 4 and 8.
 # Row r's depth sign bytes, read as one little-endian word, hold bit i in byte
@@ -218,10 +220,10 @@ def _row_params(family: LshFamily, rows: int) -> _RowParams:
     # projections, which OpenBLAS does about twice as fast as rows * depth
     # short dot products; a block of rows is still a strided BLAS operand.
     # The stream fills the (rows * depth, dim) matrix row by row, so each
-    # block of its rows is drawn C-ordered and copied across, never the whole.
+    # tile of its rows is drawn C-ordered and copied across, never the whole.
     proj = np.empty((rows * p, d), order="F")
     rng = np.random.default_rng([family.seed, _PROJ_TAG])
-    step = max(1, _BLOCK_BUDGET // d)
+    step = max(1, _TILE_BUDGET // d)
     block = np.empty((min(step, rows * p), d))
     euclidean = family.kind is HashKind.EUCLIDEAN
     largest = 0.0  # squared norm of the longest projection, for euclidean range bounds
@@ -402,17 +404,20 @@ def hash_batch(family: LshFamily, rows: int | range, points, *,
     ``RaceSketch.add`` checks its point once. Unchecked, finiteness is read
     off the largest norm of the points where it is at hand (one point, or a
     euclidean batch), with a full pass only when that norm is not finite,
-    and off a full pass otherwise. Rows are evaluated in
-    blocks of ``_BLOCK_BUDGET // (depth * n)`` rows (at least one), about
-    4 MiB of float64 projections for any row count or range (an eighth of
-    that for euclidean rows, below), so the projection is never
-    materialized for all rows at once; a caller that hashes one such block
-    per call holds one block's buffers at a time.
-    Angular codes are packed in one pass per block: the signs of all
-    ``depth`` projections go into one bool buffer, and an ``einsum`` against
-    the bit weights ``2 ** i`` sums them into the code dtype (bit i of row r
-    is the sign of projection ``r * depth + i``). The dtypes and bit weights
-    come from the family's plan.
+    and off a full pass otherwise. Rows are projected one tile of
+    ``_TILE_BUDGET // (depth * n)`` rows (at least one) at a time into one
+    reused buffer, 512 KiB of float64 projections for any row count or
+    range, so the projection is never materialized for all rows at once
+    and each tile is read back from a 2 MiB per-core L2 rather than from
+    L3. Angular rows go in blocks of ``_BLOCK_BUDGET // (depth * n)`` rows
+    (at least one), about eight tiles: each tile's ``greater_equal``
+    writes its sign bytes into the block's one bool buffer (512 KiB), and
+    an ``einsum`` against the bit weights ``2 ** i`` packs the block in one
+    pass into the code dtype (bit i of row r is the sign of projection
+    ``r * depth + i``), which is then folded or mixed. A euclidean block
+    is one tile (below). A caller that hashes one block per call holds one
+    block's buffers at a time. The dtypes and bit weights come from the
+    family's plan.
 
     A single angular point skips the blocks: one matrix-vector product with
     the (column-major) projections gives its ``rows * depth`` projections and
@@ -427,10 +432,9 @@ def hash_batch(family: LshFamily, rows: int | range, points, *,
     folded and others mixed (:func:`_angular_buckets`), and the result is
     cast once to the bucket dtype. The codes equal the batch path's.
 
-    Euclidean blocks take ``_BLOCK_BUDGET // _EUCLIDEAN_SHARE`` projections,
-    512 KiB, so that their ten or so passes stay in a 2 MiB per-core L2, and
-    work in place in the projection buffer, with an accumulator, a quotient
-    and a residue (20 bytes) of scratch per bucket. The floors ``floor((proj +
+    A euclidean tile runs its ten or so passes in place in the projection
+    buffer, in L2, with an accumulator, a quotient and a residue (20 bytes)
+    of scratch per bucket. The floors ``floor((proj +
     offset) / bandwidth)`` are shifted by P to a representative of ``floor
     mod P`` in ``[1, 2P)``: directly when they lie in ``(-P, P)``, otherwise
     after an ``fmod`` by P, which is exact for every finite double, so
@@ -509,34 +513,38 @@ def hash_batch(family: LshFamily, rows: int | range, points, *,
             codes = _angular_buckets(family, codes, params, slice(lo, hi))
         return codes.astype(plan.out_dtype, copy=False)
     out = np.empty((hi - lo, n), plan.out_dtype)
-    budget = _BLOCK_BUDGET // _EUCLIDEAN_SHARE if euclidean else _BLOCK_BUDGET
-    step = max(1, budget // (p * max(n, 1)))
-    # one projection buffer for all blocks: a fresh one per block faults in anew
-    buf = np.empty((min(step, hi - lo) * p, n))
-    if family.kind.angular:
-        signs = np.empty(buf.shape, np.bool_)
-        if not direct:
-            packed = np.empty((min(step, hi - lo), n), code_dtype)
-    else:
-        quotient = np.empty((min(step, hi - lo), n), np.uint64)
+    tile = max(1, _TILE_BUDGET // (p * max(n, 1)))
+    # one projection buffer for all tiles: a fresh one per tile faults in anew
+    buf = np.empty((min(tile, hi - lo) * p, n))
+    if euclidean:
+        quotient = np.empty((min(tile, hi - lo), n), np.uint64)
         scratch = (np.empty_like(quotient), quotient, np.empty(quotient.shape, np.uint32),
                    quotient.reshape(-1).view(np.uint32)[:quotient.size].reshape(quotient.shape))
+        for r0 in range(lo, hi, tile):
+            r1 = min(r0 + tile, hi)
+            proj = np.matmul(params.proj[r0 * p:r1 * p], pts.T, out=buf[:(r1 - r0) * p])
+            _euclidean_buckets(family, proj.reshape(r1 - r0, p, n),
+                               params.offsets[r0:r1, :, None], params.mix_a[r0:r1, :, None],
+                               params.pair_b[r0:r1, :, None], in_range, out[r0 - lo:r1 - lo],
+                               [a[:r1 - r0] for a in scratch])
+        return out
+    step = max(1, _BLOCK_BUDGET // (p * max(n, 1)))
+    signs = np.empty((min(step, hi - lo) * p, n), np.bool_)
+    if not direct:
+        packed = np.empty((min(step, hi - lo), n), code_dtype)
     for r0 in range(lo, hi, step):
         r1 = min(r0 + step, hi)
+        for t0 in range(r0, r1, tile):
+            t1 = min(t0 + tile, r1)
+            proj = np.matmul(params.proj[t0 * p:t1 * p], pts.T, out=buf[:(t1 - t0) * p])
+            np.greater_equal(proj, 0, out=signs[(t0 - r0) * p:(t1 - r0) * p])
         dest = out[r0 - lo:r1 - lo]
-        proj = np.matmul(params.proj[r0 * p:r1 * p], pts.T, out=buf[:(r1 - r0) * p])
-        if family.kind.angular:
-            bits = np.greater_equal(proj, 0, out=signs[:(r1 - r0) * p])
-            codes = dest if direct else packed[:r1 - r0]
-            np.einsum("rpn,p->rn", bits.view(np.uint8).reshape(r1 - r0, p, n), plan.weights,
-                      out=codes, dtype=code_dtype, casting="unsafe")
-            buckets = _angular_buckets(family, codes, params, slice(r0, r1))
-            if not direct:
-                dest[:] = buckets
-            continue
-        _euclidean_buckets(family, proj.reshape(r1 - r0, p, n), params.offsets[r0:r1, :, None],
-                           params.mix_a[r0:r1, :, None], params.pair_b[r0:r1, :, None],
-                           in_range, dest, [a[:r1 - r0] for a in scratch])
+        codes = dest if direct else packed[:r1 - r0]
+        np.einsum("rpn,p->rn", signs[:(r1 - r0) * p].view(np.uint8).reshape(r1 - r0, p, n),
+                  plan.weights, out=codes, dtype=code_dtype, casting="unsafe")
+        buckets = _angular_buckets(family, codes, params, slice(r0, r1))
+        if not direct:
+            dest[:] = buckets
     return out
 
 

@@ -51,7 +51,6 @@ import contextlib
 import ctypes
 import functools
 import glob
-import io
 import os
 import stat
 import struct
@@ -325,9 +324,11 @@ def build(data, family: LshFamily, rows: int, *, threads: int = 1) -> RaceSketch
 
     Peak memory is the table of ``rows * reachable_width`` counters, one
     chunk of points, the row parameters (``lsh._row_params``) and, per
-    thread, one hash block's projections, sign bytes and buckets and their
-    count: about 13.25 * ``lsh._BLOCK_BUDGET`` bytes at depth 4, for any data
-    length. Each pool thread adds a fixed cost: its allocator arena keeps the
+    thread, one tile of projections (``8 * lsh._TILE_BUDGET`` bytes, equal
+    to ``lsh._BLOCK_BUDGET``), one hash block's sign bytes
+    (``lsh._BLOCK_BUDGET``) and buckets and their count: about 6.25 *
+    ``lsh._BLOCK_BUDGET`` bytes (3.3 MB) at depth 4, for any data length.
+    Each pool thread adds a fixed cost: its allocator arena keeps the
     high-water mark of its hash and count buffers resident, and OpenBLAS
     gives a second concurrent caller its own buffer. While the pool runs,
     numpy's OpenBLAS is held at one thread (for the whole process),
@@ -470,9 +471,42 @@ def _header_fields():
         raise MalformedHeaderError(f"invalid header fields: {exc}") from exc
 
 
+class _BufferReader:
+    """The ``read``, ``readinto`` and ``tell`` of a file over a bytes-like object.
+
+    Reads copy only the bytes asked for, where ``io.BytesIO`` copies any
+    buffer but ``bytes`` whole before the first read.
+    """
+
+    def __init__(self, view: memoryview):
+        self._view = view  # of bytes, format "B"
+        self._pos = 0
+
+    def read(self, size: int = -1) -> bytes:
+        end = len(self._view) if size < 0 else min(self._pos + size, len(self._view))
+        data = self._view[self._pos:end].tobytes()
+        self._pos = end
+        return data
+
+    def readinto(self, into) -> int:
+        dest = memoryview(into).cast("B")
+        got = min(len(dest), len(self._view) - self._pos)
+        dest[:got] = self._view[self._pos:self._pos + got]
+        self._pos += got
+        return got
+
+    def tell(self) -> int:
+        return self._pos
+
+
 def deserialize(buf) -> RaceSketch:
-    """Decode a bytes-like object through :func:`load`'s reader: the sketch owns its table."""
-    return _read(io.BytesIO(buf), memoryview(buf).nbytes)
+    """Decode a bytes-like object through :func:`load`'s reader: the sketch owns its table.
+
+    The reader reads the buffer in place, so decoding holds the table and
+    one block of rows, never a second copy of the buffer.
+    """
+    view = memoryview(buf).cast("B")
+    return _read(_BufferReader(view), len(view))
 
 
 def save(sketch: RaceSketch, path) -> None:

@@ -109,6 +109,24 @@ def test_estimate_rejects_a_delta_outside_the_unit_interval_before_hashing(
             estimation.estimate(sk, points, estimator, delta)
 
 
+@pytest.mark.parametrize("delta", [-3.0, 0.0, 1.0, 7.0, float("nan")])
+def test_query_median_of_means_rejects_a_delta_before_hashing(monkeypatch, delta):
+    sk, x = _point_mass_sketch(n=3, rows=40)
+    calls = []
+    hash_batch = rk.lsh.hash_batch
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return hash_batch(*args, **kwargs)
+
+    monkeypatch.setattr(rk.lsh, "hash_batch", counted)
+    with pytest.raises(InvalidParameterError, match=r"delta must be in \(0, 1\)"):
+        rk.query_median_of_means(sk, x, delta=delta)
+    assert calls == []
+    rk.query_median_of_means(sk, x, delta=0.1)  # a valid delta hashes the point once
+    assert len(calls) == 1
+
+
 def test_mean_and_mom_agree_on_equal_reads():
     sk, x = _point_mass_sketch(n=13, rows=40)
     assert rk.estimate(sk, x[None, :], "mean").f_hat[0] \

@@ -131,9 +131,9 @@ def test_rows_use_distinct_parameters():
 
 @pytest.mark.parametrize("budget", [None, 7])
 def test_row_parameters_are_the_one_shot_draws(monkeypatch, budget):
-    # projections are drawn in blocks straight into their column-major array
+    # projections are drawn in tiles straight into their column-major array
     if budget is not None:
-        monkeypatch.setattr(lsh, "_BLOCK_BUDGET", budget)  # 2 rows of dim 3 a block
+        monkeypatch.setattr(lsh, "_TILE_BUDGET", budget)  # 2 rows of dim 3 a tile
     for kind, width, kwargs in (("srp", 8, {}), ("srp", 50, {}),
                                 ("euclidean", 8, {"bandwidth": 0.5})):
         fam = rk.new_family(kind, dim=3, depth=4, width=width, seed=31, **kwargs)
@@ -294,12 +294,20 @@ def test_hash_batch_blocks_match_one_block(monkeypatch, name):
     fam = rk.new_family(dim=3, seed=21, **_BLOCK_FAMILIES[name])
     pts = np.random.default_rng(4).standard_normal((40, 3)) * 2
     whole = rk.hash_batch(fam, 30, pts)  # 30 rows fit one block at the default budget
-    # 7 rows per block: 30 rows run as blocks of 7, 7, 7, 7 and a ragged 2
-    share = 1 if fam.kind.angular else lsh._EUCLIDEAN_SHARE
-    monkeypatch.setattr(lsh, "_BLOCK_BUDGET", 7 * fam.depth * len(pts) * share)
+    # 7 rows per block: 30 rows run as blocks of 7, 7, 7, 7 and a ragged 2; an
+    # angular block projects in tiles of 3, 3 and 1 rows, a euclidean block is a tile
+    unit = fam.depth * len(pts)
+    monkeypatch.setattr(lsh, "_BLOCK_BUDGET", 7 * unit)
+    monkeypatch.setattr(lsh, "_TILE_BUDGET", (3 if fam.kind.angular else 7) * unit)
     blocked = rk.hash_batch(fam, 30, pts)
     assert blocked.dtype == whole.dtype
     assert np.array_equal(blocked, whole)
+
+
+def _one_row_blocks(monkeypatch):
+    """One row per hash block and per tile, for a batch and for one point's gemv."""
+    monkeypatch.setattr(lsh, "_BLOCK_BUDGET", 1)
+    monkeypatch.setattr(lsh, "_TILE_BUDGET", 1)
 
 
 def _assert_single_points_match_batch(fam, rows, pts):
@@ -314,7 +322,7 @@ def _assert_single_points_match_batch(fam, rows, pts):
 @pytest.mark.parametrize("kind", ["srp", "folded-srp", "euclidean"])
 def test_single_point_equals_its_batch_column(monkeypatch, kind, one_row_blocks):
     if one_row_blocks:
-        monkeypatch.setattr(lsh, "_BLOCK_BUDGET", 1)
+        _one_row_blocks(monkeypatch)
     kwargs = {"bandwidth": 0.7} if kind == "euclidean" else {}
     pts = np.random.default_rng(12).standard_normal((4, 3)) * 2
     for depth in (*range(1, 10), 12, 62):
@@ -358,9 +366,12 @@ def test_hash_batch_uses_the_smallest_unsigned_dtype(kwargs, dtype):
 @pytest.mark.parametrize("kind,kwargs", [("srp", {}), ("euclidean", {"bandwidth": 1.0})])
 def test_hash_batch_memory_stays_block_sized(kind, kwargs):
     pts = np.random.default_rng(0).uniform(0, 1, (8000, 10))
-    # euclidean also at bandwidth 1e-10, where floors pass P: the range check and fmod run
-    for fam_kwargs in [kwargs, {"bandwidth": 1e-10}] if kwargs else [kwargs]:
-        fam = rk.new_family(kind, dim=10, depth=4, width=500, seed=3, **fam_kwargs)
+    n = len(pts)
+    # euclidean also at bandwidth 1e-10, where floors pass P: the range check and
+    # fmod run; srp also at depth 12, whose codes are mixed
+    for fam_kwargs in [kwargs, {"bandwidth": 1e-10}] if kwargs else [{}, {"depth": 12}]:
+        fam = rk.new_family(kind, dim=10, **{"depth": 4, "width": 500, "seed": 3,
+                                             **kwargs, **fam_kwargs})
         lsh._row_params(fam, 1000)  # cached parameters are not part of the peak
         tracemalloc.start()
         try:
@@ -370,13 +381,21 @@ def test_hash_batch_memory_stays_block_sized(kind, kwargs):
             tracemalloc.stop()
         # a single (rows * depth, n) float64 projection alone would be 244 MiB
         assert peak < 64 * 2**20
+        p = fam.depth
+        tile = max(1, lsh._TILE_BUDGET // (p * n)) * p * n * 8  # float64 projections
         if kind == "euclidean":
-            # beyond the buckets: one block of 2**16 projections (512 KiB) and,
-            # per bucket of the block, an accumulator, a quotient and a residue
+            # beyond the buckets: one tile of 2**16 projections (512 KiB) and,
+            # per bucket of the tile, an accumulator, a quotient and a residue
             # (20 bytes, 320 KiB at depth 4), with room for the point norms
-            block = lsh._BLOCK_BUDGET // lsh._EUCLIDEAN_SHARE * 8
-            assert peak - buckets.nbytes < block + block // fam.depth * 20 // 8 + 2**18, \
-                fam_kwargs
+            assert peak - buckets.nbytes < tile + tile // p * 20 // 8 + 2**18, fam_kwargs
+        else:
+            # beyond the buckets: one tile of projections (512 KiB at depth 4,
+            # one 750 KiB row at depth 12), one block of up to 2**19 sign bytes
+            # and, per code of the block when codes are mixed, its packed code
+            # and the mix's three uint64 temporaries (26 bytes), with room to spare
+            rows = max(1, lsh._BLOCK_BUDGET // (p * n))
+            mix = 0 if fam._plan.direct else rows * n * 26
+            assert peak - buckets.nbytes < tile + rows * p * n + mix + 2**18, fam_kwargs
 
 
 @pytest.mark.parametrize("one_row_blocks", [False, True], ids=["budget", "budget=1"])
@@ -387,7 +406,7 @@ def test_hash_batch_memory_stays_block_sized(kind, kwargs):
 def test_row_range_equals_that_slice_of_the_full_hash(monkeypatch, kind, depth, width,
                                                       one_row_blocks):
     if one_row_blocks:
-        monkeypatch.setattr(lsh, "_BLOCK_BUDGET", 1)
+        _one_row_blocks(monkeypatch)
     kwargs = {"bandwidth": 0.75} if kind == "euclidean" else {}
     fam = rk.new_family(kind, dim=3, depth=depth, width=width, seed=depth, **kwargs)
     for n in (1, 2, 301):  # one point takes the single-point path
@@ -397,6 +416,25 @@ def test_row_range_equals_that_slice_of_the_full_hash(monkeypatch, kind, depth, 
             assert np.array_equal(rk.hash_batch(fam, range(lo, hi), pts), want)
             # the same rows of a larger table
             assert np.array_equal(rk.hash_batch(fam, range(lo, hi), pts, table=31), want)
+
+
+@pytest.mark.parametrize("kind,depth,width", [
+    ("srp", 4, 64), ("srp", 12, 50), ("folded-srp", 4, 64), ("folded-srp", 12, 50),
+], ids=["srp", "srp-rebucketed", "folded", "folded-rebucketed"])
+def test_one_row_tiles_equal_the_default_tiles(monkeypatch, kind, depth, width):
+    # at the default budgets 1000 rows run as ragged blocks of several tiles;
+    # one-row tiles project each row alone, and must give the same sign bits
+    fam = rk.new_family(kind, dim=3, depth=depth, width=width, seed=depth)
+    spans = (1000, range(0, 1), range(3, 4), range(5, 13), range(7, 1000))
+    for n in (2, 301):
+        pts = np.random.default_rng(n).standard_normal((n, 3))
+        want = [rk.hash_batch(fam, rows, pts, table=1000) for rows in spans]
+        assert np.array_equal(want[0], _per_bit_reference(fam, 1000, pts))
+        with monkeypatch.context() as patch:
+            patch.setattr(lsh, "_TILE_BUDGET", 1)
+            got = [rk.hash_batch(fam, rows, pts, table=1000) for rows in spans]
+        for rows, tiled, default in zip(spans, got, want):
+            assert tiled.dtype == default.dtype and np.array_equal(tiled, default), (n, rows)
 
 
 def test_row_ranges_must_fit_the_table():
@@ -469,7 +507,7 @@ def _euclidean_reference(fam, rows, pts):
 @pytest.mark.parametrize("n", [0, 1, 3, 257])
 @pytest.mark.parametrize("bandwidth", [1e-12, 1e-9, 1e-3, 1.0, 1e6])
 def test_euclidean_hash_batch_equals_reference(monkeypatch, bandwidth, n):
-    monkeypatch.setattr(lsh, "_BLOCK_BUDGET", 1)  # one row per block
+    _one_row_blocks(monkeypatch)
     pts = np.random.default_rng(n).standard_normal((n, 3)) * 2
     for depth in (1, 2, 3, 4, 5, 62):  # odd depths end on an unpaired term
         for width in (2, 200, 70_000, 2**32 - 1):
@@ -490,13 +528,13 @@ def test_euclidean_rows_inside_and_outside_the_prime_in_one_call(monkeypatch):
     assert inside.any() and not inside.all()  # both reductions run in one call
     want = _euclidean_reference(fam, 40, pts)
     assert np.array_equal(rk.hash_batch(fam, 40, pts), want)  # one block, fmod throughout
-    monkeypatch.setattr(lsh, "_BLOCK_BUDGET", 1)  # one row per block
+    _one_row_blocks(monkeypatch)
     assert np.array_equal(rk.hash_batch(fam, 40, pts), want)
 
 
 def test_euclidean_tiny_bandwidth_keeps_points_apart(monkeypatch):
     # |g.x + b| / bandwidth is about 1e30, past int64: every floor still counts
-    monkeypatch.setattr(lsh, "_BLOCK_BUDGET", 1)  # the reference's matmuls, bit for bit
+    _one_row_blocks(monkeypatch)  # the reference's matmuls, bit for bit
     fam = rk.new_family("euclidean", dim=3, depth=2, width=1000, bandwidth=1e-30, seed=3)
     pts = np.random.default_rng(0).standard_normal((64, 3))
     buckets = rk.hash_batch(fam, 20, pts)
@@ -528,7 +566,7 @@ def _range_case_family(case, pts, rows):
 @pytest.mark.parametrize("case", ["bound-holds", "bound-fails-in-range", "past-prime",
                                   "past-int64", "overflow"])
 def test_euclidean_range_bound_skips_the_check_only_when_it_holds(monkeypatch, case, n):
-    monkeypatch.setattr(lsh, "_BLOCK_BUDGET", 1)  # the reference's matmuls, bit for bit
+    _one_row_blocks(monkeypatch)  # the reference's matmuls, bit for bit
     pts = np.random.default_rng(n).standard_normal((n, 3)) * 2
     fam = _range_case_family(case, pts, 9)
     bound, verdicts = lsh._floors_in_range, []

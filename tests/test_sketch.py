@@ -411,9 +411,10 @@ def test_build_memory_at_the_fit_shape_is_the_table_parameters_and_a_block_per_t
     rk.lsh._row_params.cache_clear()  # 100k-row parameters
     assert sk.counts.shape == (100_000, 8)
     budget = rk.lsh._BLOCK_BUDGET
-    # projections (float64) and their sign bytes, then per depth-4 row block
-    # of buckets: the uint8 buckets, their intp indices and a tally no longer
-    per_thread = 9 * budget + budget // fam.depth * (1 + 8 + 8)
+    # one tile of projections (float64), a block of their sign bytes, then per
+    # depth-4 row block of buckets: the uint8 buckets, their intp indices and
+    # a tally no longer
+    per_thread = 8 * rk.lsh._TILE_BUDGET + budget + budget // fam.depth * (1 + 8 + 8)
     assert peak <= sk.counts.nbytes + proj.nbytes + threads * per_thread
     assert sk == rk.build(pts, fam, 100_000)
 
@@ -690,6 +691,24 @@ def test_deserialize_copies_from_every_kind_of_buffer():
     copied = rk.deserialize(misaligned)
     assert copied == sk and copied.counts.flags.aligned and copied.counts.flags.writeable
     assert not np.shares_memory(copied.counts, np.frombuffer(misaligned, np.uint8))
+
+
+def test_deserialize_holds_one_copy_of_the_table_from_every_kind_of_buffer():
+    # an 8 MB table of every column: decoding holds the table, never a second
+    # copy of the buffer it reads (io.BytesIO copies any buffer but bytes)
+    sk = rk.build(np.random.default_rng(1).standard_normal((300, 2)),
+                  _family(depth=12, width=1000), rows=1000)
+    data = rk.serialize(sk)
+    for buf in (data, bytearray(data), memoryview(bytearray(data)),
+                memoryview(bytearray(b"\0" + data))[1:]):
+        tracemalloc.start()
+        try:
+            decoded = rk.deserialize(buf)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert decoded == sk and decoded.counts.shape == (1000, 1000)
+        assert peak < decoded.counts.nbytes + 2**16, type(buf)
 
 
 # A release that drew noise on all 64 columns, as releases did before noise
