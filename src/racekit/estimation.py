@@ -62,8 +62,8 @@ class Estimate(NamedTuple):
 
 def mom_group_count(delta: float) -> int:
     """Number of median-of-means groups for failure probability delta."""
-    if not 0.0 < delta < 1.0:
-        raise InvalidParameterError(f"delta must be in (0, 1), got {delta}")
+    if not 0.0 < delta < 1.0 or 1.0 / delta == math.inf:
+        raise InvalidParameterError(f"delta must be in (0, 1) with 1 / delta finite, got {delta}")
     return math.ceil(8.0 * math.log(1.0 / delta))
 
 
@@ -205,7 +205,8 @@ def error_bound(f_tilde_value: float, rows: int, epsilon: float, delta: float) -
 
     sqrt((f_tilde^2 / R + 2 R / eps^2) * 32 ln(1 / delta)).
     """
-    if f_tilde_value < 0 or rows < 1 or not epsilon > 0 or not 0 < delta < 1:
+    if not (0 <= f_tilde_value < math.inf and 1 <= rows < math.inf
+            and 0 < epsilon < math.inf and 0 < delta < 1 and 1.0 / delta < math.inf):
         raise InvalidParameterError(
             f"invalid arguments: f_tilde={f_tilde_value}, rows={rows}, "
             f"epsilon={epsilon}, delta={delta}")
@@ -219,9 +220,9 @@ def optimal_rows(f_tilde_or_n: float, epsilon: float) -> int:
     Callers that cannot evaluate f_tilde may pass the dataset size N, which
     upper-bounds it.
     """
-    if not f_tilde_or_n > 0 or not epsilon > 0:
+    if not 0 < f_tilde_or_n < math.inf or not 0 < epsilon < math.inf:
         raise InvalidParameterError(
-            f"inputs must be positive, got {f_tilde_or_n}, {epsilon}")
+            f"inputs must be positive and finite, got {f_tilde_or_n}, {epsilon}")
     return max(1, math.ceil(f_tilde_or_n * epsilon / math.sqrt(2.0)))
 
 

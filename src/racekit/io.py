@@ -30,6 +30,7 @@ from __future__ import annotations
 import csv
 import itertools
 import math
+import operator
 import warnings
 from dataclasses import dataclass, field
 
@@ -166,14 +167,19 @@ def _loadtxt(lines, rows: int | None, delimiter: str) -> np.ndarray | None:
 def csv_chunks(path, rows: int | None = None, *, header: bool = False, delimiter: str = ","):
     """Yield ``(first_row, matrix)`` for each run of up to ``rows`` data rows of a CSV.
 
-    ``first_row`` is the number of data rows before ``matrix[0]``, and
-    ``rows=None`` reads the whole file as one chunk. numpy parses each chunk
-    from one open handle, so a file of any length needs one chunk's matrix at
-    a time. At the first chunk numpy refuses (or whose width differs from the
-    first chunk's), the csv reader parses the file again from its start on a
-    second handle, passing over the rows already yielded, so that every fault
-    is raised at its own row and column as ``stream_csv`` numbers them.
+    ``first_row`` counts the data rows before ``matrix[0]``; ``rows`` is an
+    integer >= 1, or None for the whole file as one chunk. numpy parses each
+    chunk from one open handle, so a file of any length needs one chunk's
+    matrix at a time. At the first chunk numpy refuses (or whose width differs
+    from the first chunk's), the csv reader parses the file again from its
+    start on a second handle, skipping the rows already yielded, so that every
+    fault is raised at its own row and column as ``stream_csv`` numbers them.
     """
+    try:
+        if rows is not None and operator.index(rows) < 1:
+            raise InvalidParameterError(f"rows must be >= 1 or None, got {rows}")
+    except TypeError:
+        raise InvalidParameterError(f"rows must be an integer or None, got {rows!r}") from None
     done, arity = 0, None
     with _open_text(path) as fh:
         _skip_header(fh, header, delimiter)

@@ -48,13 +48,11 @@ block with one ``bincount`` as soon as it is hashed.
 from __future__ import annotations
 
 import contextlib
-import ctypes
 import functools
-import glob
+import operator
 import os
 import stat
 import struct
-import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -256,71 +254,22 @@ def _iter_chunks(data, dim: int):
         yield np.vstack(buf)
 
 
-# Holders of the one-thread BLAS setting and the thread count to restore when
-# the last of them ends, so overlapping threaded builds restore it once.
-_BLAS_LOCK = threading.Lock()
-_blas_holders = 0
-_blas_restore = 1
-
-
-@functools.lru_cache(maxsize=1)
-def _numpy_openblas():
-    """``(get, set)`` thread-count functions of numpy's bundled OpenBLAS, or None.
-
-    numpy wheels ship it under ``numpy.libs`` with a ``libscipy_openblas``
-    name (the scipy-openblas build, not scipy itself); it is already loaded,
-    so opening it again returns the same library.
-    """
-    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
-    for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas*"))):
-        try:
-            lib = ctypes.CDLL(path)
-            get = lib.scipy_openblas_get_num_threads64_
-            set_ = lib.scipy_openblas_set_num_threads64_
-        except (OSError, AttributeError):
-            continue
-        get.restype, get.argtypes = ctypes.c_int, []
-        set_.restype, set_.argtypes = None, [ctypes.c_int]
-        return get, set_
-    return None
-
-
-@contextlib.contextmanager
-def _one_blas_thread(blas):
-    """Run numpy's OpenBLAS on one thread inside the block, then restore it."""
-    global _blas_holders, _blas_restore
-    get, set_ = blas
-    with _BLAS_LOCK:
-        if _blas_holders == 0:
-            _blas_restore = get()
-            set_(1)
-        _blas_holders += 1
-    try:
-        yield
-    finally:
-        with _BLAS_LOCK:
-            _blas_holders -= 1
-            if _blas_holders == 0:
-                set_(_blas_restore)
-
-
 def build(data, family: LshFamily, rows: int, *, threads: int = 1) -> RaceSketch:
     """One-pass sketch construction.
 
     ``data`` may be an (N, dim) array, a Dataset, or any iterable of points
     and of (n, dim) point matrices, such as the chunks
-    :func:`racekit.io.csv_chunks` parses, which ``racekit build`` reads at
-    the build's own chunk length. Points are hashed in chunks of ``_CHUNK``
-    (8000) points, so a stream never needs to fit in memory. Each chunk's
-    rows are cut into ``min(threads, rows)`` contiguous ranges; each thread
-    hashes its range of rows
-    (``lsh.hash_batch`` with a row range) and counts it into those rows of
-    the table, the calling thread taking the first range, and the next chunk
-    starts when every range is counted. A thread walks its range one hash
-    block of ``lsh._BLOCK_BUDGET // (depth * n)`` rows at a time, the only
-    blocking of the write path, and counts each block as soon as it is hashed
-    (:func:`_scatter`, one ``bincount``). Every counter thus has one writer
-    and the result is byte-identical for every ``threads``.
+    :func:`racekit.io.csv_chunks` parses, which ``racekit build`` reads at the
+    build's own chunk length. Points are hashed in chunks of ``_CHUNK`` (8000)
+    points, so a stream never needs to fit in memory. Each chunk's rows are
+    cut into ``min(threads, rows)`` contiguous ranges; each thread hashes its
+    range of rows (``lsh.hash_batch`` with a row range) and counts it into
+    those rows of the table, the calling thread taking the first range, and
+    the next chunk starts when every range is counted. A thread walks its
+    range one hash block of ``lsh._BLOCK_BUDGET // (depth * n)`` rows at a
+    time, the only blocking of the write path, and counts each block as soon
+    as it is hashed (:func:`_scatter`, one ``bincount``). Every counter thus
+    has one writer and the result is byte-identical for every ``threads``.
 
     Peak memory is the table of ``rows * reachable_width`` counters, one
     chunk of points, the row parameters (``lsh._row_params``) and, per
@@ -329,22 +278,18 @@ def build(data, family: LshFamily, rows: int, *, threads: int = 1) -> RaceSketch
     (``lsh._BLOCK_BUDGET``) and buckets and their count: about 6.25 *
     ``lsh._BLOCK_BUDGET`` bytes (3.3 MB) at depth 4, for any data length.
     Each pool thread adds a fixed cost: its allocator arena keeps the
-    high-water mark of its hash and count buffers resident, and OpenBLAS
-    gives a second concurrent caller its own buffer. While the pool runs,
-    numpy's OpenBLAS is held at one thread (for the whole process),
-    since each thread's projection matmul would otherwise start its own BLAS
-    threads and oversubscribe the cores; when that BLAS cannot be found, the
-    build runs on one thread.
+    high-water mark of its hash and count buffers resident, and the BLAS
+    gives a second concurrent caller its own buffer. ``threads`` is honoured
+    on every numpy build, and numpy's BLAS is left as the process set it.
     """
-    if rows < 1:
-        raise InvalidParameterError(f"rows must be >= 1, got {rows}")
-    if threads < 1:
-        raise InvalidParameterError(f"threads must be >= 1, got {threads}")
+    try:
+        rows, threads = operator.index(rows), operator.index(threads)
+    except TypeError as exc:
+        raise InvalidParameterError(f"rows and threads must be integers: {exc}") from None
+    if rows < 1 or threads < 1:
+        raise InvalidParameterError(f"rows and threads must be >= 1, got {rows}, {threads}")
     counts = np.zeros((rows, family.reachable_width), dtype=np.int64)
     threads = min(threads, rows)
-    blas = _numpy_openblas() if threads > 1 else None
-    if blas is None:
-        threads = 1
     cuts = [rows * i // threads for i in range(threads + 1)]
     spans = [range(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
 
@@ -355,12 +300,10 @@ def build(data, family: LshFamily, rows: int, *, threads: int = 1) -> RaceSketch
             _scatter(counts[r0:r1], lsh.hash_batch(family, range(r0, r1), points,
                                                    table=rows, checked=True))
 
-    inserted, pool = 0, None
-    with contextlib.ExitStack() as stack:
-        if threads > 1:
-            stack.enter_context(_one_blas_thread(blas))
-            pool = stack.enter_context(ThreadPoolExecutor(threads - 1))
-            lsh._row_params(family, rows)  # drawn once here, not by each thread at once
+    if threads > 1:
+        lsh._row_params(family, rows)  # drawn once here, not by each thread at once
+    inserted = 0
+    with ThreadPoolExecutor(threads - 1) if threads > 1 else contextlib.nullcontext() as pool:
         for points in _iter_chunks(data, family.dim):
             lsh._check_finite(points)  # once, not once per hash block
             inserted += points.shape[0]

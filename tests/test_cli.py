@@ -414,11 +414,13 @@ def test_query_rejects_a_delta_outside_the_unit_interval_for_either_estimator(
     _run(capsys, ["build", "--input", workdir / "data.csv", "--rows", 40,
                   "--range", 16, "--output", workdir / "s.race"])
     out = workdir / "answers.csv"
-    code, _, err = _run(capsys, ["query", "--sketch", workdir / "s.race",
-                                 "--queries", workdir / "queries.csv", "--estimator", estimator,
-                                 "--delta", 7, "--output", out])
-    assert code == 2 and "delta must be in (0, 1)" in err
-    assert not out.exists() and not (workdir / "answers.csv.manifest.json").exists()
+    for delta in (7, 5e-324):  # 1 / 5e-324 overflows to inf
+        code, _, err = _run(capsys, ["query", "--sketch", workdir / "s.race",
+                                     "--queries", workdir / "queries.csv",
+                                     "--estimator", estimator, "--delta", delta,
+                                     "--output", out])
+        assert code == 2 and "delta must be in (0, 1)" in err
+        assert not out.exists() and not (workdir / "answers.csv.manifest.json").exists()
 
 
 def test_classify_train_predict_flow(workdir, capsys):

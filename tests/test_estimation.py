@@ -99,7 +99,7 @@ def test_mom_insufficient_rows():
 
 
 @pytest.mark.parametrize("estimator", ["mean", "median_of_means"])
-@pytest.mark.parametrize("delta", [-3.0, 0.0, 1.0, 7.0, float("nan")])
+@pytest.mark.parametrize("delta", [-3.0, 0.0, 1.0, 7.0, float("nan"), 5e-324])
 def test_estimate_rejects_a_delta_outside_the_unit_interval_before_hashing(
         monkeypatch, estimator, delta):
     sk, x = _point_mass_sketch(n=3, rows=40)
@@ -291,6 +291,12 @@ def test_error_bound_validation():
         rk.error_bound(1.0, 10, 0.0, 0.1)
     with pytest.raises(InvalidParameterError):
         rk.error_bound(1.0, 10, 1.0, 1.5)
+    inf, nan = math.inf, math.nan
+    for args in ((nan, 10, 1.0, 0.1), (inf, 10, 1.0, 0.1), (1.0, nan, 1.0, 0.1),
+                 (1.0, inf, 1.0, 0.1), (1.0, 10, nan, 0.1), (1.0, 10, inf, 0.1),
+                 (1.0, 10, 1.0, nan), (1.0, 10, 1.0, 5e-324)):
+        with pytest.raises(InvalidParameterError):
+            rk.error_bound(*args)
 
 
 def test_error_bound_at_optimal_rows_under_closed_form():
@@ -333,6 +339,9 @@ def test_optimal_rows_values():
         rk.optimal_rows(0.0, 1.0)
     with pytest.raises(InvalidParameterError):
         rk.optimal_rows(10.0, 0.0)
+    for args in ((math.inf, 1.0), (10.0, math.inf), (math.nan, 1.0), (10.0, math.nan)):
+        with pytest.raises(InvalidParameterError):
+            rk.optimal_rows(*args)
 
 
 def test_f_tilde_closed_forms():

@@ -248,6 +248,16 @@ def test_csv_chunks_are_the_loaded_matrix_with_the_rows_before_each(tmp_path, ro
     assert [first for first, _ in chunks] == np.cumsum([0] + sizes[:-1]).tolist()
 
 
+@pytest.mark.parametrize("rows", [0, -1, 2.5, "3"])
+def test_csv_chunks_rejects_a_chunk_length_that_is_not_a_positive_integer(tmp_path, rows):
+    # rows=0 would yield no chunk at all, and rows=-1 an islice ValueError
+    path = _write(tmp_path, "1,2\n3,4\n5,6\n")
+    with pytest.raises(InvalidParameterError):
+        list(rio.csv_chunks(path, rows))
+    whole = list(rio.csv_chunks(path, None))  # None is the whole file, as one chunk
+    assert [(first, m.tolist()) for first, m in whole] == [(0, [[1, 2], [3, 4], [5, 6]])]
+
+
 @pytest.mark.parametrize("mode", ["none", "sphere", "cube"])
 def test_scale_chunks_is_scale_bit_for_bit(mode):
     raw = np.random.default_rng(5).uniform(-5, 5, (40, 3))

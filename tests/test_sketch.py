@@ -90,13 +90,18 @@ def test_build_threaded_equals_serial():
     pts = rng.standard_normal((501, 2))
     fam = _family()
     assert rk.build(pts, fam, rows=25, threads=3) == rk.build(pts, fam, rows=25)
+    # d = 10: each pool thread's tile matmul runs on numpy's own BLAS threads
+    wide = rng.standard_normal((3000, 10))
+    for fam in (rk.new_family("euclidean", dim=10, depth=2, width=64, bandwidth=1.5, seed=4),
+                rk.new_family("srp", dim=10, depth=4, width=500, seed=5)):
+        serial = rk.serialize(rk.build(wide, fam, rows=300))
+        for threads in (2, 3):
+            assert rk.serialize(rk.build(wide, fam, rows=300, threads=threads)) == serial
 
 
 @pytest.mark.parametrize("rows,threads", [(1, 2), (2, 5), (7, 3), (25, 3)])
 def test_build_with_row_ranges_equals_serial(monkeypatch, rows, threads):
     # ranges are capped at one row each, so 5 threads over 2 rows run 2 ranges
-    _, blas = _fake_blas(1)
-    monkeypatch.setattr(rk.sketch, "_numpy_openblas", lambda: blas)
     monkeypatch.setattr(rk.sketch, "_CHUNK", 60)
     pts = np.random.default_rng(10).standard_normal((301, 2))
     fam = _family()
@@ -225,24 +230,21 @@ def test_build_rejects_threads_below_one():
     for threads in (0, -2):
         with pytest.raises(InvalidParameterError):
             rk.build(np.ones((3, 2)), _family(), rows=5, threads=threads)
+    # rows and threads go through operator.index, as LshFamily's integer fields do
+    for rows, threads in ((2.5, 1), (5, 2.5), ("5", 1), (5, None)):
+        with pytest.raises(InvalidParameterError, match="must be integers"):
+            rk.build(np.ones((3, 2)), _family(), rows, threads=threads)
+    assert rk.build(np.ones((3, 2)), _family(), np.int64(5), threads=np.int32(2)).rows == 5
 
 
-def _fake_blas(threads):
-    """A (get, set) pair standing in for numpy's OpenBLAS thread count."""
-    state = {"threads": threads}
-    return state, (lambda: state["threads"], lambda n: state.update(threads=n))
-
-
-def test_overlapping_threaded_builds_restore_blas_once(monkeypatch):
-    # six threaded builds at once, with a short switch interval: BLAS must stay
-    # at one thread while any of them hashes and be restored when all are done
-    state, blas = _fake_blas(5)
-    monkeypatch.setattr(rk.sketch, "_numpy_openblas", lambda: blas)
+def test_overlapping_threaded_builds_equal_the_serial_build(monkeypatch):
+    # six threaded builds at once, with a short switch interval: each hashes
+    # every row range of every chunk once and equals the serial build
     seen = []
     hash_batch = rk.lsh.hash_batch
 
     def recorded(*args, **kwargs):
-        seen.append(state["threads"])
+        seen.append(args[1])
         return hash_batch(*args, **kwargs)
 
     monkeypatch.setattr(rk.lsh, "hash_batch", recorded)
@@ -267,42 +269,8 @@ def test_overlapping_threaded_builds_restore_blas_once(monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in workers)
     assert all(r == expected for r in results)
-    assert seen == [1] * 6 * 8 * 2  # six builds, eight chunks, two row ranges each
-    assert state["threads"] == 5
-
-
-def test_serial_build_leaves_blas_alone(monkeypatch):
-    def untouchable():
-        raise AssertionError("a threads=1 build looked up the BLAS")
-
-    monkeypatch.setattr(rk.sketch, "_numpy_openblas", untouchable)
-    assert rk.build(np.ones((3, 2)), _family(), rows=5).inserted == 3
-
-
-def test_threaded_build_without_numpy_openblas_runs_one_thread(monkeypatch):
-    def no_pool(*args):
-        raise AssertionError("a pool was started without a pinned BLAS")
-
-    pts = np.random.default_rng(2).standard_normal((500, 2))
-    serial = rk.build(pts, _family(), rows=5)
-    monkeypatch.setattr(rk.sketch, "_numpy_openblas", lambda: None)
-    monkeypatch.setattr(rk.sketch, "ThreadPoolExecutor", no_pool)
-    assert rk.build(pts, _family(), rows=5, threads=3) == serial
-
-
-def test_threaded_build_restores_numpy_blas_threads():
-    blas = rk.sketch._numpy_openblas()
-    if blas is None:
-        pytest.skip("numpy does not bundle a scipy-openblas library here")
-    get, set_ = blas
-    before = get()
-    try:
-        set_(2)
-        rk.build(np.random.default_rng(3).standard_normal((300, 2)), _family(), rows=5,
-                 threads=2)
-        assert get() == 2
-    finally:
-        set_(before)
+    # six builds, eight chunks, two row ranges each
+    assert sorted(seen, key=lambda span: span.start) == [range(0, 2)] * 48 + [range(2, 5)] * 48
 
 
 def test_threaded_stream_build_keeps_memory_bounded():
@@ -321,8 +289,6 @@ def test_threaded_stream_build_keeps_memory_bounded():
 def test_threaded_stream_build_counts_each_row_range_where_it_was_hashed(monkeypatch):
     # each chunk's rows go out as ranges [0, 2) and [2, 5); every range of every
     # chunk is hashed and counted once, by one thread, before the next chunk
-    _, blas = _fake_blas(1)
-    monkeypatch.setattr(rk.sketch, "_numpy_openblas", lambda: blas)
     monkeypatch.setattr(rk.sketch, "_CHUNK", 50)
     pts = np.random.default_rng(6).standard_normal((420, 2))
     fam = _family()
